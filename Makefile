@@ -36,43 +36,27 @@ tier2-reliability:
 	$(GO) test -run '^$$' -fuzz '^FuzzActivationCell$$' -fuzztime 10s ./internal/pcm/
 	$(GO) test -run '^$$' -fuzz '^FuzzCellProgram$$' -fuzztime 10s ./internal/pcm/
 
-# Benchmark trajectory: the kernel/batch/recompilation microbenchmarks, the
-# training pair, the two regenerating-table benchmarks, the serving
-# throughput pair, the routed-replica pair, and the pipelined-execution
-# pair, BENCH_COUNT repetitions with allocation reporting, parsed into the
-# machine-readable trajectory file (BENCH_OUT, default
-# BENCH_PR10.json). cmd/benchjson exits non-zero unless the factored kernel
-# holds ≥2× over the reference triple loop on the 64×64 bank, the compiled
-# batch kernel ≥1.5× over the factored kernel on the 256×256 batched MVM,
-# the incremental dirty-row recompile ≥5× over a full snapshot rebuild on
-# the 256×256 bank, the pool-parallel batch GEMM ≥1.5× over the
-# single-threaded batch on the 256×256 bank (recorded but waived on
-# single-CPU hosts, where no parallel speedup is physically available —
-# multi-core CI enforces it), the micro-batching serve front-end ≥1.2×
-# requests/second over single-request dispatch, batched in-situ training
-# ≥2× per-sample throughput over the sequential TrainSample schedule on the
-# 256×256 layer, two-replica routed serving ≥1.3× a single replica
-# under maintenance churn (ApplyParallelGate: recorded but waived below 2
-# CPUs, where the sibling replicas cannot actually run concurrently), and
-# 4-stage pipelined DeepCNN batch execution ≥1.4× the sequential batched
-# path (recorded but waived below 4 CPUs, where four stage workers cannot
-# actually overlap).
-BENCH_OUT ?= BENCH_PR10.json
+# Benchmark trajectory: the hot-path microbenchmarks, BENCH_COUNT
+# repetitions with allocation reporting, parsed into the machine-readable
+# trajectory file (BENCH_OUT). cmd/benchjson exits non-zero unless every
+# speedup gate in its gate table (defaultGates in cmd/benchjson/main.go)
+# holds; parallelism gates are recorded but waived on hosts with too few
+# CPUs.
+BENCH_OUT ?= BENCH_PR13.json
 BENCH_COUNT ?= 6
-BENCH_PATTERN = ^(BenchmarkBankMVM|BenchmarkBankMVMCompiled|BenchmarkBankMVMFactored|BenchmarkBankMVMReference|BenchmarkBankMVMBatch|BenchmarkBankMVMBatchFactored|BenchmarkBankMVMBatchParallel|BenchmarkBankRecompileFull|BenchmarkBankRecompileIncremental|BenchmarkBankProgram|BenchmarkTrainStep|BenchmarkTrainBatch|BenchmarkTransposeCompiled|BenchmarkTableIII_PowerBreakdown|BenchmarkFigure6_InferencesPerSecond|BenchmarkServeBatcher|BenchmarkServeUnbatched|BenchmarkRouterOneReplica|BenchmarkRouterTwoReplicas|BenchmarkDeepCNNBatchSequential|BenchmarkDeepCNNBatchPipelined)$$
+BENCH_PATTERN = ^(BenchmarkBankMVM|BenchmarkBankMVMReference|BenchmarkBankMVMBatch|BenchmarkBankMVMBatchParallel|BenchmarkBankRecompileFull|BenchmarkBankRecompileIncremental|BenchmarkBankProgram|BenchmarkTrainStep|BenchmarkTrainBatch|BenchmarkTransposeCompiled|BenchmarkTableIII_PowerBreakdown|BenchmarkFigure6_InferencesPerSecond|BenchmarkServeBatcher|BenchmarkServeUnbatched|BenchmarkRouterOneReplica|BenchmarkRouterTwoReplicas|BenchmarkDeepCNNBatchSequential|BenchmarkDeepCNNBatchPipelined)$$
 
 bench:
 	$(GO) test -run='^$$' -bench='$(BENCH_PATTERN)' -benchmem -count=$(BENCH_COUNT) . > bench.out
 	$(GO) run ./cmd/benchjson -out $(BENCH_OUT) < bench.out
 	@rm -f bench.out
 
-# Profiled trajectory run: the same benchmarks through `trident bench` with
-# CPU and allocation profiles captured for `go tool pprof` (see DESIGN.md
-# §11/§12 for captured excerpts). Writes its (single-repetition, profiled)
-# trajectory to a scratch file so the tracked $(BENCH_OUT) keeps the
-# unprofiled six-repetition numbers from `make bench`.
+# Profiled trajectory run: the same benchmarks, one repetition, with CPU and
+# allocation profiles captured for `go tool pprof` (see DESIGN.md §11/§12
+# for captured excerpts). Writes its trajectory to a scratch file so the
+# tracked $(BENCH_OUT) keeps the unprofiled numbers from `make bench`.
 bench-profile:
-	$(GO) run ./cmd/trident bench -o bench-profile.json -cpuprofile cpu.pprof -memprofile mem.pprof
+	$(GO) test -run='^$$' -bench='$(BENCH_PATTERN)' -benchmem -count=1 -cpuprofile cpu.pprof -memprofile mem.pprof . | $(GO) run ./cmd/benchjson -out bench-profile.json
 
 # The full benchmark suite (every table, figure and hot path), no trajectory
 # file.
@@ -80,6 +64,7 @@ bench-all:
 	$(GO) test -bench=. -benchmem -run='^$$' .
 
 # Remove benchmark/profiling byproducts (the tracked BENCH_*.json
-# trajectories are left alone).
+# trajectories are left alone). `go test -cpuprofile` leaves the test
+# binary (trident.test) behind.
 clean:
-	rm -f cpu.pprof mem.pprof bench-profile.json bench.out
+	rm -f cpu.pprof mem.pprof bench-profile.json bench.out *.test

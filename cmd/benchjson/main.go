@@ -1,26 +1,13 @@
 // Command benchjson turns `go test -bench` output into the machine-readable
-// benchmark-trajectory file (BENCH_PR10.json via `make bench`) and enforces
-// the kernel speedup gates. By default the factored crosstalk kernel must
-// hold ≥2× over the reference triple loop on the 64×64 bank, the compiled
-// batch kernel ≥1.5× over the factored kernel on the 256×256 batched MVM,
-// the incremental dirty-row recompile ≥5× over a full snapshot rebuild on
-// the 256×256 bank, the worker-pool-parallel batch GEMM ≥1.5× over the
-// single-threaded batch on the 256×256 bank, the micro-batching serve
-// front-end ≥1.2× over single-request dispatch in requests served per
-// second, batched training ≥2× over per-sample steps, the two-replica
-// router ≥1.3× over a single replica under maintenance churn, and 4-stage
-// pipelined DeepCNN batch execution ≥1.4× over the sequential batched path
-// — or the pipe exits non-zero. Parallelism gates only bind on hosts with
-// enough logical CPUs; below that the measured ratio is recorded but the
-// gate is waived (see benchio.ApplyParallelGate).
+// benchmark-trajectory file (BENCH_PR*.json via `make bench`) and enforces
+// the speedup gates in defaultGates — the one gate table of the repo — or
+// exits non-zero. Parallelism gates only bind on hosts with enough logical
+// CPUs; below that the measured ratio is recorded but the gate is waived
+// (see benchio.Report.ApplyGate).
 //
 // Usage (as wired by `make bench`):
 //
-//	go test -run='^$' -bench=... -benchmem -count=6 . | benchjson -out BENCH_PR7.json
-//
-// Custom gates replace the defaults with repeated -gate FAST,REF,MIN and
-// -pgate FAST,REF,MIN,MINPROCS flags; -nogates disables gating entirely (the
-// trajectory is still written).
+//	go test -run='^$' -bench=... -benchmem -count=6 . | benchjson -out BENCH_PR13.json
 package main
 
 import (
@@ -30,13 +17,11 @@ import (
 	"log"
 	"os"
 	"runtime"
-	"strconv"
-	"strings"
 
 	"trident/internal/benchio"
 )
 
-// gateSpec is one -gate/-pgate flag value: numerator, denominator, required
+// gateSpec is one speedup requirement: numerator, denominator, required
 // factor, and (for parallelism gates) the smallest host CPU count at which
 // the gate binds rather than being waived.
 type gateSpec struct {
@@ -45,25 +30,29 @@ type gateSpec struct {
 	minProcs  int
 }
 
-// defaultGates are the PR 10 trajectory requirements. The serve gate compares
-// ns/op of the two serving benchmarks, which is exactly inverse requests per
-// second: batching must buy at least 1.2× throughput over one-at-a-time
-// dispatch through the same batcher machinery. The training gate compares
-// the two training benchmarks, each of which processes the same 32 samples
-// per op: one TrainBatch minibatch must beat 32 sequential TrainSample
-// steps (which reprogram the banks after every sample) by at least 2× on
-// the 256×256 layer. The router gate compares routed serving throughput
-// under maintenance churn with two replicas against one: the router must
-// buy ≥1.3× by shifting traffic to the warm sibling during each drain —
-// waived below 2 CPUs, where the siblings cannot actually run
-// concurrently (ApplyParallelGate semantics). The pipeline gate compares
-// 4-stage pipelined DeepCNN batch execution against the sequential batched
-// path on the same graph shape: double-buffered stage overlap must buy
-// ≥1.4× batch throughput — waived below 4 CPUs, where four stage workers
-// cannot actually overlap.
+// defaultGates are the trajectory requirements, each ref ns/op over fast
+// ns/op:
+//
+//   - kernel: the compiled-snapshot MVM ≥3× the reference triple loop on the
+//     64×64 bank (the product of the retired factored-vs-reference ≥2× and
+//     compiled-batch-vs-factored ≥1.5× gates).
+//   - recompile: the incremental dirty-row recompile ≥5× a full snapshot
+//     rebuild on the 256×256 bank.
+//   - parallel: the pool-parallel batch GEMM ≥1.5× the single-threaded batch
+//     on the 256×256 bank, waived below 2 CPUs.
+//   - serve: micro-batching ≥1.2× requests/second over one-at-a-time
+//     dispatch through the same batcher machinery.
+//   - train: one 32-sample TrainBatch minibatch ≥2× 32 sequential
+//     TrainSample steps (which reprogram the banks after every sample) on the
+//     256×256 layer.
+//   - router: two replicas ≥1.3× one under maintenance churn, by shifting
+//     traffic to the warm sibling during each drain; waived below 2 CPUs,
+//     where the siblings cannot run concurrently.
+//   - pipeline: 4-stage pipelined DeepCNN batch execution ≥1.4× the
+//     sequential batched path on the same graph; waived below 4 CPUs, where
+//     four stage workers cannot overlap.
 var defaultGates = []gateSpec{
-	{fast: "BenchmarkBankMVMFactored/64x64", ref: "BenchmarkBankMVMReference/64x64", min: 2},
-	{fast: "BenchmarkBankMVMBatch/256x256", ref: "BenchmarkBankMVMBatchFactored/256x256", min: 1.5},
+	{fast: "BenchmarkBankMVM/64x64", ref: "BenchmarkBankMVMReference/64x64", min: 3},
 	{fast: "BenchmarkBankRecompileIncremental/256x256", ref: "BenchmarkBankRecompileFull/256x256", min: 5},
 	{fast: "BenchmarkBankMVMBatchParallel/256x256", ref: "BenchmarkBankMVMBatch/256x256", min: 1.5, minProcs: 2},
 	{fast: "BenchmarkServeBatcher", ref: "BenchmarkServeUnbatched", min: 1.2},
@@ -72,64 +61,10 @@ var defaultGates = []gateSpec{
 	{fast: "BenchmarkDeepCNNBatchPipelined", ref: "BenchmarkDeepCNNBatchSequential", min: 1.4, minProcs: 4},
 }
 
-// gateFlags collects repeated -gate/-pgate values.
-type gateFlags struct {
-	specs    *[]gateSpec
-	parallel bool
-}
-
-func (g gateFlags) String() string {
-	if g.specs == nil {
-		return ""
-	}
-	parts := make([]string, 0, len(*g.specs))
-	for _, s := range *g.specs {
-		if s.minProcs > 0 {
-			parts = append(parts, fmt.Sprintf("%s,%s,%g,%d", s.fast, s.ref, s.min, s.minProcs))
-		} else {
-			parts = append(parts, fmt.Sprintf("%s,%s,%g", s.fast, s.ref, s.min))
-		}
-	}
-	return strings.Join(parts, " ")
-}
-
-func (g gateFlags) Set(v string) error {
-	parts := strings.Split(v, ",")
-	want := 3
-	if g.parallel {
-		want = 4
-	}
-	if len(parts) != want {
-		if g.parallel {
-			return fmt.Errorf("want FAST,REF,MIN,MINPROCS, got %q", v)
-		}
-		return fmt.Errorf("want FAST,REF,MIN, got %q", v)
-	}
-	min, err := strconv.ParseFloat(parts[2], 64)
-	if err != nil || min <= 0 {
-		return fmt.Errorf("bad required factor %q", parts[2])
-	}
-	spec := gateSpec{fast: parts[0], ref: parts[1], min: min}
-	if g.parallel {
-		procs, err := strconv.Atoi(parts[3])
-		if err != nil || procs < 1 {
-			return fmt.Errorf("bad min processor count %q", parts[3])
-		}
-		spec.minProcs = procs
-	}
-	*g.specs = append(*g.specs, spec)
-	return nil
-}
-
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchjson: ")
-	out := flag.String("out", "BENCH_PR7.json", "trajectory file to write")
-	var gates []gateSpec
-	flag.Var(gateFlags{specs: &gates}, "gate", "speedup gate FAST,REF,MIN (repeatable; replaces the default gates)")
-	flag.Var(gateFlags{specs: &gates, parallel: true}, "pgate",
-		"parallelism gate FAST,REF,MIN,MINPROCS — waived on hosts with fewer than MINPROCS CPUs (repeatable; replaces the default gates)")
-	nogates := flag.Bool("nogates", false, "write the trajectory without enforcing any speedup gate")
+	out := flag.String("out", "BENCH_PR13.json", "trajectory file to write")
 	flag.Parse()
 
 	// Tee the raw stream through so the human-readable benchmark lines stay
@@ -144,19 +79,9 @@ func main() {
 	procs := runtime.GOMAXPROCS(0)
 	rep := &benchio.Report{Schema: benchio.Schema, GoVersion: runtime.Version(),
 		MaxProcs: procs, Results: results}
-	if !*nogates {
-		if len(gates) == 0 {
-			gates = defaultGates
-		}
-		for _, g := range gates {
-			if g.minProcs > 0 {
-				err = rep.ApplyParallelGate(g.fast, g.ref, g.min, procs, g.minProcs)
-			} else {
-				err = rep.ApplyGate(g.fast, g.ref, g.min)
-			}
-			if err != nil {
-				log.Fatal(err)
-			}
+	for _, g := range defaultGates {
+		if err := rep.ApplyGate(g.fast, g.ref, g.min, g.minProcs); err != nil {
+			log.Fatal(err)
 		}
 	}
 	if err := benchio.WriteFile(*out, rep); err != nil {

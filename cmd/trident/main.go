@@ -8,8 +8,14 @@
 //	trident train  [-model mlp|branched] [-samples 600] [-hidden 16] [-epochs 10] [-batch 1] [-noise] [-lifetime]
 //	trident serve  [-addr localhost:8089] [-model blobs] [-models blobs,spirals] [-replicas 2] [-batch 16] [-wait 2ms] [-queue 64] [-maint 30s] [-chaos]
 //	trident sweep  [-model ResNet-50]
-//	trident bench  [-o BENCH_PR9.json] [-min 2] [-min-batch 1.5] [-min-recompile 5] [-min-parallel 1.5] [-min-serve 1.2] [-min-router 1.3] [-batch 32] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
+//	trident cache  [-model VGG-16]
+//	trident export [-o trident-state.json] [-epochs 8]
+//	trident trace  [-model AlexNet] [-o trident-trace.json]
 //	trident devices
+//
+// The hot-path benchmarks and their speedup gates live in the go test
+// harness (bench_test.go): run them with `make bench` or `make
+// bench-profile`, or build a standalone binary with `go test -c`.
 package main
 
 import (
@@ -55,8 +61,6 @@ func main() {
 		cmdExport(os.Args[2:])
 	case "trace":
 		cmdTrace(os.Args[2:])
-	case "bench":
-		cmdBench(os.Args[2:])
 	case "devices":
 		cmdDevices()
 	default:
@@ -81,8 +85,10 @@ commands:
   cache    analyze on-chip memory behaviour for one model
   export   train in-situ and save the network state; verify a reload round-trip
   trace    write a Chrome trace of the weight-stationary schedule
-  bench    run hot-path microbenchmarks; write the BENCH_PR9.json trajectory
-  devices  print the device parameter sheet`)
+  devices  print the device parameter sheet
+
+benchmarks: make bench (gated trajectory), make bench-profile (pprof), or
+go test -c for a standalone benchmark binary`)
 	os.Exit(2)
 }
 

@@ -1,18 +1,13 @@
 // Package benchio is the benchmark-trajectory format: it parses `go test
 // -bench` output into aggregated per-benchmark results and writes the
-// machine-readable trajectory file (BENCH_PR6.json) that `make bench`, the
-// cmd/benchjson gate and the `trident bench` subcommand all share, so each
-// kernel's speedup over its baseline is recorded — and enforced — the same
-// way no matter which entry point produced the numbers. A trajectory can
-// carry several gates (schema trident-bench/3): the PR 6 file gates the
-// factored kernel against the reference triple loop, the compiled batch
-// kernel against the factored one, the incremental dirty-row recompile
-// against a full rebuild, and the worker-pool-parallel batch GEMM against
-// the single-threaded one. The parallel gate carries a minimum-processor
-// requirement: on hosts with fewer logical CPUs than MinProcs (where no
-// parallel speedup is physically available) the measured ratio is still
-// recorded but the gate is marked waived and does not fail the build —
-// multi-core CI enforces it for real.
+// machine-readable trajectory file (BENCH_PR*.json) that `make bench` and
+// the cmd/benchjson gate table produce, so each kernel's speedup over its
+// baseline is recorded — and enforced — in one place. A trajectory can
+// carry several gates (schema trident-bench/3). A parallelism gate carries a
+// minimum-processor requirement: on hosts with fewer logical CPUs than
+// MinProcs (where no parallel speedup is physically available) the measured
+// ratio is still recorded but the gate is marked waived and does not fail
+// the build — multi-core CI enforces it for real.
 package benchio
 
 import (
@@ -174,7 +169,13 @@ func (rep *Report) Find(name string) *Result {
 // the pass/fail verdict against the required factor to the report's gate
 // list. It errors when either benchmark is missing from the report — an
 // absent gate benchmark must fail the build, not silently pass it.
-func (rep *Report) ApplyGate(fast, ref string, required float64) error {
+//
+// minProcs > 0 marks a parallelism requirement: minProcs is the smallest
+// logical CPU count (compared with the report's MaxProcs) at which the
+// speedup is physically demonstrable. On a host below it the measured ratio
+// is still recorded, but the gate is marked waived and passes
+// unconditionally. minProcs = 0 means the gate always binds.
+func (rep *Report) ApplyGate(fast, ref string, required float64, minProcs int) error {
 	f := rep.Find(fast)
 	if f == nil {
 		return fmt.Errorf("benchio: gate benchmark %q not in report", fast)
@@ -187,27 +188,10 @@ func (rep *Report) ApplyGate(fast, ref string, required float64) error {
 		return fmt.Errorf("benchio: gate benchmark %q has no timing", fast)
 	}
 	speedup := g.NsPerOp / f.NsPerOp
+	waived := rep.MaxProcs < minProcs
 	rep.Gates = append(rep.Gates, Gate{Fast: fast, Ref: ref, Required: required,
-		Speedup: speedup, Passed: speedup >= required})
-	return nil
-}
-
-// ApplyParallelGate is ApplyGate for a parallelism requirement: procs is the
-// host's logical CPU count (typically runtime.GOMAXPROCS(0)) and minProcs
-// the smallest count at which the speedup is physically demonstrable. On a
-// host below minProcs the measured ratio is still recorded, but the gate is
-// marked waived and passes unconditionally; at or above minProcs it behaves
-// exactly like ApplyGate.
-func (rep *Report) ApplyParallelGate(fast, ref string, required float64, procs, minProcs int) error {
-	if err := rep.ApplyGate(fast, ref, required); err != nil {
-		return err
-	}
-	g := &rep.Gates[len(rep.Gates)-1]
-	g.MinProcs = minProcs
-	if procs < minProcs {
-		g.Waived = true
-		g.Passed = true
-	}
+		Speedup: speedup, Passed: waived || speedup >= required,
+		MinProcs: minProcs, Waived: waived})
 	return nil
 }
 

@@ -55,7 +55,7 @@ func TestApplyGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := &Report{Schema: Schema, Results: results}
-	if err := rep.ApplyGate("BenchmarkBankMVM/64x64", "BenchmarkBankMVMReference/64x64", 2); err != nil {
+	if err := rep.ApplyGate("BenchmarkBankMVM/64x64", "BenchmarkBankMVMReference/64x64", 2, 0); err != nil {
 		t.Fatal(err)
 	}
 	if len(rep.Gates) != 1 || !rep.Gates[0].Passed {
@@ -67,10 +67,10 @@ func TestApplyGate(t *testing.T) {
 	if !rep.GatesPassed() {
 		t.Error("GatesPassed = false with one passing gate")
 	}
-	if err := rep.ApplyGate("BenchmarkMissing", "BenchmarkBankMVM/64x64", 2); err == nil {
+	if err := rep.ApplyGate("BenchmarkMissing", "BenchmarkBankMVM/64x64", 2, 0); err == nil {
 		t.Error("missing fast benchmark: want error")
 	}
-	if err := rep.ApplyGate("BenchmarkBankMVM/64x64", "BenchmarkMissing", 2); err == nil {
+	if err := rep.ApplyGate("BenchmarkBankMVM/64x64", "BenchmarkMissing", 2, 0); err == nil {
 		t.Error("missing ref benchmark: want error")
 	}
 	if len(rep.Gates) != 1 {
@@ -78,7 +78,7 @@ func TestApplyGate(t *testing.T) {
 	}
 	// An impossible requirement must record a failing second gate without
 	// disturbing the first.
-	if err := rep.ApplyGate("BenchmarkBankMVMReference/64x64", "BenchmarkBankMVM/64x64", 2); err != nil {
+	if err := rep.ApplyGate("BenchmarkBankMVMReference/64x64", "BenchmarkBankMVM/64x64", 2, 0); err != nil {
 		t.Fatal(err)
 	}
 	if len(rep.Gates) != 2 || rep.Gates[1].Passed {
@@ -92,7 +92,7 @@ func TestApplyGate(t *testing.T) {
 	}
 }
 
-func TestApplyParallelGate(t *testing.T) {
+func TestApplyGateMinProcs(t *testing.T) {
 	results, err := Parse(strings.NewReader(sample))
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +100,7 @@ func TestApplyParallelGate(t *testing.T) {
 	// The "parallel" benchmark here is slower than its reference, so the raw
 	// gate fails — exactly the situation on a single-CPU host.
 	rep := &Report{Schema: Schema, Results: results, MaxProcs: 1}
-	if err := rep.ApplyParallelGate("BenchmarkBankMVMReference/64x64", "BenchmarkBankMVM/64x64", 1.5, 1, 2); err != nil {
+	if err := rep.ApplyGate("BenchmarkBankMVMReference/64x64", "BenchmarkBankMVM/64x64", 1.5, 2); err != nil {
 		t.Fatal(err)
 	}
 	g := rep.Gates[0]
@@ -118,7 +118,7 @@ func TestApplyParallelGate(t *testing.T) {
 	}
 	// At or above min_procs the same numbers must fail for real.
 	rep2 := &Report{Schema: Schema, Results: results, MaxProcs: 8}
-	if err := rep2.ApplyParallelGate("BenchmarkBankMVMReference/64x64", "BenchmarkBankMVM/64x64", 1.5, 8, 2); err != nil {
+	if err := rep2.ApplyGate("BenchmarkBankMVMReference/64x64", "BenchmarkBankMVM/64x64", 1.5, 2); err != nil {
 		t.Fatal(err)
 	}
 	if g := rep2.Gates[0]; g.Waived || g.Passed {
@@ -126,13 +126,13 @@ func TestApplyParallelGate(t *testing.T) {
 	}
 	// And a genuinely fast kernel passes without a waiver.
 	rep3 := &Report{Schema: Schema, Results: results, MaxProcs: 8}
-	if err := rep3.ApplyParallelGate("BenchmarkBankMVM/64x64", "BenchmarkBankMVMReference/64x64", 1.5, 8, 2); err != nil {
+	if err := rep3.ApplyGate("BenchmarkBankMVM/64x64", "BenchmarkBankMVMReference/64x64", 1.5, 2); err != nil {
 		t.Fatal(err)
 	}
 	if g := rep3.Gates[0]; g.Waived || !g.Passed {
 		t.Errorf("fast kernel on a multi-core host: %+v", g)
 	}
-	if err := rep3.ApplyParallelGate("BenchmarkMissing", "BenchmarkBankMVM/64x64", 1.5, 8, 2); err == nil {
+	if err := rep3.ApplyGate("BenchmarkMissing", "BenchmarkBankMVM/64x64", 1.5, 2); err == nil {
 		t.Error("missing benchmark: want error")
 	}
 }
@@ -143,10 +143,10 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := &Report{Schema: Schema, GoVersion: "go1.22", Results: results}
-	if err := rep.ApplyGate("BenchmarkBankMVM/64x64", "BenchmarkBankMVMReference/64x64", 2); err != nil {
+	if err := rep.ApplyGate("BenchmarkBankMVM/64x64", "BenchmarkBankMVMReference/64x64", 2, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := rep.ApplyGate("BenchmarkBankMVM/64x64", "BenchmarkBankProgram/16x16", 1.5); err != nil {
+	if err := rep.ApplyGate("BenchmarkBankMVM/64x64", "BenchmarkBankProgram/16x16", 1.5, 0); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "bench.json")
@@ -232,7 +232,7 @@ func TestGateBoundaries(t *testing.T) {
 		{Name: "fast", NsPerOp: 100},
 		{Name: "ref", NsPerOp: 150},
 	}}
-	if err := rep.ApplyGate("fast", "ref", 1.5); err != nil {
+	if err := rep.ApplyGate("fast", "ref", 1.5, 0); err != nil {
 		t.Fatal(err)
 	}
 	if g := rep.Gates[0]; g.Speedup != 1.5 || !g.Passed {
@@ -241,14 +241,14 @@ func TestGateBoundaries(t *testing.T) {
 
 	// procs == minProcs is the smallest host the gate binds on.
 	bind := &Report{Schema: Schema, Results: rep.Results, MaxProcs: 2}
-	if err := bind.ApplyParallelGate("ref", "fast", 1.5, 2, 2); err != nil {
+	if err := bind.ApplyGate("ref", "fast", 1.5, 2); err != nil {
 		t.Fatal(err)
 	}
 	if g := bind.Gates[0]; g.Waived || g.Passed {
 		t.Errorf("at exactly min_procs the gate must bind and this ratio must fail: %+v", g)
 	}
 	waive := &Report{Schema: Schema, Results: rep.Results, MaxProcs: 1}
-	if err := waive.ApplyParallelGate("ref", "fast", 1.5, 1, 2); err != nil {
+	if err := waive.ApplyGate("ref", "fast", 1.5, 2); err != nil {
 		t.Fatal(err)
 	}
 	if g := waive.Gates[0]; !g.Waived || !g.Passed {

@@ -212,8 +212,8 @@ func (l *DenseLayer) streamMVM(patches []float64, pixels int, pre []float64) err
 	l.stream = growFloats(l.stream, rt*ct*rows*pixels)
 	slab := l.stream
 	// The im2col matrix is pixel-minor; the batched bank kernel wants each
-	// tile's inputs pixel-major. The transpose gather is the same O(In·pixels)
-	// copy work the per-pixel colBuf extraction used to do.
+	// tile's inputs pixel-major, so each tile gathers its slice transposed
+	// (O(In·pixels) copy work).
 	l.streamX = growFloats(l.streamX, rt*ct*l.cols*pixels)
 	inSlab := l.streamX
 	if err := runTiles(rt, ct, func(r, c int) error {

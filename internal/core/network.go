@@ -38,7 +38,7 @@ type DenseLayer struct {
 	tiles    [][]*PE     // [rowTile][colTile]
 	rows     int         // J per tile
 	cols     int         // N per tile
-	state    bankState   // which Table II operand the banks currently hold
+	state    bankState   // whether the banks hold the current master weights
 	lastX    []float64
 	lastH    []float64
 	lastY    []float64
@@ -60,14 +60,12 @@ type DenseLayer struct {
 	batchH  []float64   // batched pre-activation accumulator (batch×Out)
 }
 
-// bankState tracks which operand layout the tile banks currently hold.
+// bankState tracks whether the tile banks hold the current master weights.
 type bankState int
 
 const (
-	bankForward   bankState = iota // W (inference layout)
-	bankTranspose                  // Wᵀ (gradient-vector layout)
-	bankBroadcast                  // y broadcast (outer-product layout)
-	bankStale                      // master weights changed; banks outdated
+	bankForward bankState = iota // W (inference layout), up to date
+	bankStale                    // master weights changed; banks outdated
 )
 
 // Network is a stack of DenseLayers executed on Trident hardware, capable
@@ -149,8 +147,6 @@ func newDenseLayer(cfg NetworkConfig, spec LayerSpec, seed int64) (*DenseLayer, 
 			l.tiles[r][c] = pe
 		}
 	}
-	// One partial-sum buffer per tile; the transpose grid has the same
-	// tile count (square banks), so the buffers serve both layouts.
 	partFlat := make([]float64, rt*ct*l.rows)
 	l.part = make([][]float64, rt*ct)
 	for t := range l.part {
@@ -164,26 +160,15 @@ func newDenseLayer(cfg NetworkConfig, spec LayerSpec, seed int64) (*DenseLayer, 
 
 // tileBlock stages the weight block for tile (r, c), clamped at the matrix
 // edges, into the destination PE's reusable block scratch.
-func (l *DenseLayer) tileBlock(pe *PE, r, c int, transpose bool) [][]float64 {
-	src := l.w
-	outDim, inDim := l.spec.Out, l.spec.In
-	if transpose {
-		outDim, inDim = inDim, outDim
-	}
+func (l *DenseLayer) tileBlock(pe *PE, r, c int) [][]float64 {
 	j0 := r * l.rows
-	j1 := min(j0+l.rows, outDim)
+	j1 := min(j0+l.rows, l.spec.Out)
 	i0 := c * l.cols
-	i1 := min(i0+l.cols, inDim)
+	i1 := min(i0+l.cols, l.spec.In)
 	blk := pe.blockBuf[:j1-j0]
 	for j := j0; j < j1; j++ {
 		row := pe.blockData[(j-j0)*pe.cfg.Cols:][: i1-i0 : i1-i0]
-		for i := i0; i < i1; i++ {
-			if transpose {
-				row[i-i0] = src[i][j]
-			} else {
-				row[i-i0] = src[j][i]
-			}
-		}
+		copy(row, l.w[j][i0:i1])
 		blk[j-j0] = row
 	}
 	return blk
@@ -194,33 +179,11 @@ func (l *DenseLayer) tileBlock(pe *PE, r, c int, transpose bool) [][]float64 {
 func (l *DenseLayer) programForward() error {
 	if err := runTiles(len(l.tiles), len(l.tiles[0]), func(r, c int) error {
 		pe := l.tiles[r][c]
-		return pe.Program(l.tileBlock(pe, r, c, false))
+		return pe.Program(l.tileBlock(pe, r, c))
 	}); err != nil {
 		return err
 	}
 	l.state = bankForward
-	return nil
-}
-
-// programTranspose writes Wᵀ into the tile banks (the gradient-vector
-// operand layout). The transposed matrix has In rows and Out cols, so the
-// tile grid is indexed the other way around; tile counts may differ when
-// the layer is not square, in which case the grid is re-used ragged: tile
-// (r, c) of Wᵀ is served by PE tile (c, r), whose geometry matches because
-// banks are square (J = N in the default configuration).
-func (l *DenseLayer) programTranspose() error {
-	if l.rows != l.cols {
-		return fmt.Errorf("core: transpose pass requires square PE banks (have %d×%d)", l.rows, l.cols)
-	}
-	rt := (l.spec.In + l.rows - 1) / l.rows
-	ct := (l.spec.Out + l.cols - 1) / l.cols
-	if err := runTiles(rt, ct, func(r, c int) error {
-		pe := l.tiles[c][r] // reuse the forward tile grid transposed
-		return pe.Program(l.tileBlock(pe, r, c, true))
-	}); err != nil {
-		return err
-	}
-	l.state = bankTranspose
 	return nil
 }
 
@@ -306,16 +269,14 @@ func (l *DenseLayer) Forward(x []float64) ([]float64, error) {
 }
 
 // TransposeMVMInto computes Wᵀ·δ (the gradient-vector pass before the
-// Hadamard product), writing into a caller-owned buffer. The production
-// build serves it from the forward-resident banks' compiled transpose
-// views — no reprogramming, no endurance writes; -tags=reprogtranspose
-// swaps in the historical rung that physically writes Wᵀ first
-// (transpose.go).
+// Hadamard product), writing into a caller-owned buffer. It is served from
+// the forward-resident banks' compiled transpose views — no reprogramming,
+// no endurance writes (transpose.go).
 func (l *DenseLayer) TransposeMVMInto(dst, delta []float64) ([]float64, error) {
 	if len(delta) != l.spec.Out {
 		return nil, fmt.Errorf("core: layer delta %d, want %d", len(delta), l.spec.Out)
 	}
-	return l.transposeKernel(dst, delta)
+	return l.compiledTransposeMVMInto(dst, delta)
 }
 
 // OuterProductInto computes δW = δh·yᵀ in the digital control unit: both

@@ -88,12 +88,9 @@ type PE struct {
 	// Reusable scratch owned by this PE. A PE is driven by exactly one
 	// goroutine at a time (the tile-execution engine decomposes work per
 	// tile), so these need no locking.
-	colBuf    []float64   // input-slice extraction (len Cols)
-	dhBuf     []float64   // δh-slice extraction (len Rows)
 	tScratch  []float64   // adjoint-pass bank output (len Cols)
 	normBuf   []float64   // threshold-normalized pre-activations (len Rows)
 	derivBuf  []float64   // LDSU derivative reads (len Rows)
-	opRows    [][]float64 // outer-product destination row views (len Rows)
 	bcastRows [][]float64 // broadcast-programming row views (len Rows)
 	blockBuf  [][]float64 // weight-block staging rows (len Rows)
 	blockData []float64   // backing store for blockBuf (Rows×Cols)
@@ -143,10 +140,7 @@ func NewPE(cfg PEConfig) (*PE, error) {
 		ldsu:      pcm.NewLDSUBank(cfg.Rows),
 		ledger:    NewLedger(),
 		rng:       rand.New(rand.NewSource(cfg.NoiseSeed)),
-		colBuf:    make([]float64, cfg.Cols),
-		dhBuf:     make([]float64, cfg.Rows),
 		normBuf:   make([]float64, cfg.Rows),
-		opRows:    make([][]float64, cfg.Rows),
 		bcastRows: make([][]float64, cfg.Rows),
 		blockBuf:  make([][]float64, cfg.Rows),
 		blockData: make([]float64, cfg.Rows*cfg.Cols),

@@ -1,20 +1,15 @@
 package core
 
-// The layer-level backward kernel ladder. The production rung serves every
-// gradient-vector pass Wᵀ·δ from the *forward* tile grid: each bank keeps
-// the weights it already holds for inference and answers the adjoint query
-// from its compiled transpose view (mrr/transpose.go), so the backward pass
-// performs zero bank programming — no tuner write pulses, no endurance
-// cycles, and no forward/backward epoch ping-pong. The historical rung,
-// which physically reprograms Wᵀ into the banks before every backward
-// window (and therefore burns endurance and invalidates the forward
-// snapshot), survives behind the reprogtranspose build tag as the reference
-// implementation; transpose_fast.go / transpose_slow.go route between them.
+// The layer-level backward kernel. Every gradient-vector pass Wᵀ·δ is
+// served from the *forward* tile grid: each bank keeps the weights it
+// already holds for inference and answers the adjoint query from its
+// compiled transpose view (mrr/transpose.go), so the backward pass performs
+// zero bank programming — no tuner write pulses, no endurance cycles, and
+// no forward/backward epoch ping-pong.
 //
-// Geometry note: the compiled rung uses the forward grid directly — tile
-// (r, c) holds W[j0:j1, i0:i1] and contributes out[i0:i1] from δ[j0:j1] —
-// so it has no square-bank restriction. The reprogram rung reuses the
-// forward grid transposed and still requires square banks.
+// Geometry note: tile (r, c) holds W[j0:j1, i0:i1] and contributes
+// out[i0:i1] from δ[j0:j1], so the backward pass has no square-bank
+// restriction.
 
 import (
 	"fmt"
@@ -127,59 +122,19 @@ func (l *DenseLayer) compiledTransposeMVMBatchInto(dst, ds []float64, batch int)
 }
 
 // TransposeMVMBatchInto computes Wᵀ·δ for a whole batch, sample-major (see
-// compiledTransposeMVMBatchInto for layout). The production build serves it
-// reprogram-free from the compiled transpose views; -tags=reprogtranspose
-// swaps in a per-sample loop over the reprogram rung.
+// compiledTransposeMVMBatchInto for layout), reprogram-free from the
+// compiled transpose views.
 func (l *DenseLayer) TransposeMVMBatchInto(dst, ds []float64, batch int) ([]float64, error) {
 	out := l.spec.Out
 	if batch < 0 || len(ds) < batch*out {
 		return nil, fmt.Errorf("core: transpose batch %d×%d needs %d deltas, have %d",
 			batch, out, batch*out, len(ds))
 	}
-	return l.transposeBatchKernel(dst, ds, batch)
-}
-
-// reprogramTransposeMVMInto is the reference rung: it physically writes Wᵀ
-// into the banks (the pre-compiled-view operand layout) and runs forward
-// passes over the transposed tile grid. Every switch between forward and
-// backward orientation reprograms the full layer — endurance writes the
-// compiled rung avoids. Kept for A/B experiments via -tags=reprogtranspose
-// and pinned against the compiled rung on ideal banks (transpose_core_test).
-func (l *DenseLayer) reprogramTransposeMVMInto(dst, delta []float64) ([]float64, error) {
-	if l.state != bankTranspose {
-		if err := l.programTranspose(); err != nil {
-			return nil, err
-		}
-	}
-	rt := (l.spec.In + l.rows - 1) / l.rows
-	ct := (l.spec.Out + l.cols - 1) / l.cols
-	if err := runTiles(rt, ct, func(r, c int) error {
-		i0 := c * l.cols
-		i1 := min(i0+l.cols, l.spec.Out)
-		_, err := l.tiles[c][r].MVMPassInto(l.part[r*ct+c], delta[i0:i1])
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	out := growFloats(dst, l.spec.In)
-	for j := range out {
-		out[j] = 0
-	}
-	for r := 0; r < rt; r++ {
-		j0 := r * l.rows
-		j1 := min(j0+l.rows, l.spec.In)
-		for c := 0; c < ct; c++ {
-			part := l.part[r*ct+c]
-			for j := j0; j < j1; j++ {
-				out[j] += part[j-j0]
-			}
-		}
-	}
-	return out, nil
+	return l.compiledTransposeMVMBatchInto(dst, ds, batch)
 }
 
 // ensureDInPart sizes the per-tile conv input-gradient buffers (tiles × n,
-// flat-backed) shared by both col2im rungs.
+// flat-backed) that streamTransposeCol2im scatters into.
 func ensureDInPart(partBuf *[][]float64, tiles, n int) [][]float64 {
 	dInPart := *partBuf
 	if dInPart == nil || len(dInPart) < tiles || len(dInPart[0]) < n {
@@ -193,14 +148,14 @@ func ensureDInPart(partBuf *[][]float64, tiles, n int) [][]float64 {
 	return dInPart
 }
 
-// streamTransposeCol2imCompiled runs a conv node's gradient-vector passes
+// streamTransposeCol2im runs a conv node's gradient-vector passes
 // reprogram-free: each forward tile gathers the active pixels' delta slices
 // into a sample-major slab, streams them through its bank's compiled
 // transpose view in one batched adjoint GEMM (pixels in ascending order, so
 // the PE's noise and energy sequence equals the serial per-pixel loop), and
 // scatters its patch-gradient rows via col2im into a per-tile buffer. The
 // buffers merge into dst in fixed tile order, independent of worker count.
-func streamTransposeCol2imCompiled(l *DenseLayer, s tensor.Conv2DSpec, deltaH []float64, active []bool, partBuf *[][]float64, dst *tensor.Tensor) error {
+func streamTransposeCol2im(l *DenseLayer, s tensor.Conv2DSpec, deltaH []float64, active []bool, partBuf *[][]float64, dst *tensor.Tensor) error {
 	pixels := s.OutH() * s.OutW()
 	nact := 0
 	for _, a := range active[:pixels] {
@@ -256,60 +211,6 @@ func streamTransposeCol2imCompiled(l *DenseLayer, s tensor.Conv2DSpec, deltaH []
 			}
 			col2imAddRows(buf, o[idx*l.cols:][:i1-i0], i0, s, p)
 			idx++
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
-	out := dst.Data()
-	for t := 0; t < rt*ct; t++ {
-		for i, v := range dInPart[t][:n] {
-			if v != 0 {
-				out[i] += v
-			}
-		}
-	}
-	return nil
-}
-
-// streamTransposeCol2imReprogram is the reference-rung conv backward: banks
-// reprogram to Kᵀ and each transposed tile walks its active pixels with
-// plain forward passes. See streamTransposeCol2imCompiled for the
-// production path this is pinned against.
-func streamTransposeCol2imReprogram(l *DenseLayer, s tensor.Conv2DSpec, deltaH []float64, active []bool, partBuf *[][]float64, dst *tensor.Tensor) error {
-	pixels := s.OutH() * s.OutW()
-	if l.state != bankTranspose {
-		if err := l.programTranspose(); err != nil {
-			return err
-		}
-	}
-	rt := (l.spec.In + l.rows - 1) / l.rows
-	ct := (l.spec.Out + l.cols - 1) / l.cols
-	n := dst.Len()
-	dInPart := ensureDInPart(partBuf, rt*ct, n)
-	if err := runTiles(rt, ct, func(r, c int) error {
-		pe := l.tiles[c][r]
-		j0 := r * l.rows
-		j1 := min(j0+l.rows, l.spec.In)
-		i0 := c * l.cols
-		i1 := min(i0+l.cols, l.spec.Out)
-		buf := dInPart[r*ct+c][:n]
-		for i := range buf {
-			buf[i] = 0
-		}
-		dh := pe.colBuf[:i1-i0]
-		for p := 0; p < pixels; p++ {
-			if !active[p] {
-				continue
-			}
-			for k := i0; k < i1; k++ {
-				dh[k-i0] = deltaH[k*pixels+p]
-			}
-			part, err := pe.MVMPassInto(l.part[r*ct+c], dh)
-			if err != nil {
-				return err
-			}
-			col2imAddRows(buf, part[:j1-j0], j0, s, p)
 		}
 		return nil
 	}); err != nil {

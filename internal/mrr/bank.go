@@ -33,7 +33,6 @@ type WeightBank struct {
 	crosstalk  []float64   // drop leakage vs. channel distance
 	bandRadius int         // largest distance with leakage ≥ crosstalkFloor
 	band       []float64   // crosstalk[0..bandRadius] clipped at the floor
-	xleak      []float64   // per-pass leaked-input scratch (len cols)
 	rowMap     []int       // logical row → physical row
 	rotation   int         // current rotation offset of rowMap
 	masked     []bool      // physical rows retired from service
@@ -167,7 +166,6 @@ func NewWeightBank(rows, cols int, plan *optics.ChannelPlan, newTuner NewTunerFu
 		}
 	}
 	b.rebuildBand()
-	b.xleak = make([]float64, cols)
 	return b, nil
 }
 
@@ -572,15 +570,14 @@ func (b *WeightBank) rowWeights(j int) (wj []float64, ok bool) {
 // between weight-state mutations. The production kernel exploits that: it
 // compiles a flat effective-weight matrix Weff once per epoch (see
 // compiled.go) and serves every pass as a single contiguous GEMV with zero
-// per-row indirection. Building with -tags=slowmvm swaps in the O(rows·n·N)
-// reference triple loop instead (mvm_slow.go); factoredMVM, the PR 3
-// once-per-pass leaked-input kernel, remains as a second semantic reference.
-// The result is written into dst, which is allocated if nil or short. The
-// lazily-recompiled snapshot makes a bank single-writer: callers follow the
-// one-goroutine-per-PE ownership contract of the tile-execution engine.
+// per-row indirection; ReferenceMVM keeps the O(rows·n·N) triple loop as the
+// test oracle. The result is written into dst, which is allocated if nil or
+// short. The lazily-recompiled snapshot makes a bank single-writer: callers
+// follow the one-goroutine-per-PE ownership contract of the tile-execution
+// engine.
 func (b *WeightBank) MVM(dst, x []float64) []float64 {
 	dst, n := b.mvmPrepare(dst, x)
-	b.mvmKernel(dst, x[:n])
+	b.compiledMVM(dst, x[:n])
 	return dst
 }
 
@@ -602,83 +599,25 @@ func (b *WeightBank) batchPrepare(dst, xs []float64, batch, n int) []float64 {
 
 // MVMBatchInto streams a batch of input vectors through the weight-
 // stationary bank: sample s occupies xs[s*n : (s+1)*n] and its outputs land
-// in dst[s*J : (s+1)*J], both sample-major. The production build runs the
-// register-blocked compiled kernel (compiled.go), which amortizes each
-// effective-weight row across four samples at a time while staying
-// bit-identical to per-sample MVM calls; the steady-state path performs zero
-// per-sample allocations. It panics on inconsistent geometry (a wiring error
-// in the caller). dst is allocated when nil or short.
+// in dst[s*J : (s+1)*J], both sample-major. It runs the register-blocked
+// compiled kernel (compiled.go), which amortizes each effective-weight row
+// across four samples at a time while staying bit-identical to per-sample
+// MVM calls; the steady-state path performs zero per-sample allocations. It
+// panics on inconsistent geometry (a wiring error in the caller). dst is
+// allocated when nil or short.
 func (b *WeightBank) MVMBatchInto(dst, xs []float64, batch, n int) []float64 {
 	dst = b.batchPrepare(dst, xs, batch, n)
-	b.mvmBatchKernel(dst, xs, batch, n)
+	b.compiledMVMBatch(dst, xs, batch, n)
 	return dst
 }
 
-// FactoredMVMBatchInto is MVMBatchInto pinned to the PR 3 factored kernel
-// regardless of build tags — the per-sample baseline the compiled batch
-// kernel's speedup gate measures against.
-func (b *WeightBank) FactoredMVMBatchInto(dst, xs []float64, batch, n int) []float64 {
-	dst = b.batchPrepare(dst, xs, batch, n)
-	for s := 0; s < batch; s++ {
-		b.factoredMVM(dst[s*b.rows:(s+1)*b.rows], xs[s*n:(s+1)*n])
-	}
-	return dst
-}
-
-// factoredMVM is the PR 3 kernel, kept as a semantic reference and as the
-// compiled kernel's speedup baseline: crosstalk is folded into the
-// leaked-input vector once per pass, dropping per-row cost from O(n·N) to
-// O(N). x must already be clamped to the bank width; dst must have exactly
-// rows entries.
-func (b *WeightBank) factoredMVM(dst, x []float64) {
-	n := len(x)
-	xl := b.xleak
-	for m := range xl {
-		xl[m] = 0
-	}
-	// Scatter each input channel into its crosstalk band. Zero channels
-	// contribute nothing, so sparse probe vectors (the BIST basis vectors)
-	// cost O(nnz·bandRadius). The band slice is pre-clipped at construction
-	// (sub-floor coefficients zeroed), so no per-iteration floor branch.
-	band := b.band
-	for i := 0; i < n; i++ {
-		xi := x[i]
-		if xi == 0 {
-			continue
-		}
-		for d := 1; d < len(band); d++ {
-			v := band[d] * xi
-			if m := i - d; m >= 0 {
-				xl[m] += v
-			}
-			if m := i + d; m < b.cols {
-				xl[m] += v
-			}
-		}
-	}
-	for j := 0; j < b.rows; j++ {
-		wj, ok := b.rowWeights(j)
-		if !ok {
-			dst[j] = 0
-			continue
-		}
-		var acc float64
-		for i := 0; i < n; i++ {
-			acc += wj[i] * x[i]
-		}
-		for m := 0; m < b.cols; m++ {
-			acc += wj[m] * xl[m]
-		}
-		dst[j] = acc
-	}
-}
-
-// referenceMVM is the original O(rows·n·N) triple-loop kernel, kept as the
-// semantic reference: the property suite asserts the factored kernel agrees
-// with it to 1e-12 relative error, and the benchmark harness records the
-// speedup between the two. x must already be clamped to the bank width.
-func (b *WeightBank) referenceMVM(dst, x []float64) {
-	n := len(x)
+// ReferenceMVM computes the bank MVM with the original O(rows·n·N)
+// triple-loop kernel, straight from the stored weights. It is the test
+// oracle: the property suites pin the compiled kernel against it to 1e-12
+// relative error, and the benchmark trajectory gates the compiled kernel's
+// speedup over it.
+func (b *WeightBank) ReferenceMVM(dst, x []float64) []float64 {
+	dst, n := b.mvmPrepare(dst, x)
 	for j := 0; j < b.rows; j++ {
 		wj, ok := b.rowWeights(j)
 		if !ok {
@@ -712,33 +651,6 @@ func (b *WeightBank) referenceMVM(dst, x []float64) {
 		}
 		dst[j] = acc
 	}
-}
-
-// ReferenceMVM computes the bank MVM with the reference triple-loop kernel
-// regardless of build tags — the comparison baseline for equivalence tests
-// and the benchmark trajectory's speedup gates.
-func (b *WeightBank) ReferenceMVM(dst, x []float64) []float64 {
-	dst, n := b.mvmPrepare(dst, x)
-	b.referenceMVM(dst, x[:n])
-	return dst
-}
-
-// FactoredMVM computes the bank MVM with the PR 3 factored kernel
-// regardless of build tags — the intermediate baseline between the
-// reference triple loop and the compiled snapshot in the benchmark
-// trajectory.
-func (b *WeightBank) FactoredMVM(dst, x []float64) []float64 {
-	dst, n := b.mvmPrepare(dst, x)
-	b.factoredMVM(dst, x[:n])
-	return dst
-}
-
-// CompiledMVM computes the bank MVM with the compiled-snapshot GEMV kernel
-// regardless of build tags, recompiling first if the weight state changed
-// (see compiled.go).
-func (b *WeightBank) CompiledMVM(dst, x []float64) []float64 {
-	dst, n := b.mvmPrepare(dst, x)
-	b.compiledMVM(dst, x[:n])
 	return dst
 }
 

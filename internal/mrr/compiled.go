@@ -2,7 +2,7 @@ package mrr
 
 // The compiled weight-stationary snapshot. A PCM bank's optical transfer
 // function is constant between programming events — the whole premise of
-// non-volatile photonic weights — yet the factored kernel re-derived it on
+// non-volatile photonic weights — yet a per-pass kernel re-derives it on
 // every pass: leaked-input scatter, rowMap resolution and mask checks per
 // row, two sweeps over each weight row per sample. This file pays those
 // costs once per weight-state change instead, and pays only for what the
@@ -15,7 +15,7 @@ package mrr
 //
 // with out-of-range neighbour indices dropped, the wear-leveling rotation
 // resolved (logical row j reads physical row rowMap[j]) and masked rows
-// emitted as all-zero. The identity behind it: the factored kernel computes
+// emitted as all-zero. The identity behind it: a per-pass kernel computes
 // y_j = Σ_i w_ji·x_i + Σ_m w_jm·xleak[m] with
 // xleak[m] = Σ_i leak(|m−i|)·x_i; re-associating the double sum per input
 // channel gives y_j = Σ_i x_i·Weff[j][i] — exact for any input length n ≤ N,

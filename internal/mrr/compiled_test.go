@@ -230,16 +230,16 @@ func TestCompiledLazily(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	b := wideBank(t, rng, 8)
 	x := randomInput(rng, 8, 0)
-	b.CompiledMVM(nil, x)
+	b.MVM(nil, x)
 	if b.compiledAt != b.epoch {
-		t.Fatal("CompiledMVM did not compile the snapshot")
+		t.Fatal("MVM did not compile the snapshot")
 	}
 	b.RotateRows(1)
 	if b.compiledAt == b.epoch {
 		t.Fatal("mutation must not recompile eagerly; compilation is lazy")
 	}
-	b.CompiledMVM(nil, x)
+	b.MVM(nil, x)
 	if b.compiledAt != b.epoch {
-		t.Fatal("CompiledMVM after mutation did not recompile")
+		t.Fatal("MVM after mutation did not recompile")
 	}
 }

@@ -8,7 +8,7 @@ import (
 
 // randomBank builds a rows×cols PCM bank with random programmed weights,
 // a random wear-leveling rotation, and (optionally) randomly masked rows —
-// the full semantic surface the factored kernel must share with the
+// the full semantic surface the compiled kernel must share with the
 // reference kernel.
 func randomBank(t *testing.T, rng *rand.Rand, rows, cols int, maskRows bool) *WeightBank {
 	t.Helper()
@@ -61,11 +61,11 @@ func randomInput(rng *rand.Rand, cols int, flavour int) []float64 {
 	return x
 }
 
-// TestFactoredKernelMatchesReference is the kernel-equivalence property
+// TestCompiledKernelMatchesReference is the kernel-equivalence property
 // test: across random bank geometries — including masked rows, rotated row
-// maps, zero-heavy and short inputs — the factored kernel must agree with
+// maps, zero-heavy and short inputs — the compiled kernel must agree with
 // the reference triple loop to 1e-12 relative error.
-func TestFactoredKernelMatchesReference(t *testing.T) {
+func TestCompiledKernelMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 60; trial++ {
 		rows := 1 + rng.Intn(8)
@@ -74,9 +74,8 @@ func TestFactoredKernelMatchesReference(t *testing.T) {
 		for flavour := 0; flavour < 3; flavour++ {
 			x := randomInput(rng, cols, flavour)
 			fast := make([]float64, rows)
-			ref := make([]float64, rows)
-			b.factoredMVM(fast, x)
-			b.referenceMVM(ref, x)
+			b.compiledMVM(fast, x)
+			ref := b.ReferenceMVM(nil, x)
 			for j := range fast {
 				diff := math.Abs(fast[j] - ref[j])
 				scale := math.Max(math.Abs(ref[j]), 1)
@@ -85,24 +84,6 @@ func TestFactoredKernelMatchesReference(t *testing.T) {
 						trial, flavour, j, fast[j], ref[j], diff/scale/1e-12)
 				}
 			}
-		}
-	}
-}
-
-// TestMVMUsesDefaultKernel pins MVM to the build's kernel wiring: MVM output
-// must be bit-identical to mvmKernel — the compiled-snapshot GEMV on the
-// default build, the reference triple loop under -tags=slowmvm — keeping
-// both tag builds testable.
-func TestMVMUsesDefaultKernel(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	b := randomBank(t, rng, 4, 8, false)
-	x := randomInput(rng, 8, 0)
-	want := make([]float64, 4)
-	b.mvmKernel(want, x)
-	got := b.MVM(nil, x)
-	for j := range want {
-		if got[j] != want[j] {
-			t.Fatalf("MVM row %d = %v, kernel says %v", j, got[j], want[j])
 		}
 	}
 }

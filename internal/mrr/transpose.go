@@ -2,7 +2,7 @@ package mrr
 
 import "fmt"
 
-// The compiled transpose view: the backward half of the kernel ladder.
+// The compiled transpose view: the backward half of the compiled kernel.
 //
 // Photonic in-memory primitives serve Wᵀ·δ from the same stored weights as
 // the forward pass — the delta vector is launched down the row bus and each
@@ -29,10 +29,9 @@ import "fmt"
 // channels. That differs from physically reprogramming Wᵀ into a bank
 // (where the band would couple Wᵀ's channels, i.e. W's *rows*) — the
 // compiled view is the mathematically correct gradient of the forward pass,
-// the reprogram path an approximation that also burns endurance. The
-// reprogram rung survives behind the core package's reprogtranspose build
-// tag; here, referenceTransposeMVM pins the compiled view ≤1e-12 against a
-// direct evaluation from stored weights across all seven mutators
+// which reprogramming would only approximate while burning endurance.
+// ReferenceTransposeMVM pins the compiled view ≤1e-12 against a direct
+// evaluation from stored weights across all seven mutators
 // (transpose_test.go).
 
 // patchTransposeRow mirrors one freshly compiled Weff row into the
@@ -151,20 +150,43 @@ func (b *WeightBank) compiledTransposeMVMBatch(dst, ds []float64, batch, m int) 
 	gemmRowRange(b.wefft, rows, cols, dst, ds, 0, cols, batch, m)
 }
 
-// referenceTransposeMVM evaluates out[i] = Σ_j Weff[j][i]·δ_j directly from
+// TransposeMVM computes the bank's adjoint pass out = Weffᵀ·δ for a delta
+// vector (len ≤ J): the gradient the forward operator MVM induces on its
+// input, crosstalk included. It is served from the compiled transpose view
+// — no bank reprogramming, no endurance writes, no invalidation of the
+// forward snapshot. The result is written into dst, which is allocated if
+// nil or short.
+func (b *WeightBank) TransposeMVM(dst, delta []float64) []float64 {
+	dst, m := b.tmvmPrepare(dst, delta)
+	b.compiledTransposeMVM(dst, delta[:m])
+	return dst
+}
+
+// TransposeMVMBatchInto streams a batch of delta vectors through the
+// transpose view: sample s occupies ds[s*m : (s+1)*m] and its outputs land
+// in dst[s*N : (s+1)*N], both sample-major. It runs the same
+// register-blocked GEMM as the forward batch path over the transpose view,
+// bit-identical to per-sample TransposeMVM calls at any worker count. It
+// panics on inconsistent geometry; dst is allocated when nil or short.
+func (b *WeightBank) TransposeMVMBatchInto(dst, ds []float64, batch, m int) []float64 {
+	dst = b.tbatchPrepare(dst, ds, batch, m)
+	b.compiledTransposeMVMBatch(dst, ds, batch, m)
+	return dst
+}
+
+// ReferenceTransposeMVM evaluates out[i] = Σ_j Weff[j][i]·δ_j directly from
 // the stored weights — rotation resolved, masked rows zero, crosstalk band
 // folded along the forward pass's channels — without touching either
-// compiled view. It is the semantic reference the transpose property suite
-// pins the compiled rung against (≤1e-12 across all seven mutators), and
-// the slowmvm build's production kernel. delta must already be clamped to
-// the bank's row count; dst must have exactly cols entries.
-func (b *WeightBank) referenceTransposeMVM(dst, delta []float64) {
+// compiled view. It is the test oracle the transpose property suite pins
+// the compiled view against (≤1e-12 across all seven mutators).
+func (b *WeightBank) ReferenceTransposeMVM(dst, delta []float64) []float64 {
+	dst, m := b.tmvmPrepare(dst, delta)
 	cols := b.cols
 	band := b.band
 	for i := range dst {
 		dst[i] = 0
 	}
-	for j, dj := range delta {
+	for j, dj := range delta[:m] {
 		if dj == 0 {
 			continue
 		}
@@ -186,47 +208,5 @@ func (b *WeightBank) referenceTransposeMVM(dst, delta []float64) {
 			dst[i] += acc * dj
 		}
 	}
-}
-
-// TransposeMVM computes the bank's adjoint pass out = Weffᵀ·δ for a delta
-// vector (len ≤ J): the gradient the forward operator MVM induces on its
-// input, crosstalk included. The production build serves it from the
-// compiled transpose view — no bank reprogramming, no endurance writes, no
-// invalidation of the forward snapshot; -tags=slowmvm swaps in the direct
-// stored-weight reference. The result is written into dst, which is
-// allocated if nil or short.
-func (b *WeightBank) TransposeMVM(dst, delta []float64) []float64 {
-	dst, m := b.tmvmPrepare(dst, delta)
-	b.tmvmKernel(dst, delta[:m])
-	return dst
-}
-
-// TransposeMVMBatchInto streams a batch of delta vectors through the
-// transpose view: sample s occupies ds[s*m : (s+1)*m] and its outputs land
-// in dst[s*N : (s+1)*N], both sample-major. The production build runs the
-// same register-blocked GEMM as the forward batch path over the transpose
-// view, bit-identical to per-sample TransposeMVM calls at any worker count.
-// It panics on inconsistent geometry; dst is allocated when nil or short.
-func (b *WeightBank) TransposeMVMBatchInto(dst, ds []float64, batch, m int) []float64 {
-	dst = b.tbatchPrepare(dst, ds, batch, m)
-	b.tmvmBatchKernel(dst, ds, batch, m)
-	return dst
-}
-
-// CompiledTransposeMVM computes the adjoint pass with the compiled
-// transpose view regardless of build tags, recompiling (and on first use
-// activating the view) if the weight state changed.
-func (b *WeightBank) CompiledTransposeMVM(dst, delta []float64) []float64 {
-	dst, m := b.tmvmPrepare(dst, delta)
-	b.compiledTransposeMVM(dst, delta[:m])
-	return dst
-}
-
-// ReferenceTransposeMVM computes the adjoint pass directly from stored
-// weights regardless of build tags — the comparison baseline for the
-// transpose property suite and the benchmark trajectory.
-func (b *WeightBank) ReferenceTransposeMVM(dst, delta []float64) []float64 {
-	dst, m := b.tmvmPrepare(dst, delta)
-	b.referenceTransposeMVM(dst, delta[:m])
 	return dst
 }

@@ -56,7 +56,7 @@ func randomDelta(rng *rand.Rand, rows int, flavour int) []float64 {
 }
 
 // assertTransposeMatches compares an adjoint pass column-wise against the
-// direct stored-weight reference at the backward-rung property tolerance.
+// direct stored-weight reference at the backward-kernel property tolerance.
 func assertTransposeMatches(t *testing.T, got, want []float64, context string) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -84,7 +84,7 @@ func totalTunerWrites(b *WeightBank) uint64 {
 	return n
 }
 
-// TestTransposeCompiledMatchesReferenceUnderMutation is the backward-rung
+// TestTransposeCompiledMatchesReferenceUnderMutation is the backward-kernel
 // property test: on non-square banks it interleaves every public
 // weight-state mutator — Program, Refresh, ApplyDrift, OverrideWeight,
 // OverridePhysicalWeight, MaskPhysicalRow, RotateRows — with single and
@@ -194,13 +194,13 @@ func TestTransposeSharedDirtyRowPatch(t *testing.T) {
 		t.Fatalf("dirty rows after one override: got %d, want 1", got)
 	}
 	delta := randomDelta(rng, 32, 0)
-	assertTransposeMatches(t, b.CompiledTransposeMVM(nil, delta),
+	assertTransposeMatches(t, b.TransposeMVM(nil, delta),
 		b.ReferenceTransposeMVM(nil, delta), "adjoint after patch")
 	if got := b.RowsCompiled() - before; got != 1 {
 		t.Fatalf("rows recompiled for one dirty row: got %d, want 1", got)
 	}
 	x := randomInput(rng, 24, 0)
-	assertMatchesReference(t, b.CompiledMVM(nil, x), b.ReferenceMVM(nil, x),
+	assertMatchesReference(t, b.MVM(nil, x), b.ReferenceMVM(nil, x),
 		"forward after patch")
 }
 
@@ -218,7 +218,7 @@ func TestTransposeBatchBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 	want := make([]float64, batch*cols)
 	for s := 0; s < batch; s++ {
-		b.CompiledTransposeMVM(want[s*cols:(s+1)*cols], ds[s*rows:(s+1)*rows])
+		b.TransposeMVM(want[s*cols:(s+1)*cols], ds[s*rows:(s+1)*rows])
 	}
 	for _, workers := range []int{0, 1, 2, 8} {
 		b.SetParallelFor(nil)
@@ -247,7 +247,7 @@ func TestTransposePassPerformsNoWrites(t *testing.T) {
 	}
 	writes, epoch := totalTunerWrites(b), b.Epoch()
 	delta := randomDelta(rng, 24, 0)
-	b.CompiledTransposeMVM(nil, delta)
+	b.TransposeMVM(nil, delta)
 	const batch = 4
 	ds := make([]float64, batch*24)
 	for i := range ds {
