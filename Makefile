@@ -24,12 +24,13 @@ tier2:
 
 # Tier 2 reliability: the fault campaigns, batch-serving equality tests,
 # execution-graph equivalence/golden-regression tests, and the dirty-row
-# recompilation property/staleness tests under the race detector, plus short
-# fuzz runs over the PCM cell state machines the wear model leans on. The
-# whole serve package (the chaos soak, the router/instance tests, and the
-# routed 2-models×2-replicas soak — which drains each replica under live
-# traffic and replays every per-replica op journal for bit-identity) also
-# runs under -race here — its correctness claims are concurrency claims.
+# recompilation property tests (every bank mutator must leave no row stale)
+# under the race detector, plus short fuzz runs over the PCM cell state
+# machines the wear model leans on. The whole serve package (the chaos
+# soak, the router/instance tests, and the routed 2-models×2-replicas soak
+# — which drains each replica under live traffic and replays every
+# per-replica op journal for bit-identity) also runs under -race here — its
+# correctness claims are concurrency claims.
 tier2-reliability:
 	$(GO) test -race -run 'Campaign|Wear|Fault|BIST|Scheduler|Drift|Batch|Golden|Graph|Recompile|Dirty|Stale|NoOp|ParallelBitIdentical' ./internal/reliability/ ./internal/core/ ./internal/mrr/ ./internal/pcm/
 	$(GO) test -race -count=2 ./internal/serve/
@@ -42,7 +43,7 @@ tier2-reliability:
 # speedup gate in its gate table (defaultGates in cmd/benchjson/main.go)
 # holds; parallelism gates are recorded but waived on hosts with too few
 # CPUs.
-BENCH_OUT ?= BENCH_PR13.json
+BENCH_OUT ?= BENCH_PR14.json
 BENCH_COUNT ?= 6
 BENCH_PATTERN = ^(BenchmarkBankMVM|BenchmarkBankMVMReference|BenchmarkBankMVMBatch|BenchmarkBankMVMBatchParallel|BenchmarkBankRecompileFull|BenchmarkBankRecompileIncremental|BenchmarkBankProgram|BenchmarkTrainStep|BenchmarkTrainBatch|BenchmarkTransposeCompiled|BenchmarkTableIII_PowerBreakdown|BenchmarkFigure6_InferencesPerSecond|BenchmarkServeBatcher|BenchmarkServeUnbatched|BenchmarkRouterOneReplica|BenchmarkRouterTwoReplicas|BenchmarkDeepCNNBatchSequential|BenchmarkDeepCNNBatchPipelined)$$
 

@@ -7,7 +7,7 @@
 //
 // Usage (as wired by `make bench`):
 //
-//	go test -run='^$' -bench=... -benchmem -count=6 . | benchjson -out BENCH_PR13.json
+//	go test -run='^$' -bench=... -benchmem -count=6 . | benchjson -out BENCH_PR14.json
 package main
 
 import (
@@ -64,7 +64,7 @@ var defaultGates = []gateSpec{
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchjson: ")
-	out := flag.String("out", "BENCH_PR13.json", "trajectory file to write")
+	out := flag.String("out", "BENCH_PR14.json", "trajectory file to write")
 	flag.Parse()
 
 	// Tee the raw stream through so the human-readable benchmark lines stay

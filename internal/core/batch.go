@@ -1,18 +1,17 @@
 package core
 
-// The batched inference path. Trident serves edge workloads weight-
+// The layer-level forward path. Trident serves edge workloads weight-
 // stationary: once a layer's W is resident in the PCM banks, any number of
-// input vectors can stream through without reprogramming. The batch APIs
-// below exploit that — B samples stream through each tile back-to-back, so
-// the per-batch cost is one tile fan-out plus B optical passes per tile,
-// with every scratch buffer reused across samples and across calls.
+// input vectors can stream through without reprogramming. Every forward
+// pass — serving, training and the batch-of-one Forward — streams its B
+// samples through each tile back-to-back, so the per-batch cost is one tile
+// fan-out plus B optical passes per tile, with every scratch buffer reused
+// across samples and across calls.
 //
-// Determinism contract: a tile PE executes exactly the per-sample call
-// sequence of the serial single-sample path (samples in batch order), so its
-// noise stream, ledger bookings and outputs are bit-identical to calling
-// Forward once per sample. The batch paths are serving-only: they do not
-// save lastX/lastH/derivs training state, so a TrainSample must not rely on
-// a preceding batched forward.
+// Determinism contract: each tile PE sees its samples in batch order, one
+// noise draw and one ledger booking per sample, so a sample's outputs,
+// noise stream and bookings are the same whether it runs alone or inside
+// a batch.
 //
 // Parallelism is two-level: tiles fan out across the worker pool here, and
 // inside each tile the bank's compiled batch GEMM fans its row blocks out
@@ -31,9 +30,9 @@ import (
 // s occupies xs[s*In : (s+1)*In] and its pre-activations land in
 // dst[s*Out : (s+1)*Out], both sample-major. Tiles fan out across the worker
 // pool; each tile streams every sample through its bank in batch order, and
-// the per-tile partial sums are merged afterwards in fixed (rowTile,
-// colTile) order — the same merge order as the single-sample MVMInto, so
-// results are bit-identical to B independent MVMInto calls.
+// the per-tile partial sums are merged afterwards per sample in fixed
+// (rowTile, colTile) order, so results are bit-identical to B calls with a
+// batch of one.
 func (l *DenseLayer) MVMBatchInto(dst, xs []float64, batch int) ([]float64, error) {
 	in, out := l.spec.In, l.spec.Out
 	if batch < 0 || len(xs) < batch*in {
@@ -100,9 +99,9 @@ func (l *DenseLayer) MVMBatchInto(dst, xs []float64, batch int) ([]float64, erro
 // ForwardBatchInto runs the layer on a batch: tile MVM passes, electronic
 // partial-sum merge, then the GST activation (when enabled) on the row-tile
 // PEs, each row tile walking its samples in batch order. dst receives the
-// activated outputs sample-major (grown only when nil or short). Unlike
-// Forward, no training state (lastX/lastH/derivs) is saved — this is the
-// serving path.
+// activated outputs sample-major (grown only when nil or short); the
+// pre-activations stay in the layer's batchH scratch, from which the
+// training walk reads the latched derivatives.
 func (l *DenseLayer) ForwardBatchInto(dst, xs []float64, batch int) ([]float64, error) {
 	out := l.spec.Out
 	h, err := l.MVMBatchInto(l.batchH, xs, batch)
@@ -131,8 +130,7 @@ func (l *DenseLayer) ForwardBatchInto(dst, xs []float64, batch int) ([]float64, 
 	return dst, nil
 }
 
-// argmax returns the index of the largest value (first wins on ties, like
-// the single-sample Predict loops).
+// argmax returns the index of the largest value (first wins on ties).
 func argmax(v []float64) int {
 	best, bi := math.Inf(-1), 0
 	for i, x := range v {

@@ -48,40 +48,6 @@ func requireSameLedger(t *testing.T, single, batched *Ledger) {
 	}
 }
 
-// TestPEInferBatchMatchesSingle: with the full noise model on, a PE serving
-// a batch must reproduce the per-sample Infer outputs, noise stream and
-// ledger bit-exactly.
-func TestPEInferBatchMatchesSingle(t *testing.T) {
-	cfg := PEConfig{Rows: 8, Cols: 8, NoiseSeed: 7, ActivationThreshold: 0.2}
-	single, err := NewPE(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batched, err := NewPE(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const batch, n = 5, 8
-	xs := batchInputs(t, 3, batch, n)
-	ys, hs, err := batched.InferBatch(nil, nil, xs, batch, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s := 0; s < batch; s++ {
-		y, h, err := single.Infer(xs[s*n : (s+1)*n])
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := range y {
-			if ys[s*8+j] != y[j] || hs[s*8+j] != h[j] {
-				t.Fatalf("sample %d row %d: batch (y=%v h=%v), single (y=%v h=%v)",
-					s, j, ys[s*8+j], hs[s*8+j], y[j], h[j])
-			}
-		}
-	}
-	requireSameLedger(t, single.Ledger(), batched.Ledger())
-}
-
 // TestNetworkBatchMatchesSingle is the serving-path exactness contract:
 // batched inference through a multi-tile network — noise model on, stuck
 // cells injected — must be bit-identical to per-sample Forward calls, and
@@ -223,9 +189,6 @@ func TestBatchGeometryErrors(t *testing.T) {
 	pe := l.Tiles()[0][0]
 	if _, err := pe.MVMPassBatchInto(nil, make([]float64, 18), 2, 9); err == nil {
 		t.Error("PE sample wider than bank: want error")
-	}
-	if _, _, err := pe.InferBatch(nil, nil, make([]float64, 4), 2, 4); err == nil {
-		t.Error("PE short inputs: want error")
 	}
 }
 

@@ -11,32 +11,26 @@ package core
 // and channel-concat join nodes that model the optical summation and
 // wavelength-merge cost.
 //
+// There is one execution walk: ForwardBatchInto for inference and
+// TrainBatch for training (trainbatch.go). Forward, Predict and TrainSample
+// run it with a batch of one.
+//
 // Determinism contract: the topological order is the construction order,
 // every node's hardware passes run in that fixed order, and gradient
 // accumulation at fan-out points copies the first contribution and adds
 // later ones in node order — so losses, outputs, noise streams and ledgers
 // of a sequential chain are bit-identical to the pre-graph drivers, serial
-// or parallel, per-sample or batched.
+// or parallel.
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"math"
 
 	"trident/internal/device"
 	"trident/internal/nn"
 	"trident/internal/tensor"
 	"trident/internal/units"
 )
-
-// ErrStaleTrainState is returned by the backward pass when the per-sample
-// training state (layer lastX/derivs, conv patches/pre) was overwritten by
-// a batched forward since the last per-sample Forward. The batch paths
-// share those buffers, so gradients computed from them would silently mix
-// stale activations; run Forward (or TrainSample, which always re-runs it)
-// before backpropagating.
-var ErrStaleTrainState = errors.New("core: per-sample training state overwritten by a batched forward; run Forward again before backward")
 
 // NodeID names a node in an execution graph.
 type NodeID int
@@ -53,8 +47,8 @@ const (
 )
 
 // graphNode is one stage of the execution graph, with its hardware layer
-// (dense and conv nodes), saved forward state and reusable backward
-// scratch. Image-shaped values are CHW with c > 0; flat vectors have c = 0.
+// (dense and conv nodes) and its reusable batch state and scratch.
+// Image-shaped values are CHW with c > 0; flat vectors have c = 0.
 type graphNode struct {
 	kind nodeKind
 	in   []NodeID
@@ -67,20 +61,11 @@ type graphNode struct {
 	spec  tensor.Conv2DSpec // conv nodes only
 	act   *nn.GSTActivation // conv per-pixel activation
 
-	// Forward state, reused across samples.
-	val     []float64
-	patches *tensor.Tensor // conv: (InC·KH·KW) × pixels
-	pre     *tensor.Tensor // conv: OutC × pixels pre-activations
-
-	// Backward scratch.
-	grad    []float64
-	gradSet bool
-	deltaH  []float64
-	active  []bool         // conv: pixels with any non-zero gated gradient
-	dIn     *tensor.Tensor // conv: ∂L/∂(input map)
-	dInPart [][]float64    // conv: per-tile input-gradient buffers
-
-	// Batched-serving scratch, sample-major.
+	// Batched-serving scratch: conv nodes reuse one patch and one
+	// pre-activation buffer for every sample of a batch; batchVal holds the
+	// node's output, sample-major.
+	patches  *tensor.Tensor // conv: (InC·KH·KW) × pixels
+	pre      *tensor.Tensor // conv: OutC × pixels pre-activations
 	batchVal []float64
 
 	// joinEvents counts optical join passes booked at this node (adds and
@@ -90,6 +75,11 @@ type graphNode struct {
 	// book joins concurrently and the materialized ledger stays bit-identical
 	// to the sequential walk.
 	joinEvents int64
+
+	// Backward scratch: conv input gradients go one sample at a time.
+	gradSet bool           // batchGrad holds a contribution this step
+	dIn     *tensor.Tensor // conv: one sample's ∂L/∂(input map)
+	dInPart [][]float64    // conv: per-tile input-gradient buffers
 
 	// Batched-training state and scratch (TrainBatch), all sample-major.
 	batchDerivs  []float64 // dense: batch×Out LDSU-latched derivatives
@@ -104,7 +94,8 @@ type graphNode struct {
 // Graph is a hardware-mapped execution DAG: node 0 is the input, layer
 // nodes execute on tiled PEs, and join nodes merge branches optically.
 // Build it with Dense/Conv/GlobalAvgPool/Add/Concat, seal it with
-// SetOutput, then run Forward/TrainSample or the batched serving paths.
+// SetOutput, then run the batched paths or their batch-of-one wrappers
+// Forward, Predict and TrainSample.
 type Graph struct {
 	cfg       NetworkConfig
 	nodes     []*graphNode
@@ -116,14 +107,10 @@ type Graph struct {
 	// Batched-serving scratch (see PredictBatch), reused across calls.
 	batchLogits []float64
 
-	// trainFwdValid marks the per-sample training state as coherent with
-	// the most recent forward walk. Batched forwards (serving and
-	// TrainBatch) overwrite the shared per-sample buffers, so backward
-	// refuses to run until a fresh Forward (ErrStaleTrainState).
-	trainFwdValid bool
-
-	// Batched-training scratch (see TrainBatch), reused across calls.
-	batchDelta []float64
+	// Batched-training scratch (see TrainBatch), reused across calls;
+	// sampleLabel is TrainSample's one-element label batch.
+	batchDelta  []float64
+	sampleLabel [1]int
 }
 
 // NewGraph starts a graph whose input is a flat vector ([n]) or a CHW
@@ -382,89 +369,13 @@ func wavelengthMergePower() units.Power {
 	return units.Power(device.PowerEOLaser.Watts() / float64(device.WeightBankCols))
 }
 
-// Forward runs one sample through every node in topological (construction)
-// order and returns the output node's value (graph-owned scratch except
-// for dense outputs; treat as read-only until the next pass).
+// Forward runs one sample through the graph as a batch of one (see
+// ForwardBatchInto) and returns the output node's value in a fresh slice.
 func (g *Graph) Forward(x []float64) ([]float64, error) {
-	if !g.outputSet {
-		return nil, fmt.Errorf("core: graph output not set")
+	if len(x) != g.InputSize() {
+		return nil, fmt.Errorf("core: graph input %d, want %d", len(x), g.InputSize())
 	}
-	if len(x) != g.nodes[0].size {
-		return nil, fmt.Errorf("core: graph input %d, want %d", len(x), g.nodes[0].size)
-	}
-	g.nodes[0].val = x
-	for i := 1; i < len(g.nodes); i++ {
-		if err := g.forwardNode(g.nodes[i]); err != nil {
-			return nil, err
-		}
-	}
-	g.trainFwdValid = true
-	return g.nodes[g.output].val, nil
-}
-
-func (g *Graph) forwardNode(n *graphNode) error {
-	switch n.kind {
-	case nodeDense:
-		y, err := n.layer.Forward(g.nodes[n.in[0]].val)
-		if err != nil {
-			return err
-		}
-		n.val = y
-	case nodeConv:
-		return g.forwardConv(n)
-	case nodeGAP:
-		prod := g.nodes[n.in[0]]
-		pixels := prod.h * prod.w
-		n.val = growFloats(n.val, n.size)
-		data := prod.val
-		for oc := 0; oc < n.size; oc++ {
-			var s float64
-			for p := 0; p < pixels; p++ {
-				s += data[oc*pixels+p]
-			}
-			n.val[oc] = s / float64(pixels)
-		}
-	case nodeAdd:
-		a, b := g.nodes[n.in[0]].val, g.nodes[n.in[1]].val
-		n.val = growFloats(n.val, n.size)
-		for i := range n.val {
-			n.val[i] = a[i] + b[i]
-		}
-		n.bookJoin()
-	case nodeConcat:
-		n.val = growFloats(n.val, n.size)
-		off := 0
-		for _, id := range n.in {
-			p := g.nodes[id]
-			copy(n.val[off:off+p.size], p.val)
-			off += p.size
-		}
-		n.bookJoin()
-	}
-	return nil
-}
-
-// forwardConv streams the producer image's im2col patches through the
-// kernel banks (all tiles in parallel, tile-major) and materializes the
-// activated output map.
-func (g *Graph) forwardConv(n *graphNode) error {
-	prod := g.nodes[n.in[0]]
-	img := tensor.FromSlice(prod.val, prod.c, prod.h, prod.w)
-	s := n.spec
-	n.patches = tensor.Im2Col(n.patches, img, s, 0)
-	pixels := n.patches.Dim(1)
-	if n.pre == nil || n.pre.Dim(1) != pixels {
-		n.pre = tensor.New(s.OutC, pixels)
-	}
-	if err := n.layer.streamMVM(n.patches.Data(), pixels, n.pre.Data()); err != nil {
-		return err
-	}
-	n.val = growFloats(n.val, n.size)
-	pre := n.pre.Data()
-	for i := range n.val {
-		n.val[i] = n.act.Eval(pre[i])
-	}
-	return nil
+	return g.ForwardBatchInto(nil, x, 1)
 }
 
 // Predict returns the argmax class (first wins on ties).
@@ -477,172 +388,15 @@ func (g *Graph) Predict(x []float64) (int, error) {
 }
 
 // TrainSample runs one full in-situ training step — forward pass, backward
-// gradient-vector passes, outer-product weight-gradient passes, and the
-// equation (1) update — entirely through the hardware model. It returns
-// the cross-entropy loss.
+// gradient-vector passes, weight-gradient contraction, and the equation (1)
+// update — entirely through the hardware model, as a TrainBatch of one. It
+// returns the cross-entropy loss.
 func (g *Graph) TrainSample(x []float64, label int) (float64, error) {
-	logits, err := g.Forward(x)
-	if err != nil {
-		return 0, err
+	if len(x) != g.InputSize() {
+		return 0, fmt.Errorf("core: graph input %d, want %d", len(x), g.InputSize())
 	}
-	probs := nn.Softmax(logits)
-	if label < 0 || label >= len(probs) {
-		return 0, fmt.Errorf("core: label %d out of range [0,%d)", label, len(probs))
-	}
-	loss := -math.Log(math.Max(probs[label], 1e-300))
-	delta := append([]float64(nil), probs...)
-	delta[label] -= 1
-	if err := g.backward(delta); err != nil {
-		return 0, err
-	}
-	return loss, nil
-}
-
-// backward walks the graph in reverse construction order, gating each
-// layer node's incoming gradient by its LDSU-latched derivatives, running
-// the hardware transpose and outer-product passes, and applying the
-// weight update. Join and pool nodes route gradients digitally.
-func (g *Graph) backward(delta []float64) error {
-	if !g.trainFwdValid {
-		return ErrStaleTrainState
-	}
-	for _, n := range g.nodes {
-		n.gradSet = false
-	}
-	g.accumulate(g.output, delta)
-	for i := len(g.nodes) - 1; i >= 1; i-- {
-		n := g.nodes[i]
-		if !n.gradSet {
-			continue
-		}
-		if err := g.backwardNode(n); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// accumulate adds a gradient contribution to a node: the first is copied,
-// later ones (branch fan-out) add element-wise in fixed node order.
-func (g *Graph) accumulate(id NodeID, vals []float64) {
-	n := g.nodes[id]
-	if n.kind == nodeInput {
-		return
-	}
-	n.grad = growFloats(n.grad, n.size)
-	if !n.gradSet {
-		copy(n.grad, vals)
-		n.gradSet = true
-		return
-	}
-	for i, v := range vals {
-		n.grad[i] += v
-	}
-}
-
-func (g *Graph) backwardNode(n *graphNode) error {
-	switch n.kind {
-	case nodeDense:
-		return g.backwardDense(n)
-	case nodeConv:
-		return g.backwardConv(n)
-	case nodeGAP:
-		prod := g.nodes[n.in[0]]
-		pixels := prod.h * prod.w
-		n.deltaH = growFloats(n.deltaH, prod.size)
-		scale := 1 / float64(pixels)
-		for oc := 0; oc < n.size; oc++ {
-			t := n.grad[oc] * scale
-			for p := 0; p < pixels; p++ {
-				n.deltaH[oc*pixels+p] = t
-			}
-		}
-		g.accumulate(n.in[0], n.deltaH)
-	case nodeAdd:
-		g.accumulate(n.in[0], n.grad[:n.size])
-		g.accumulate(n.in[1], n.grad[:n.size])
-	case nodeConcat:
-		off := 0
-		for _, id := range n.in {
-			sz := g.nodes[id].size
-			g.accumulate(id, n.grad[off:off+sz])
-			off += sz
-		}
-	}
-	return nil
-}
-
-// backwardDense gates δy by the latched derivatives, runs the transpose
-// pass for the producer's gradient (skipped at the graph input — there is
-// nothing upstream to train), then the outer-product pass and update.
-func (g *Graph) backwardDense(n *graphNode) error {
-	l := n.layer
-	dh := growFloats(n.deltaH, l.spec.Out)
-	n.deltaH = dh
-	for i := range dh {
-		dh[i] = n.grad[i] * l.derivs[i]
-	}
-	prod := g.nodes[n.in[0]]
-	if prod.kind != nodeInput {
-		raw, err := l.TransposeMVMInto(l.tBuf, dh)
-		if err != nil {
-			return err
-		}
-		l.tBuf = raw
-		g.accumulate(n.in[0], raw)
-	}
-	grad := l.gradScratch()
-	if err := l.OuterProductInto(grad, dh, prod.val); err != nil {
-		return err
-	}
-	l.ApplyUpdate(g.cfg.LearningRate, grad)
-	return nil
-}
-
-// backwardConv gates the per-pixel gradient map by the GST derivative and
-// builds the active-pixel mask (digital control-unit work shared by both
-// hardware phases), runs the transpose/col2im passes for the producer's
-// gradient while the banks hold Kᵀ once, then the per-pixel outer-product
-// passes for the kernel gradient and the update.
-func (g *Graph) backwardConv(n *graphNode) error {
-	s := n.spec
-	l := n.layer
-	pixels := s.OutH() * s.OutW()
-	n.deltaH = growFloats(n.deltaH, s.OutC*pixels)
-	if cap(n.active) < pixels {
-		n.active = make([]bool, pixels)
-	}
-	active := n.active[:pixels]
-	for p := range active {
-		active[p] = false
-	}
-	pre := n.pre.Data()
-	for oc := 0; oc < s.OutC; oc++ {
-		for p := 0; p < pixels; p++ {
-			v := n.grad[oc*pixels+p] * n.act.Derivative(pre[oc*pixels+p])
-			n.deltaH[oc*pixels+p] = v
-			if v != 0 {
-				active[p] = true
-			}
-		}
-	}
-	prod := g.nodes[n.in[0]]
-	if prod.kind != nodeInput {
-		if n.dIn == nil {
-			n.dIn = tensor.New(s.InC, s.InH, s.InW)
-		}
-		n.dIn.Zero()
-		if err := streamTransposeCol2im(l, s, n.deltaH, active, &n.dInPart, n.dIn); err != nil {
-			return err
-		}
-		g.accumulate(n.in[0], n.dIn.Data())
-	}
-	kernGrad := l.gradScratch()
-	if err := l.streamOuterProduct(n.patches.Data(), n.deltaH, active, pixels, kernGrad); err != nil {
-		return err
-	}
-	l.ApplyUpdate(g.cfg.LearningRate, kernGrad)
-	return nil
+	g.sampleLabel[0] = label
+	return g.TrainBatch(x, g.sampleLabel[:])
 }
 
 // col2imAddRows scatters rows [j0, j0+len(rows)) of one pixel's patch
@@ -680,11 +434,7 @@ func (g *Graph) ForwardBatch(xs []float64, batch int) ([]float64, error) {
 // before the next node starts, each tile seeing its samples in batch
 // order, so outputs, noise streams and ledgers are bit-identical to
 // calling Forward once per sample. Serving-only: no training state is
-// saved — and the conv nodes' shared patch/pre buffers are overwritten —
-// so the graph marks its per-sample training state stale and a subsequent
-// backward (without a fresh Forward) fails with ErrStaleTrainState rather
-// than silently training on mixed activations. TrainSample always re-runs
-// Forward, so it is safe after any batched call.
+// saved (TrainBatch runs its own forward walk).
 func (g *Graph) ForwardBatchInto(dst, xs []float64, batch int) ([]float64, error) {
 	return g.ForwardBatchIntoCtx(context.Background(), dst, xs, batch)
 }
@@ -707,7 +457,6 @@ func (g *Graph) ForwardBatchIntoCtx(ctx context.Context, dst, xs []float64, batc
 			batch, in, batch*in, len(xs))
 	}
 	g.nodes[0].batchVal = xs
-	g.trainFwdValid = false
 	for i := 1; i < len(g.nodes); i++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("core: batched forward cancelled before node %d: %w", i, err)

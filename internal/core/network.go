@@ -39,21 +39,14 @@ type DenseLayer struct {
 	rows     int         // J per tile
 	cols     int         // N per tile
 	state    bankState   // whether the banks hold the current master weights
-	lastX    []float64
-	lastH    []float64
-	lastY    []float64
-	derivs   []float64
 	actCells *nn.GSTActivation
 	momentum float64
 	velocity [][]float64 // heavy-ball state, allocated on first update
 
-	// Execution-engine scratch, reused across passes. part holds one
-	// partial-sum buffer per tile (indexed rowTile*colTiles+colTile) so
-	// concurrent tile passes never write shared accumulators; the merge
-	// into the layer output happens afterwards in fixed tile order.
-	part    [][]float64
-	hBuf    []float64   // forward accumulator scratch
-	tBuf    []float64   // transpose-pass accumulator scratch
+	// Execution-engine scratch, reused across passes. The stream slabs hold
+	// one region per tile so concurrent tile passes never write shared
+	// accumulators; the merge into the layer output happens afterwards in
+	// fixed tile order.
 	gradBuf [][]float64 // outer-product gradient scratch (see gradScratch)
 	stream  []float64   // per-tile sample-stream slabs (conv + batch paths)
 	streamX []float64   // per-tile sample-major input gathers (conv + batch)
@@ -147,11 +140,6 @@ func newDenseLayer(cfg NetworkConfig, spec LayerSpec, seed int64) (*DenseLayer, 
 			l.tiles[r][c] = pe
 		}
 	}
-	partFlat := make([]float64, rt*ct*l.rows)
-	l.part = make([][]float64, rt*ct)
-	for t := range l.part {
-		l.part[t] = partFlat[t*l.rows : (t+1)*l.rows]
-	}
 	if err := l.programForward(); err != nil {
 		return nil, err
 	}
@@ -184,118 +172,6 @@ func (l *DenseLayer) programForward() error {
 		return err
 	}
 	l.state = bankForward
-	return nil
-}
-
-// MVMInto runs one forward-layout optical matrix-vector pass through the
-// tile grid into a caller-owned buffer, without touching the layer's saved
-// training state: the primitive shared by Forward and by the
-// convolutional streaming paths. All tiles run their
-// optical passes concurrently — every bank filters its wavelengths in the
-// same clock — with per-tile partial sums merged afterwards in fixed
-// (rowTile, colTile) order, so the result is independent of scheduling.
-func (l *DenseLayer) MVMInto(dst, x []float64) ([]float64, error) {
-	if len(x) != l.spec.In {
-		return nil, fmt.Errorf("core: layer input %d, want %d", len(x), l.spec.In)
-	}
-	if l.state != bankForward {
-		if err := l.programForward(); err != nil {
-			return nil, err
-		}
-	}
-	ct := len(l.tiles[0])
-	if err := runTiles(len(l.tiles), ct, func(r, c int) error {
-		i0 := c * l.cols
-		i1 := min(i0+l.cols, l.spec.In)
-		_, err := l.tiles[r][c].MVMPassInto(l.part[r*ct+c], x[i0:i1])
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	h := growFloats(dst, l.spec.Out)
-	for j := range h {
-		h[j] = 0
-	}
-	for r := range l.tiles {
-		j0 := r * l.rows
-		j1 := min(j0+l.rows, l.spec.Out)
-		for c := range l.tiles[r] {
-			part := l.part[r*ct+c]
-			for j := j0; j < j1; j++ {
-				h[j] += part[j-j0]
-			}
-		}
-	}
-	return h, nil
-}
-
-// Forward runs the layer on hardware: tile MVM passes, electronic partial-
-// sum accumulation across column tiles, then the GST activation (if
-// enabled) on the row-tile PEs.
-func (l *DenseLayer) Forward(x []float64) ([]float64, error) {
-	h, err := l.MVMInto(l.hBuf, x)
-	if err != nil {
-		return nil, err
-	}
-	l.hBuf = h
-	l.lastX = append(l.lastX[:0], x...)
-	l.lastH = append(l.lastH[:0], h...)
-	y := make([]float64, len(h))
-	if l.spec.Activate {
-		// One activation row per row tile; the GST cells of distinct
-		// tiles fire concurrently.
-		if err := runTiles(len(l.tiles), 1, func(r, _ int) error {
-			j0 := r * l.rows
-			j1 := min(j0+l.rows, l.spec.Out)
-			_, err := l.tiles[r][0].ActivateInto(y[j0:j1], h[j0:j1])
-			return err
-		}); err != nil {
-			return nil, err
-		}
-	} else {
-		copy(y, h)
-	}
-	l.lastY = append(l.lastY[:0], y...)
-	// Record derivatives for the backward pass (what the LDSUs latched).
-	l.derivs = l.derivs[:0]
-	for _, hv := range h {
-		if l.spec.Activate {
-			l.derivs = append(l.derivs, l.actCells.Derivative(hv))
-		} else {
-			l.derivs = append(l.derivs, 1)
-		}
-	}
-	return y, nil
-}
-
-// TransposeMVMInto computes Wᵀ·δ (the gradient-vector pass before the
-// Hadamard product), writing into a caller-owned buffer. It is served from
-// the forward-resident banks' compiled transpose views — no reprogramming,
-// no endurance writes (transpose.go).
-func (l *DenseLayer) TransposeMVMInto(dst, delta []float64) ([]float64, error) {
-	if len(delta) != l.spec.Out {
-		return nil, fmt.Errorf("core: layer delta %d, want %d", len(delta), l.spec.Out)
-	}
-	return l.compiledTransposeMVMInto(dst, delta)
-}
-
-// OuterProductInto computes δW = δh·yᵀ in the digital control unit: both
-// operands are electronic values the pipeline has already detected (δh from
-// the gradient pass, y latched at forward time), so the rank-1 update is
-// plain digital multiply-accumulate — no broadcast programming, no bank
-// writes, no optical passes. The ModeOuterProduct hardware path survives at
-// the PE level (OuterProductPass) for direct Table II experiments.
-func (l *DenseLayer) OuterProductInto(grad [][]float64, deltaH, y []float64) error {
-	if len(deltaH) != l.spec.Out || len(y) != l.spec.In {
-		return fmt.Errorf("core: outer product dims %d×%d, want %d×%d",
-			len(deltaH), len(y), l.spec.Out, l.spec.In)
-	}
-	for j, dh := range deltaH {
-		row := grad[j][:len(y)]
-		for i, yv := range y {
-			row[i] = dh * yv
-		}
-	}
 	return nil
 }
 
@@ -361,6 +237,3 @@ func (l *DenseLayer) EnsureForward() error {
 // Invalidate marks the tile banks stale so the next pass reprograms them —
 // required after an out-of-band change to the logical→physical row maps.
 func (l *DenseLayer) Invalidate() { l.state = bankStale }
-
-// Derivs returns the latched derivative vector of the last forward pass.
-func (l *DenseLayer) Derivs() []float64 { return l.derivs }

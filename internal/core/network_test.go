@@ -218,13 +218,14 @@ func sign(i int) float64 {
 	return -1
 }
 
-// TestTransposeMVM checks the gradient-vector pass against direct Wᵀδ.
+// TestTransposeMVM checks the gradient-vector pass, as a batch of one,
+// against direct Wᵀδ.
 func TestTransposeMVM(t *testing.T) {
 	hw := quietNet(t, 0.05, LayerSpec{In: 12, Out: 6})
 	l := hw.Layers()[0]
 	w := l.Weights()
 	delta := []float64{0.5, -0.25, 0.75, 0.1, -0.6, 0.3}
-	got, err := l.TransposeMVMInto(nil, delta)
+	got, err := l.TransposeMVMBatchInto(nil, delta, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,12 +238,13 @@ func TestTransposeMVM(t *testing.T) {
 			t.Errorf("Wᵀδ[%d] = %v, want ≈%v", i, got[i], want)
 		}
 	}
-	if _, err := l.TransposeMVMInto(nil, make([]float64, 3)); err == nil {
+	if _, err := l.TransposeMVMBatchInto(nil, make([]float64, 3), 1); err == nil {
 		t.Error("wrong delta length: want error")
 	}
 }
 
-// TestOuterProductLayer checks the weight-gradient pass against δh·yᵀ.
+// TestOuterProductLayer checks the weight-gradient contraction, as a batch
+// of one, against δh·yᵀ.
 func TestOuterProductLayer(t *testing.T) {
 	hw := quietNet(t, 0.05, LayerSpec{In: 10, Out: 6})
 	l := hw.Layers()[0]
@@ -255,9 +257,7 @@ func TestOuterProductLayer(t *testing.T) {
 	for j := range grad {
 		grad[j] = make([]float64, len(y))
 	}
-	if err := l.OuterProductInto(grad, deltaH, y); err != nil {
-		t.Fatal(err)
-	}
+	l.outerProductBatchInto(grad, deltaH, y, 1)
 	for j := range deltaH {
 		for i := range y {
 			want := deltaH[j] * y[i]
@@ -265,9 +265,6 @@ func TestOuterProductLayer(t *testing.T) {
 				t.Errorf("δW[%d][%d] = %v, want ≈%v", j, i, grad[j][i], want)
 			}
 		}
-	}
-	if err := l.OuterProductInto(grad, deltaH, make([]float64, 3)); err == nil {
-		t.Error("wrong y length: want error")
 	}
 }
 
@@ -286,6 +283,45 @@ func TestWeightsStayClamped(t *testing.T) {
 			if w < -1 || w > 1 {
 				t.Fatalf("weight %v escaped [-1,1]", w)
 			}
+		}
+	}
+}
+
+// TestGraphSampleEntryPointsValidate: Forward, Predict and TrainSample run
+// a batch of one, but ForwardBatchInto and TrainBatch accept longer input
+// slices, so the single-sample entry points must reject any input that is
+// not exactly InputSize() long themselves. TrainSample must also reject
+// out-of-range labels without touching a master weight.
+func TestGraphSampleEntryPointsValidate(t *testing.T) {
+	net, err := NewNetwork(noisyCfg(),
+		LayerSpec{In: 12, Out: 16, Activate: true},
+		LayerSpec{In: 16, Out: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := net.Graph
+	for _, n := range []int{g.InputSize() - 1, g.InputSize() + 1} {
+		x := make([]float64, n)
+		if _, err := g.Forward(x); err == nil {
+			t.Errorf("Forward with %d inputs: want error", n)
+		}
+		if _, err := g.Predict(x); err == nil {
+			t.Errorf("Predict with %d inputs: want error", n)
+		}
+		if _, err := g.TrainSample(x, 0); err == nil {
+			t.Errorf("TrainSample with %d inputs: want error", n)
+		}
+	}
+	before := flattenAllWeights(g)
+	x := batchInputs(t, 3, 1, g.InputSize())
+	for _, label := range []int{-1, g.OutputSize()} {
+		if _, err := g.TrainSample(x, label); err == nil {
+			t.Errorf("TrainSample label %d: want error", label)
+		}
+	}
+	for i, w := range flattenAllWeights(g) {
+		if w != before[i] {
+			t.Fatalf("weight[%d] changed by rejected TrainSample: %v → %v", i, before[i], w)
 		}
 	}
 }

@@ -88,7 +88,6 @@ type PE struct {
 	// Reusable scratch owned by this PE. A PE is driven by exactly one
 	// goroutine at a time (the tile-execution engine decomposes work per
 	// tile), so these need no locking.
-	tScratch  []float64   // adjoint-pass bank output (len Cols)
 	normBuf   []float64   // threshold-normalized pre-activations (len Rows)
 	derivBuf  []float64   // LDSU derivative reads (len Rows)
 	bcastRows [][]float64 // broadcast-programming row views (len Rows)
@@ -299,35 +298,19 @@ func (p *PE) MVMPassBatchInto(dst, xs []float64, batch, n int) ([]float64, error
 	return dst, nil
 }
 
-// TransposePassInto executes the adjoint optical pass out = Wᵀ·δ against the
-// same stored weights the forward pass reads: the delta vector is launched
-// down the row bus and each column's drops accumulate, so the bank is never
-// reprogrammed — no tuner write pulses, no endurance cycles, and the compiled
-// forward snapshot stays valid. The bank serves the pass from its compiled
-// transpose view (mrr/transpose.go); detection noise and pipeline energy are
-// booked exactly like a forward pass of the same optical depth.
-func (p *PE) TransposePassInto(dst, delta []float64) ([]float64, error) {
-	if len(delta) > p.cfg.Rows {
-		return nil, fmt.Errorf("core: delta length %d exceeds bank rows %d", len(delta), p.cfg.Rows)
-	}
-	dst = growFloats(dst, p.cfg.Cols)
-	p.tScratch = p.bank.TransposeMVM(p.tScratch, delta)
-	for i := range dst {
-		dst[i] = p.noisy(p.tScratch[i], len(delta))
-	}
-	p.step(len(delta))
-	return dst, nil
-}
-
-// TransposePassBatchInto streams a batch of delta vectors through the
-// weight-stationary bank's transpose view in one call: sample s occupies
-// ds[s*m : (s+1)*m] and its noisy input-gradients land in
+// TransposePassBatchInto executes the adjoint optical pass out = Wᵀ·δ for a
+// batch of delta vectors against the same stored weights the forward pass
+// reads: each delta is launched down the row bus and each column's drops
+// accumulate, so the bank is never reprogrammed — no tuner write pulses, no
+// endurance cycles, and the compiled forward snapshot stays valid. Sample s
+// occupies ds[s*m : (s+1)*m] and its noisy input-gradients land in
 // dst[s*Cols : (s+1)*Cols], both sample-major. Like MVMPassBatchInto, the
-// whole batch runs through the bank's register-blocked GEMM first (the bank
-// draws no randomness and its batch output is bit-identical to per-sample
-// TransposeMVM calls), then noise and pipeline energy are applied per sample
-// in batch order — bit-identical to calling TransposePassInto once per
-// sample, and allocation-free at steady state.
+// whole batch runs through the bank's compiled transpose view first (the
+// bank draws no randomness and its batch output is bit-identical to
+// per-sample TransposeMVM calls), then detection noise and pipeline energy
+// are booked per sample in batch order, exactly like a forward pass of the
+// same optical depth — so a sample's result does not depend on the batch
+// it rides in, and the steady state is allocation-free.
 func (p *PE) TransposePassBatchInto(dst, ds []float64, batch, m int) ([]float64, error) {
 	if m > p.cfg.Rows {
 		return nil, fmt.Errorf("core: batch delta width %d exceeds bank rows %d", m, p.cfg.Rows)
@@ -345,38 +328,6 @@ func (p *PE) TransposePassBatchInto(dst, ds []float64, batch, m int) ([]float64,
 		p.step(m)
 	}
 	return dst, nil
-}
-
-// InferBatch executes full ModeInference passes for a batch of samples:
-// optical MVM, balanced detection, GST activation and LDSU latch per sample,
-// in sample order. ys and hs receive the activated outputs and the raw
-// pre-activations sample-major (sample s at [s*Rows : (s+1)*Rows]); both
-// are allocated only when nil or short, so steady-state serving is
-// allocation-free. Results are bit-identical to calling Infer once per
-// sample.
-func (p *PE) InferBatch(ys, hs, xs []float64, batch, n int) (y, h []float64, err error) {
-	if n > p.cfg.Cols {
-		return nil, nil, fmt.Errorf("core: batch sample width %d exceeds bank cols %d", n, p.cfg.Cols)
-	}
-	if batch < 0 || len(xs) < batch*n {
-		return nil, nil, fmt.Errorf("core: batch %d×%d needs %d inputs, have %d", batch, n, batch*n, len(xs))
-	}
-	rows := p.cfg.Rows
-	ys = growFloats(ys, batch*rows)
-	// All MVM passes run first through the batched bank kernel, then the
-	// activations walk the samples in order. The reorder is invisible:
-	// activation cells draw no randomness and the bank touches no activation
-	// state, so every component still sees its per-sample call sequence.
-	hs, err = p.MVMPassBatchInto(hs, xs, batch, n)
-	if err != nil {
-		return nil, nil, err
-	}
-	for s := 0; s < batch; s++ {
-		if _, err := p.ActivateInto(ys[s*rows:(s+1)*rows], hs[s*rows:(s+1)*rows]); err != nil {
-			return nil, nil, err
-		}
-	}
-	return ys, hs, nil
 }
 
 // Activate pushes accumulated pre-activations h (len ≤ Rows) through the

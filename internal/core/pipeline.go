@@ -253,7 +253,6 @@ func (p *Pipeline) ForwardBatchPipelinedCtx(ctx context.Context, dst, xs []float
 	}
 	outSize := g.nodes[g.output].size
 	dst = growFloats(dst, batch*outSize)
-	g.trainFwdValid = false
 	if batch == 0 {
 		return dst, nil
 	}

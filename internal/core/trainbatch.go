@@ -1,20 +1,20 @@
 package core
 
-// Batched in-situ training. TrainBatch reshapes B per-sample training steps
-// into minibatch SGD on the hardware model: one batched forward walk with
-// the same resident weights for every sample (the weight-stationary banks
-// never reprogram mid-batch), a batched backward walk whose gradient-vector
-// passes run through the banks' compiled transpose views (zero programming
-// writes — see transpose.go), and per layer ONE blocked digital ΔHᵀ·X GEMM
-// in place of B rank-1 outer-product passes, followed by a single weight
-// update on the mean gradient.
+// In-situ training. TrainBatch is the graph's only training walk, and
+// TrainSample is a batch of one. It runs minibatch SGD on the hardware
+// model: one batched forward walk on the same resident weights for every
+// sample (the weight-stationary banks never reprogram mid-batch), a
+// batched backward walk whose gradient-vector passes run through the
+// banks' compiled transpose views (zero programming writes — see
+// transpose.go), and per layer ONE blocked digital ΔHᵀ·X GEMM in place of
+// B rank-1 outer-product passes, followed by a single weight update on the
+// mean gradient.
 //
 // Determinism contract: TrainBatch(xs, labels) output and every hardware
 // side effect (noise streams, ledgers) are bit-identical at any worker
 // count — every fan-out either owns disjoint output blocks or merges in
-// fixed tile order — and a batch of one is bit-identical to
-// TrainSample(x, label): the batched kernels degrade to exactly the
-// per-sample call sequence, and the 1/B gradient scale is skipped at B = 1.
+// fixed tile order. At B = 1 the 1/B gradient scale is skipped, so a
+// batch of one applies the plain per-sample gradient.
 
 import (
 	"fmt"
@@ -33,8 +33,6 @@ import (
 // Semantics are minibatch SGD, not B sequential TrainSample steps: every
 // sample sees the same weights, so for batch > 1 the result intentionally
 // differs from a TrainSample loop (which updates weights between samples).
-// Like the serving batch paths, the walk overwrites per-sample training
-// state, so a bare backward afterwards fails with ErrStaleTrainState.
 func (g *Graph) TrainBatch(xs []float64, labels []int) (float64, error) {
 	if !g.outputSet {
 		return 0, fmt.Errorf("core: graph output not set")
@@ -49,7 +47,6 @@ func (g *Graph) TrainBatch(xs []float64, labels []int) (float64, error) {
 			batch, in, batch*in, len(xs))
 	}
 	g.nodes[0].batchVal = xs
-	g.trainFwdValid = false
 	for i := 1; i < len(g.nodes); i++ {
 		if err := g.forwardTrainNodeBatch(g.nodes[i], batch); err != nil {
 			return 0, err
@@ -128,8 +125,11 @@ func (g *Graph) forwardTrainNodeBatch(n *graphNode, batch int) error {
 	return nil
 }
 
-// backwardBatch mirrors backward over sample-major gradient slabs: reverse
-// construction order, fixed-node-order accumulation at fan-out points.
+// backwardBatch walks the graph in reverse construction order over
+// sample-major gradient slabs, gating each layer node's incoming gradient
+// by its LDSU-latched derivatives, running the hardware transpose passes
+// and the weight update; join and pool nodes route gradients digitally,
+// accumulating at fan-out points in fixed node order.
 func (g *Graph) backwardBatch(delta []float64, batch int) error {
 	for _, n := range g.nodes {
 		n.gradSet = false
@@ -149,7 +149,7 @@ func (g *Graph) backwardBatch(delta []float64, batch int) error {
 
 // accumulateBatch adds a sample-major gradient slab to a node: the first
 // contribution is copied, later ones (branch fan-out) add element-wise in
-// fixed node order — the batched twin of accumulate.
+// fixed node order.
 func (g *Graph) accumulateBatch(id NodeID, vals []float64, batch int) {
 	n := g.nodes[id]
 	if n.kind == nodeInput {
@@ -299,8 +299,8 @@ func (g *Graph) backwardConvBatch(n *graphNode, batch int) error {
 }
 
 // scaleGrad turns the batch-summed gradient into the mean gradient. Skipped
-// entirely at batch 1 so a one-sample batch stays bit-identical to the
-// per-sample path (even ×1.0 is not always a float no-op for NaN payloads).
+// entirely at batch 1, where the sum already is the sample's gradient (and
+// even ×1.0 is not always a float no-op for NaN payloads).
 func scaleGrad(grad [][]float64, batch int) {
 	if batch <= 1 {
 		return
@@ -318,8 +318,8 @@ func scaleGrad(grad [][]float64, batch int) {
 // updates into one blocked digital GEMM: grad[j][i] = Σ_s δh[s,j]·x[s,i],
 // kernel rows sharded across the worker pool in fixed blocks, samples
 // accumulated in ascending order per cell — bit-identical at any worker
-// count, and (via the first-sample assignment) bit-identical to
-// OuterProductInto at batch 1.
+// count. The first sample assigns rather than adds, so the gradient needs
+// no zeroing and batch 1 is the plain rank-1 product δh·xᵀ.
 func (l *DenseLayer) outerProductBatchInto(grad [][]float64, dhs, xs []float64, batch int) {
 	out, in := l.spec.Out, l.spec.In
 	blocks := (out + gradRowBlock - 1) / gradRowBlock

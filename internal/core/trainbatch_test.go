@@ -1,11 +1,8 @@
 package core
 
 import (
-	"errors"
 	"math/rand"
 	"testing"
-
-	"trident/internal/nn"
 )
 
 // flattenAllWeights snapshots every layer's master weight matrix in layer
@@ -50,54 +47,6 @@ func directWTDelta(w [][]float64, delta []float64, in int) []float64 {
 		}
 	}
 	return out
-}
-
-// TestTrainBatchOfOneBitIdenticalToTrainSample: a TrainBatch of one sample
-// must be the SAME training step as TrainSample — identical loss, identical
-// noise draws, identical weight trajectory and identical energy/time
-// bookings — with the full analog noise model on. The batched kernels
-// degrade to exactly the per-sample call sequence and the 1/B gradient
-// scale is skipped at B = 1, so a whole epoch stays bitwise in lockstep.
-func TestTrainBatchOfOneBitIdenticalToTrainSample(t *testing.T) {
-	single, batched := twinNetworks(t)
-	rng := rand.New(rand.NewSource(1234))
-	x := make([]float64, 12)
-	for s := 0; s < 12; s++ {
-		for i := range x {
-			x[i] = rng.Float64()*2 - 1
-		}
-		lossS, err := single.TrainSample(x, s%3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lossB, err := batched.TrainBatch(x, []int{s % 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if lossS != lossB {
-			t.Fatalf("step %d: TrainSample loss %v, TrainBatch(1) loss %v", s, lossS, lossB)
-		}
-	}
-	ws, wb := flattenAllWeights(single.Graph), flattenAllWeights(batched.Graph)
-	for i := range ws {
-		if ws[i] != wb[i] {
-			t.Fatalf("weight[%d]: TrainSample %v, TrainBatch(1) %v", i, ws[i], wb[i])
-		}
-	}
-	outS, err := single.Forward(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	outB, err := batched.Forward(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range outS {
-		if outS[i] != outB[i] {
-			t.Fatalf("forward[%d]: %v vs %v", i, outS[i], outB[i])
-		}
-	}
-	requireSameLedger(t, single.Ledger(), batched.Ledger())
 }
 
 // TestTrainBatchDeterministicAcrossWorkers: a batched training schedule on
@@ -149,7 +98,7 @@ func TestTrainBatchDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestTransposeBatchMatchesSingle: the batched transpose GEMM must
-// reproduce the per-delta transpose passes bit-exactly with the full noise
+// reproduce batch-of-one transpose passes bit-exactly with the full noise
 // model on — same outputs, same noise stream, same energy and time.
 func TestTransposeBatchMatchesSingle(t *testing.T) {
 	a, b := twinNetworks(t)
@@ -161,7 +110,7 @@ func TestTransposeBatchMatchesSingle(t *testing.T) {
 		t.Fatal(err)
 	}
 	for s := 0; s < batch; s++ {
-		want, err := la.TransposeMVMInto(nil, ds[s*out:(s+1)*out])
+		want, err := la.TransposeMVMBatchInto(nil, ds[s*out:(s+1)*out], 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,7 +153,7 @@ func TestTransposeRaggedTileShapes(t *testing.T) {
 			delta[i] = rng.Float64()*2 - 1
 		}
 		want := directWTDelta(l.Weights(), delta, tc.in)
-		got, err := l.compiledTransposeMVMInto(nil, delta)
+		got, err := l.TransposeMVMBatchInto(nil, delta, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,7 +165,7 @@ func TestTransposeRaggedTileShapes(t *testing.T) {
 		for i := range ds {
 			ds[i] = rng.Float64()*2 - 1
 		}
-		bout, err := l.compiledTransposeMVMBatchInto(nil, ds, batch)
+		bout, err := l.TransposeMVMBatchInto(nil, ds, batch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,27 +177,25 @@ func TestTransposeRaggedTileShapes(t *testing.T) {
 }
 
 // TestBackwardZeroProgrammingWrites is the wear contract of the compiled
-// backward path: across a whole training epoch, the backward half of every
-// step — transpose GEMMs, col2im, outer products, weight update — issues
-// ZERO programming writes to the GST cells. The only endurance traffic
-// left in training is the post-update forward recompile.
+// backward path: once a Forward has reprogrammed the previous update's
+// weights, a whole TrainSample step — forward on the resident weights,
+// transpose GEMMs, col2im, outer products, weight update — issues ZERO
+// programming writes to the GST cells. The only endurance traffic left in
+// training is the post-update forward recompile.
 func TestBackwardZeroProgrammingWrites(t *testing.T) {
 	d := quietDeepCNN(t, 2, 0.05)
 	g := d.Graph
 	for step := 0; step < 6; step++ {
-		logits, err := g.Forward(testImage(int64(step)).Data())
-		if err != nil {
+		x := testImage(int64(step)).Data()
+		if _, err := g.Forward(x); err != nil {
 			t.Fatal(err)
 		}
 		before := totalTunerWrites(g)
-		probs := nn.Softmax(logits)
-		delta := append([]float64(nil), probs...)
-		delta[step%2] -= 1
-		if err := g.backward(delta); err != nil {
+		if _, err := g.TrainSample(x, step%2); err != nil {
 			t.Fatal(err)
 		}
 		if after := totalTunerWrites(g); after != before {
-			t.Fatalf("step %d: backward issued %d programming writes, want 0", step, after-before)
+			t.Fatalf("step %d: TrainSample issued %d programming writes, want 0", step, after-before)
 		}
 	}
 
@@ -270,49 +217,5 @@ func TestBackwardZeroProgrammingWrites(t *testing.T) {
 	}
 	if after := totalTunerWrites(g); after != before {
 		t.Fatalf("TrainBatch issued %d programming writes, want 0", after-before)
-	}
-}
-
-// TestStaleTrainStateGuard: the serving batch paths and TrainBatch overwrite
-// the per-sample training state, so a bare backward afterwards must fail
-// loudly with ErrStaleTrainState instead of silently training on stale
-// activations; a fresh Forward re-validates, and TrainSample (which embeds
-// its own forward) is immune.
-func TestStaleTrainStateGuard(t *testing.T) {
-	net, err := NewNetwork(noisyCfg(),
-		LayerSpec{In: 12, Out: 16, Activate: true},
-		LayerSpec{In: 16, Out: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	xs := batchInputs(t, 5, 2, 12)
-	delta := []float64{0.5, -0.25, -0.25}
-
-	if _, err := net.Forward(xs[:12]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := net.ForwardBatch(xs, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.backward(delta); !errors.Is(err, ErrStaleTrainState) {
-		t.Fatalf("backward after batched forward: %v, want ErrStaleTrainState", err)
-	}
-	if _, err := net.Forward(xs[:12]); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.backward(delta); err != nil {
-		t.Fatalf("backward after fresh forward: %v", err)
-	}
-	if _, err := net.ForwardBatch(xs, 2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := net.TrainSample(xs[:12], 1); err != nil {
-		t.Fatalf("TrainSample after batched forward: %v", err)
-	}
-	if _, err := net.TrainBatch(xs, []int{1, 2}); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.backward(delta); !errors.Is(err, ErrStaleTrainState) {
-		t.Fatalf("backward after TrainBatch: %v, want ErrStaleTrainState", err)
 	}
 }

@@ -17,57 +17,22 @@ import (
 	"trident/internal/tensor"
 )
 
-// compiledTransposeMVMInto is the single-sample compiled transpose pass:
-// every forward tile answers its adjoint slice from the bank's compiled
-// transpose view, and the per-tile partials merge in fixed (rowTile,
-// colTile) order — the mirror of MVMInto, scheduling-independent. The banks
-// must hold the forward weights; a stale layer reprograms forward (not
-// transpose) first, so serving and training share one resident layout.
-func (l *DenseLayer) compiledTransposeMVMInto(dst, delta []float64) ([]float64, error) {
-	if l.state != bankForward {
-		if err := l.programForward(); err != nil {
-			return nil, err
-		}
-	}
-	rt, ct := len(l.tiles), len(l.tiles[0])
-	l.streamX = growFloats(l.streamX, rt*ct*l.cols)
-	slab := l.streamX
-	if err := runTiles(rt, ct, func(r, c int) error {
-		j0 := r * l.rows
-		j1 := min(j0+l.rows, l.spec.Out)
-		out := slab[(r*ct+c)*l.cols:][:l.cols:l.cols]
-		_, err := l.tiles[r][c].TransposePassInto(out, delta[j0:j1])
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	out := growFloats(dst, l.spec.In)
-	for i := range out {
-		out[i] = 0
-	}
-	for r := 0; r < rt; r++ {
-		for c := 0; c < ct; c++ {
-			part := slab[(r*ct+c)*l.cols:]
-			i0 := c * l.cols
-			i1 := min(i0+l.cols, l.spec.In)
-			for i := i0; i < i1; i++ {
-				out[i] += part[i-i0]
-			}
-		}
-	}
-	return out, nil
-}
-
-// compiledTransposeMVMBatchInto streams a batch of delta vectors through
-// the forward tile grid's transpose views: sample s occupies
-// ds[s*Out : (s+1)*Out] and its input gradient lands in
-// dst[s*In : (s+1)*In], both sample-major. Tiles fan out across the worker
-// pool, each streaming the whole batch through the bank's register-blocked
-// adjoint GEMM; per-tile partials merge per sample in the same fixed order
-// as the single-sample pass, so results are bit-identical to B independent
-// compiledTransposeMVMInto calls at any worker count.
-func (l *DenseLayer) compiledTransposeMVMBatchInto(dst, ds []float64, batch int) ([]float64, error) {
+// TransposeMVMBatchInto computes Wᵀ·δ (the gradient-vector pass before the
+// Hadamard product) for a whole batch, reprogram-free from the forward tile
+// grid's compiled transpose views: sample s occupies ds[s*Out : (s+1)*Out]
+// and its input gradient lands in dst[s*In : (s+1)*In], both sample-major.
+// The banks must hold the forward weights; a stale layer reprograms forward
+// (not transpose) first, so serving and training share one resident
+// layout. Tiles fan out across the worker pool, each streaming the whole
+// batch through the bank's register-blocked adjoint GEMM; per-tile partials
+// merge per sample in fixed (rowTile, colTile) order, so every sample's
+// result is independent of the batch it rides in and of the worker count.
+func (l *DenseLayer) TransposeMVMBatchInto(dst, ds []float64, batch int) ([]float64, error) {
 	in, out := l.spec.In, l.spec.Out
+	if batch < 0 || len(ds) < batch*out {
+		return nil, fmt.Errorf("core: transpose batch %d×%d needs %d deltas, have %d",
+			batch, out, batch*out, len(ds))
+	}
 	if l.state != bankForward {
 		if err := l.programForward(); err != nil {
 			return nil, err
@@ -119,18 +84,6 @@ func (l *DenseLayer) compiledTransposeMVMBatchInto(dst, ds []float64, batch int)
 		}
 	}
 	return dst, nil
-}
-
-// TransposeMVMBatchInto computes Wᵀ·δ for a whole batch, sample-major (see
-// compiledTransposeMVMBatchInto for layout), reprogram-free from the
-// compiled transpose views.
-func (l *DenseLayer) TransposeMVMBatchInto(dst, ds []float64, batch int) ([]float64, error) {
-	out := l.spec.Out
-	if batch < 0 || len(ds) < batch*out {
-		return nil, fmt.Errorf("core: transpose batch %d×%d needs %d deltas, have %d",
-			batch, out, batch*out, len(ds))
-	}
-	return l.compiledTransposeMVMBatchInto(dst, ds, batch)
 }
 
 // ensureDInPart sizes the per-tile conv input-gradient buffers (tiles × n,

@@ -226,10 +226,15 @@ func (b *WeightBank) compiledMVM(dst, x []float64) {
 // count, and (because every accumulator still sums its (row, sample) dot in
 // ascending column order) bit-identical to per-sample compiledMVM calls.
 // Geometry is validated by the caller (batchPrepare); dst is sample-major
-// batch×rows, xs sample-major batch×n.
+// batch×rows, xs sample-major batch×n. A batch of one runs compiledMVM
+// itself: the panel set-up would only add overhead to a single GEMV.
 func (b *WeightBank) compiledMVMBatch(dst, xs []float64, batch, n int) {
-	b.ensureCompiled()
 	rows := b.rows
+	if batch == 1 {
+		b.compiledMVM(dst[:rows], xs[:n])
+		return
+	}
+	b.ensureCompiled()
 	if b.pfor != nil && rows >= 2*gemmRowBlock && rows*n*batch >= gemmParallelMinWork {
 		blocks := (rows + gemmRowBlock - 1) / gemmRowBlock
 		b.pfor(blocks, func(bi int) {

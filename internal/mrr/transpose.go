@@ -136,9 +136,14 @@ func (b *WeightBank) compiledTransposeMVM(dst, delta []float64) {
 // results are bit-identical at any worker count and to per-sample
 // compiledTransposeMVM calls. Geometry is validated by the caller
 // (tbatchPrepare); dst is sample-major batch×cols, ds sample-major batch×m.
+// A batch of one runs compiledTransposeMVM itself, like compiledMVMBatch.
 func (b *WeightBank) compiledTransposeMVMBatch(dst, ds []float64, batch, m int) {
-	b.ensureTransposeCompiled()
 	rows, cols := b.rows, b.cols
+	if batch == 1 {
+		b.compiledTransposeMVM(dst[:cols], ds[:m])
+		return
+	}
+	b.ensureTransposeCompiled()
 	if b.pfor != nil && cols >= 2*gemmRowBlock && cols*m*batch >= gemmParallelMinWork {
 		blocks := (cols + gemmRowBlock - 1) / gemmRowBlock
 		b.pfor(blocks, func(bi int) {
