@@ -40,10 +40,10 @@ tier2-reliability:
 # Benchmark trajectory: the hot-path microbenchmarks, BENCH_COUNT
 # repetitions with allocation reporting, parsed into the machine-readable
 # trajectory file (BENCH_OUT). cmd/benchjson exits non-zero unless every
-# speedup gate in its gate table (defaultGates in cmd/benchjson/main.go)
-# holds; parallelism gates are recorded but waived on hosts with too few
-# CPUs.
-BENCH_OUT ?= BENCH_PR14.json
+# speedup and allocation gate in its gate table (defaultGates in
+# cmd/benchjson/main.go) holds; parallelism gates are recorded but waived on
+# hosts with too few CPUs.
+BENCH_OUT ?= BENCH_PR16.json
 BENCH_COUNT ?= 6
 BENCH_PATTERN = ^(BenchmarkBankMVM|BenchmarkBankMVMReference|BenchmarkBankMVMBatch|BenchmarkBankMVMBatchParallel|BenchmarkBankRecompileFull|BenchmarkBankRecompileIncremental|BenchmarkBankProgram|BenchmarkTrainStep|BenchmarkTrainBatch|BenchmarkTransposeCompiled|BenchmarkTableIII_PowerBreakdown|BenchmarkFigure6_InferencesPerSecond|BenchmarkServeBatcher|BenchmarkServeUnbatched|BenchmarkRouterOneReplica|BenchmarkRouterTwoReplicas|BenchmarkDeepCNNBatchSequential|BenchmarkDeepCNNBatchPipelined)$$
 

@@ -1,13 +1,13 @@
 // Command benchjson turns `go test -bench` output into the machine-readable
 // benchmark-trajectory file (BENCH_PR*.json via `make bench`) and enforces
-// the speedup gates in defaultGates — the one gate table of the repo — or
-// exits non-zero. Parallelism gates only bind on hosts with enough logical
+// the speedup and allocation gates in defaultGates — the one gate table of
+// the repo — or exits non-zero. Parallelism gates only bind on hosts with enough logical
 // CPUs; below that the measured ratio is recorded but the gate is waived
 // (see benchio.Report.ApplyGate).
 //
 // Usage (as wired by `make bench`):
 //
-//	go test -run='^$' -bench=... -benchmem -count=6 . | benchjson -out BENCH_PR14.json
+//	go test -run='^$' -bench=... -benchmem -count=6 . | benchjson -out BENCH_PR16.json
 package main
 
 import (
@@ -21,13 +21,15 @@ import (
 	"trident/internal/benchio"
 )
 
-// gateSpec is one speedup requirement: numerator, denominator, required
-// factor, and (for parallelism gates) the smallest host CPU count at which
-// the gate binds rather than being waived.
+// gateSpec is one requirement. A speedup gate names numerator, denominator,
+// required factor, and (for parallelism gates) the smallest host CPU count
+// at which the gate binds rather than being waived. An allocation gate
+// names only fast and bounds its allocs/op by maxAllocs.
 type gateSpec struct {
 	fast, ref string
 	min       float64
 	minProcs  int
+	maxAllocs float64
 }
 
 // defaultGates are the trajectory requirements, each ref ns/op over fast
@@ -51,6 +53,11 @@ type gateSpec struct {
 //   - pipeline: 4-stage pipelined DeepCNN batch execution ≥1.4× the
 //     sequential batched path on the same graph; waived below 4 CPUs, where
 //     four stage workers cannot overlap.
+//
+// and one allocation gate, allocs/op at most the bound:
+//
+//   - conv walk: one 64-sample sequential DeepCNN batch ≤256 allocations,
+//     i.e. no per-sample allocation on the batched conv read path.
 var defaultGates = []gateSpec{
 	{fast: "BenchmarkBankMVM/64x64", ref: "BenchmarkBankMVMReference/64x64", min: 3},
 	{fast: "BenchmarkBankRecompileIncremental/256x256", ref: "BenchmarkBankRecompileFull/256x256", min: 5},
@@ -59,12 +66,13 @@ var defaultGates = []gateSpec{
 	{fast: "BenchmarkTrainBatch/256x256", ref: "BenchmarkTrainStep/256x256", min: 2},
 	{fast: "BenchmarkRouterTwoReplicas", ref: "BenchmarkRouterOneReplica", min: 1.3, minProcs: 2},
 	{fast: "BenchmarkDeepCNNBatchPipelined", ref: "BenchmarkDeepCNNBatchSequential", min: 1.4, minProcs: 4},
+	{fast: "BenchmarkDeepCNNBatchSequential", maxAllocs: 256},
 }
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchjson: ")
-	out := flag.String("out", "BENCH_PR14.json", "trajectory file to write")
+	out := flag.String("out", "BENCH_PR16.json", "trajectory file to write")
 	flag.Parse()
 
 	// Tee the raw stream through so the human-readable benchmark lines stay
@@ -80,7 +88,13 @@ func main() {
 	rep := &benchio.Report{Schema: benchio.Schema, GoVersion: runtime.Version(),
 		MaxProcs: procs, Results: results}
 	for _, g := range defaultGates {
-		if err := rep.ApplyGate(g.fast, g.ref, g.min, g.minProcs); err != nil {
+		var err error
+		if g.ref == "" {
+			err = rep.ApplyAllocGate(g.fast, g.maxAllocs)
+		} else {
+			err = rep.ApplyGate(g.fast, g.ref, g.min, g.minProcs)
+		}
+		if err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -89,6 +103,10 @@ func main() {
 	}
 	fmt.Printf("benchjson: wrote %s (%d benchmarks)\n", *out, len(results))
 	for _, g := range rep.Gates {
+		if g.Kind == benchio.KindAllocs {
+			fmt.Printf("benchjson: %s: %.0f allocs/op (gate ≤%.0f)\n", g.Fast, g.Allocs, g.MaxAllocs)
+			continue
+		}
 		status := ""
 		if g.Waived {
 			status = fmt.Sprintf(" [waived: %d CPU < %d]", procs, g.MinProcs)
@@ -97,6 +115,6 @@ func main() {
 			g.Fast, g.Ref, g.Speedup, g.Required, status)
 	}
 	if !rep.GatesPassed() {
-		log.Fatal("speedup gate FAILED")
+		log.Fatal("gate FAILED")
 	}
 }

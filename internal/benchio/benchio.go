@@ -2,8 +2,9 @@
 // -bench` output into aggregated per-benchmark results and writes the
 // machine-readable trajectory file (BENCH_PR*.json) that `make bench` and
 // the cmd/benchjson gate table produce, so each kernel's speedup over its
-// baseline is recorded — and enforced — in one place. A trajectory can
-// carry several gates (schema trident-bench/3). A parallelism gate carries a
+// baseline, and each gated hot path's allocations per operation, are
+// recorded — and enforced — in one place. A trajectory can carry several
+// gates (schema trident-bench/4). A parallelism gate carries a
 // minimum-processor requirement: on hosts with fewer logical CPUs than
 // MinProcs (where no parallel speedup is physically available) the measured
 // ratio is still recorded but the gate is marked waived and does not fail
@@ -38,13 +39,21 @@ type Result struct {
 	MVMsPerSec float64 `json:"mvms_per_sec,omitempty"`
 }
 
-// Gate records one enforced speedup requirement of a trajectory file.
+// Gate records one enforced requirement of a trajectory file. A speedup
+// gate compares two benchmarks (Fast, Ref, Required, Speedup); an
+// allocation gate (Kind "allocs") bounds one benchmark's allocs/op
+// (Fast, MaxAllocs, Allocs).
 type Gate struct {
+	Kind     string  `json:"kind,omitempty"`
 	Fast     string  `json:"fast"`
-	Ref      string  `json:"ref"`
-	Required float64 `json:"required"`
-	Speedup  float64 `json:"speedup"`
-	Passed   bool    `json:"passed"`
+	Ref      string  `json:"ref,omitempty"`
+	Required float64 `json:"required,omitempty"`
+	Speedup  float64 `json:"speedup,omitempty"`
+	// MaxAllocs and Allocs are an allocation gate's bound and the
+	// benchmark's measured allocs/op (the maximum across runs).
+	MaxAllocs float64 `json:"max_allocs,omitempty"`
+	Allocs    float64 `json:"allocs,omitempty"`
+	Passed    bool    `json:"passed"`
 	// MinProcs, when positive, marks a parallelism gate: it only binds on
 	// hosts with at least this many logical CPUs. Below that the gate is
 	// recorded with Waived=true and Passed=true — a single-threaded host
@@ -65,8 +74,12 @@ type Report struct {
 
 // Schema is the current trajectory-file schema identifier. /2 replaced the
 // single `gate` field with the `gates` list; /3 added the processor-count
-// record (MaxProcs) and waivable parallelism gates (MinProcs/Waived).
-const Schema = "trident-bench/3"
+// record (MaxProcs) and waivable parallelism gates (MinProcs/Waived); /4
+// added allocation gates (Kind "allocs").
+const Schema = "trident-bench/4"
+
+// KindAllocs marks an allocation gate.
+const KindAllocs = "allocs"
 
 // procSuffix strips the trailing -GOMAXPROCS from a benchmark name, so the
 // same benchmark aggregates under one key on any host.
@@ -192,6 +205,19 @@ func (rep *Report) ApplyGate(fast, ref string, required float64, minProcs int) e
 	rep.Gates = append(rep.Gates, Gate{Fast: fast, Ref: ref, Required: required,
 		Speedup: speedup, Passed: waived || speedup >= required,
 		MinProcs: minProcs, Waived: waived})
+	return nil
+}
+
+// ApplyAllocGate appends an allocation gate: the named benchmark passes
+// when its allocs/op (the maximum across runs) is at most maxAllocs. Like
+// ApplyGate it errors when the benchmark is missing from the report.
+func (rep *Report) ApplyAllocGate(bench string, maxAllocs float64) error {
+	r := rep.Find(bench)
+	if r == nil {
+		return fmt.Errorf("benchio: gate benchmark %q not in report", bench)
+	}
+	rep.Gates = append(rep.Gates, Gate{Kind: KindAllocs, Fast: bench,
+		MaxAllocs: maxAllocs, Allocs: r.AllocsPerOp, Passed: r.AllocsPerOp <= maxAllocs})
 	return nil
 }
 

@@ -137,6 +137,42 @@ func TestApplyGateMinProcs(t *testing.T) {
 	}
 }
 
+// TestApplyAllocGate covers the allocation gate: a benchmark at or under
+// its bound passes, one over it fails the report, and a missing benchmark
+// is an error that appends no gate.
+func TestApplyAllocGate(t *testing.T) {
+	results, err := Parse(strings.NewReader(sample))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := &Report{Schema: Schema, Results: results}
+	if err := rep.ApplyAllocGate("BenchmarkBankProgram/16x16", 2); err != nil {
+		t.Fatal(err)
+	}
+	g := rep.Gates[0]
+	if g.Kind != KindAllocs || g.Allocs != 2 || g.MaxAllocs != 2 || !g.Passed {
+		t.Errorf("allocs at the bound must pass: %+v", g)
+	}
+	if !rep.GatesPassed() {
+		t.Error("GatesPassed = false with one passing allocation gate")
+	}
+	if err := rep.ApplyAllocGate("BenchmarkMissing", 100); err == nil {
+		t.Error("missing benchmark: want error")
+	}
+	if len(rep.Gates) != 1 {
+		t.Errorf("failed ApplyAllocGate must not append a gate: %+v", rep.Gates)
+	}
+	if err := rep.ApplyAllocGate("BenchmarkBankProgram/16x16", 1); err != nil {
+		t.Fatal(err)
+	}
+	if g := rep.Gates[1]; g.Passed {
+		t.Errorf("allocs over the bound must fail: %+v", g)
+	}
+	if rep.GatesPassed() {
+		t.Error("GatesPassed = true with a failing allocation gate")
+	}
+}
+
 func TestWriteReadRoundTrip(t *testing.T) {
 	results, err := Parse(strings.NewReader(sample))
 	if err != nil {
@@ -147,6 +183,9 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := rep.ApplyGate("BenchmarkBankMVM/64x64", "BenchmarkBankProgram/16x16", 1.5, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.ApplyAllocGate("BenchmarkBankProgram/16x16", 4); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "bench.json")
@@ -160,8 +199,8 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if back.Schema != Schema || len(back.Results) != len(rep.Results) {
 		t.Fatalf("round trip mismatch: %+v", back)
 	}
-	if len(back.Gates) != 2 || back.Gates[0].Speedup != rep.Gates[0].Speedup ||
-		back.Gates[1].Speedup != rep.Gates[1].Speedup {
+	if len(back.Gates) != 3 || back.Gates[0].Speedup != rep.Gates[0].Speedup ||
+		back.Gates[1].Speedup != rep.Gates[1].Speedup || back.Gates[2] != rep.Gates[2] {
 		t.Errorf("gates did not survive round trip: %+v", back.Gates)
 	}
 }

@@ -128,7 +128,9 @@ func TestNetworkBatchParallelMatchesSerial(t *testing.T) {
 
 // TestCNNBatchMatchesSingle: the batched CNN path — im2col streaming,
 // activation, GAP, head — must match per-image Forward bit-exactly with
-// noise on, including predictions and ledgers.
+// noise on, including predictions and ledgers. Nine 8×8 images give 64
+// pixel columns each, so the batch spans several conv chunks of
+// convChunkCols columns and ends in a ragged one-image chunk.
 func TestCNNBatchMatchesSingle(t *testing.T) {
 	spec := tensor.Conv2DSpec{InC: 1, InH: 8, InW: 8, OutC: 6, KH: 3, KW: 3,
 		StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, Groups: 1}
@@ -140,7 +142,14 @@ func TestCNNBatchMatchesSingle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	imgs := []*tensor.Tensor{testImage(1), testImage(2), testImage(3), testImage(4)}
+	var imgs []*tensor.Tensor
+	for i := int64(1); i <= 9; i++ {
+		imgs = append(imgs, testImage(i))
+	}
+	pixels := spec.OutH() * spec.OutW()
+	if chunk := convChunkCols / pixels; len(imgs) <= 2*chunk || len(imgs)%chunk == 0 {
+		t.Fatalf("%d images of %d pixels must span >2 chunks of %d and end ragged", len(imgs), pixels, chunk)
+	}
 	got, err := batched.ForwardBatch(imgs)
 	if err != nil {
 		t.Fatal(err)
@@ -212,6 +221,44 @@ func TestBatchSteadyStateAllocations(t *testing.T) {
 				t.Fatal(err)
 			}
 			if preds, err = net.PredictBatch(preds, xs, batch); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small := measure(2)
+	large := measure(16)
+	if large > small {
+		t.Errorf("allocations grew with batch size: %v at batch 2, %v at batch 16", small, large)
+	}
+}
+
+// TestConvBatchSteadyStateAllocations is TestBatchSteadyStateAllocations
+// for a conv graph: im2col patches, pre-activations and the tile stream
+// slabs are reused scratch, so the per-call allocation count must not grow
+// from a batch of 2 to a batch of 16, although the larger batch streams
+// through several conv chunks.
+func TestConvBatchSteadyStateAllocations(t *testing.T) {
+	withWorkers(t, 1)
+	spec := tensor.Conv2DSpec{InC: 1, InH: 8, InW: 8, OutC: 6, KH: 3, KW: 3,
+		StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, Groups: 1}
+	cnn, err := NewCNN(noisyCfg(), spec, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := cnn.Graph
+	in := g.InputSize()
+	measure := func(batch int) float64 {
+		xs := batchInputs(t, 5, batch, in)
+		out := make([]float64, batch*3)
+		preds := make([]int, batch)
+		if _, err := g.ForwardBatchInto(out, xs, batch); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(10, func() {
+			if out, err = g.ForwardBatchInto(out, xs, batch); err != nil {
+				t.Fatal(err)
+			}
+			if preds, err = g.PredictBatch(preds, xs, batch); err != nil {
 				t.Fatal(err)
 			}
 		})

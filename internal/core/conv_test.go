@@ -94,7 +94,7 @@ func TestCNNForwardMatchesDigitalConv(t *testing.T) {
 	pixels := spec.OutH() * spec.OutW()
 	for oc := 0; oc < spec.OutC; oc++ {
 		for p := 0; p < pixels; p += 7 {
-			hw := c.nodes[c.conv].pre.Data()[oc*pixels+p]
+			hw := c.nodes[c.conv].batchPre[oc*pixels+p]
 			dg := ref.Data()[oc*pixels+p]
 			if math.Abs(hw-dg) > 0.08 {
 				t.Fatalf("pre[%d,%d]: hw %v vs digital %v", oc, p, hw, dg)

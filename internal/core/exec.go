@@ -75,6 +75,32 @@ func tilePoolInit() {
 	}
 }
 
+// fanOut is the shared state of one parallel runIndexed call, kept in one
+// allocation.
+type fanOut struct {
+	next atomic.Int64
+	wg   sync.WaitGroup
+	n    int
+	fn   func(int)
+}
+
+// claim runs fn on indices claimed one at a time until none are left.
+func (f *fanOut) claim() {
+	for {
+		i := int(f.next.Add(1)) - 1
+		if i >= f.n {
+			return
+		}
+		f.fn(i)
+	}
+}
+
+// help is a pool worker's share of the fan-out.
+func (f *fanOut) help() {
+	defer f.wg.Done()
+	f.claim()
+}
+
 // runIndexed executes fn(i) for every i in [0, n), fanning the indices out
 // across the worker pool. Indices are claimed one at a time from a shared
 // counter; the caller participates too, so when every pool worker is busy
@@ -85,41 +111,30 @@ func runIndexed(n int, fn func(int)) {
 	if n <= 0 {
 		return
 	}
-	limit := MaxWorkers()
-	if n == 1 || limit <= 1 {
+	if serialFanOut(n) {
 		for i := 0; i < n; i++ {
 			fn(i)
 		}
 		return
 	}
 	tilePool.once.Do(tilePoolInit)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	claim := func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			fn(i)
-		}
-	}
-	helpers := min(limit-1, n-1, tilePool.size)
+	f := &fanOut{n: n, fn: fn}
+	help := f.help // one job value, handed to every enlisted worker
+	helpers := min(MaxWorkers()-1, n-1, tilePool.size)
 enlist:
 	for h := 0; h < helpers; h++ {
-		wg.Add(1)
-		job := func() { defer wg.Done(); claim() }
+		f.wg.Add(1)
 		select {
-		case tilePool.jobs <- job:
+		case tilePool.jobs <- help:
 		default:
 			// Every pool worker is occupied (typically a nested fan-out);
 			// stop enlisting and do the remaining work in-line.
-			wg.Done()
+			f.wg.Done()
 			break enlist
 		}
 	}
-	claim()
-	wg.Wait()
+	f.claim()
+	f.wg.Wait()
 }
 
 // RunIndexed exposes the index fan-out to sibling packages and, through
@@ -131,26 +146,54 @@ enlist:
 // its writes confined to per-index state.
 func RunIndexed(n int, fn func(int)) { runIndexed(n, fn) }
 
+// serialFanOut reports whether a fan-out of n jobs runs in-line on the
+// calling goroutine: a single job, or a worker cap of one.
+func serialFanOut(n int) bool { return n == 1 || MaxWorkers() <= 1 }
+
 // runTiles runs fn over every (r, c) of an rt×ct tile grid, in parallel.
 // When several tiles fail, the error of the lowest flattened tile index is
 // reported, so the error a caller observes never depends on goroutine
 // scheduling.
 func runTiles(rt, ct int, fn func(r, c int) error) error {
-	var (
-		mu   sync.Mutex
-		at   = -1
-		kept error
-	)
-	runIndexed(rt*ct, func(i int) {
-		if err := fn(i/ct, i%ct); err != nil {
-			mu.Lock()
-			if at < 0 || i < at {
-				at, kept = i, err
+	return runTilesArg(rt, ct, fn, func(fn func(r, c int) error, r, c int) error { return fn(r, c) })
+}
+
+// runTilesArg is runTiles for a job given as a plain function plus an
+// argument passed by value. A serial fan-out calls job in-line, so unlike a
+// closure handed to runTiles it allocates nothing — the conv stream makes
+// one fan-out per chunk.
+func runTilesArg[A any](rt, ct int, arg A, job func(arg A, r, c int) error) error {
+	if serialFanOut(rt * ct) {
+		var kept error
+		for i := 0; i < rt*ct; i++ {
+			if err := job(arg, i/ct, i%ct); err != nil && kept == nil {
+				kept = err
 			}
-			mu.Unlock()
+		}
+		return kept
+	}
+	first := &firstError{at: -1}
+	runIndexed(rt*ct, func(i int) {
+		if err := job(arg, i/ct, i%ct); err != nil {
+			first.keep(i, err)
 		}
 	})
-	return kept
+	return first.err
+}
+
+// firstError keeps the error of the lowest index among concurrent failures.
+type firstError struct {
+	mu  sync.Mutex
+	at  int
+	err error
+}
+
+func (f *firstError) keep(i int, err error) {
+	f.mu.Lock()
+	if f.at < 0 || i < f.at {
+		f.at, f.err = i, err
+	}
+	f.mu.Unlock()
 }
 
 // RunTiles exposes the tile fan-out to sibling packages (the reliability
@@ -190,66 +233,91 @@ func (l *DenseLayer) gradScratch() [][]float64 {
 	return l.gradBuf
 }
 
-// streamMVM runs the layer's forward tile passes for a whole im2col pixel
-// stream: patches is the (In × pixels) patch matrix (pixel-minor layout, as
-// produced by tensor.Im2Col) and pre receives the (Out × pixels)
-// pre-activations. The stream is decomposed tile-major: each worker owns one
-// (rowTile, colTile) bank, gathers its slice of every patch column into a
-// pixel-major slab, and streams the whole pixel stream through the bank's
-// register-blocked batch kernel — each PE still sees exactly the per-pixel
-// call sequence of the serial schedule (the batch kernel is bit-identical
-// per sample), preserving its noise draws and energy bookings bit-exactly,
-// while distinct tiles run concurrently. Column-tile partial sums land in
-// per-tile slabs and are merged afterwards in fixed (r, c) order.
-func (l *DenseLayer) streamMVM(patches []float64, pixels int, pre []float64) error {
+// streamMVM runs the layer's forward tile passes for the im2col pixel
+// streams of `batch` samples: patches holds each sample's (In × pixels)
+// patch matrix (pixel-minor, as tensor.Im2ColInto writes it) and pre
+// receives each sample's (Out × pixels) pre-activations, both sample-major.
+// The stream is decomposed tile-major: each worker owns one (rowTile,
+// colTile) bank, gathers its slice of every sample's patch columns into one
+// column-major slab of batch·pixels columns, and streams it through the
+// bank with a single register-blocked batch pass. Each PE still sees sample
+// 0's pixels, then sample 1's, and so on — the per-pixel call sequence of
+// the serial schedule, which the batch kernel reproduces bit for bit — so
+// its noise draws and energy bookings are unchanged, while distinct tiles
+// run concurrently. Column-tile partial sums land in per-tile slabs and are
+// merged afterwards in fixed (r, c) order. The scratch grows with
+// batch·pixels, so callers bound the columns per call (see convChunkCols).
+func (l *DenseLayer) streamMVM(patches []float64, batch, pixels int, pre []float64) error {
 	if l.state != bankForward {
 		if err := l.programForward(); err != nil {
 			return err
 		}
 	}
+	out := l.spec.Out
 	rt, ct := len(l.tiles), len(l.tiles[0])
 	rows := l.rows
-	l.stream = growFloats(l.stream, rt*ct*rows*pixels)
-	slab := l.stream
-	// The im2col matrix is pixel-minor; the batched bank kernel wants each
-	// tile's inputs pixel-major, so each tile gathers its slice transposed
-	// (O(In·pixels) copy work).
-	l.streamX = growFloats(l.streamX, rt*ct*l.cols*pixels)
-	inSlab := l.streamX
-	if err := runTiles(rt, ct, func(r, c int) error {
-		pe := l.tiles[r][c]
-		i0 := c * l.cols
-		i1 := min(i0+l.cols, l.spec.In)
-		n := i1 - i0
-		out := slab[(r*ct+c)*rows*pixels:][: rows*pixels : rows*pixels]
-		buf := inSlab[(r*ct+c)*l.cols*pixels:][: n*pixels : n*pixels]
-		for k := i0; k < i1; k++ {
-			kr := patches[k*pixels : (k+1)*pixels]
-			for p := 0; p < pixels; p++ {
-				buf[p*n+(k-i0)] = kr[p]
-			}
-		}
-		_, err := pe.MVMPassBatchInto(out, buf, pixels, n)
-		return err
-	}); err != nil {
+	cols := batch * pixels
+	l.stream = growFloats(l.stream, rt*ct*rows*cols)
+	l.streamX = growFloats(l.streamX, rt*ct*l.cols*cols)
+	if err := runTilesArg(rt, ct, streamArgs{l, patches, batch, pixels}, streamTile); err != nil {
 		return err
 	}
-	for i := range pre[:l.spec.Out*pixels] {
+	slab := l.stream
+	pre = pre[:batch*out*pixels]
+	for i := range pre {
 		pre[i] = 0
 	}
 	for r := 0; r < rt; r++ {
 		j0 := r * l.rows
-		j1 := min(j0+l.rows, l.spec.Out)
+		j1 := min(j0+l.rows, out)
 		for c := 0; c < ct; c++ {
-			tile := slab[(r*ct+c)*rows*pixels:]
-			for p := 0; p < pixels; p++ {
-				for j := j0; j < j1; j++ {
-					pre[j*pixels+p] += tile[p*rows+j-j0]
+			tile := slab[(r*ct+c)*rows*cols:]
+			for s := 0; s < batch; s++ {
+				ps := pre[s*out*pixels : (s+1)*out*pixels]
+				ts := tile[s*pixels*rows : (s+1)*pixels*rows]
+				for p := 0; p < pixels; p++ {
+					for j := j0; j < j1; j++ {
+						ps[j*pixels+p] += ts[p*rows+j-j0]
+					}
 				}
 			}
 		}
 	}
 	return nil
+}
+
+// streamArgs is one streamMVM call's input, handed to every tile job.
+type streamArgs struct {
+	l             *DenseLayer
+	patches       []float64
+	batch, pixels int
+}
+
+// streamTile is streamMVM's job for tile (r, c). The im2col matrices are
+// pixel-minor, while the batched bank kernel wants each tile's inputs
+// column-major, so the tile gathers its slice of every sample's patch rows
+// transposed (O(In·cols) copy work) before its one batch pass.
+func streamTile(a streamArgs, r, c int) error {
+	l := a.l
+	ct := len(l.tiles[0])
+	cols := a.batch * a.pixels
+	i0 := c * l.cols
+	i1 := min(i0+l.cols, l.spec.In)
+	n := i1 - i0
+	tileOut := l.stream[(r*ct+c)*l.rows*cols:][: l.rows*cols : l.rows*cols]
+	buf := l.streamX[(r*ct+c)*l.cols*cols:][: n*cols : n*cols]
+	patchSize := l.spec.In * a.pixels
+	for s := 0; s < a.batch; s++ {
+		sp := a.patches[s*patchSize : (s+1)*patchSize]
+		sb := buf[s*a.pixels*n : (s+1)*a.pixels*n]
+		for k := i0; k < i1; k++ {
+			for p, v := range sp[k*a.pixels : (k+1)*a.pixels] {
+				sb[p*n+k-i0] = v
+			}
+		}
+	}
+	_, err := l.tiles[r][c].MVMPassBatchInto(tileOut, buf, cols, n)
+	return err
 }
 
 // gradRowBlock is the kernel-row granularity of the digital weight-gradient

@@ -10,9 +10,9 @@ import (
 	"trident/internal/tensor"
 )
 
-// ledgerCategories enumerated for exact per-category energy comparison
-// (TotalEnergy sums a map, whose iteration order — and therefore float
-// association — is not stable between runs).
+// ledgerCategories are the per-PE categories compared one by one: a
+// per-category comparison names the category that diverged, which a
+// TotalEnergy comparison cannot. The golden fixture pins exactly this list.
 var ledgerCategories = []EnergyCategory{
 	CatGSTTuning, CatGSTRead, CatActivationReset,
 	CatBPDTIA, CatLDSU, CatEOLaser, CatCache,
@@ -55,18 +55,25 @@ func TestRunIndexedNestedFanOut(t *testing.T) {
 // must observe the error of the lowest flattened tile index, independent of
 // goroutine scheduling.
 func TestRunTilesReportsLowestIndexError(t *testing.T) {
-	withWorkers(t, 8)
 	const rt, ct = 5, 4
 	failing := map[int]bool{7: true, 13: true, 18: true}
-	for trial := 0; trial < 50; trial++ {
-		err := runTiles(rt, ct, func(r, c int) error {
-			if failing[r*ct+c] {
-				return fmt.Errorf("tile %d failed", r*ct+c)
+	for _, workers := range []int{1, 8} {
+		withWorkers(t, workers)
+		for trial := 0; trial < 50; trial++ {
+			var ran atomic.Int32
+			err := runTiles(rt, ct, func(r, c int) error {
+				ran.Add(1)
+				if failing[r*ct+c] {
+					return fmt.Errorf("tile %d failed", r*ct+c)
+				}
+				return nil
+			})
+			if err == nil || err.Error() != "tile 7 failed" {
+				t.Fatalf("workers=%d trial %d: got %v, want error of tile 7", workers, trial, err)
 			}
-			return nil
-		})
-		if err == nil || err.Error() != "tile 7 failed" {
-			t.Fatalf("trial %d: got %v, want error of tile 7", trial, err)
+			if ran.Load() != rt*ct {
+				t.Fatalf("workers=%d trial %d: %d tiles ran, want every one of %d", workers, trial, ran.Load(), rt*ct)
+			}
 		}
 	}
 }

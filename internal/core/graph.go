@@ -61,11 +61,7 @@ type graphNode struct {
 	spec  tensor.Conv2DSpec // conv nodes only
 	act   *nn.GSTActivation // conv per-pixel activation
 
-	// Batched-serving scratch: conv nodes reuse one patch and one
-	// pre-activation buffer for every sample of a batch; batchVal holds the
-	// node's output, sample-major.
-	patches  *tensor.Tensor // conv: (InC·KH·KW) × pixels
-	pre      *tensor.Tensor // conv: OutC × pixels pre-activations
+	// batchVal holds the node's output for the whole batch, sample-major.
 	batchVal []float64
 
 	// joinEvents counts optical join passes booked at this node (adds and
@@ -81,14 +77,18 @@ type graphNode struct {
 	dIn     *tensor.Tensor // conv: one sample's ∂L/∂(input map)
 	dInPart [][]float64    // conv: per-tile input-gradient buffers
 
+	// Conv forward slabs, sample-major: serving reuses one chunk's worth
+	// for every chunk of a batch, training keeps the whole batch for the
+	// backward walk (see convForward).
+	batchPatches []float64 // conv: samples×(In·pixels) im2col patches
+	batchPre     []float64 // conv: samples×(Out·pixels) pre-activations
+
 	// Batched-training state and scratch (TrainBatch), all sample-major.
-	batchDerivs  []float64 // dense: batch×Out LDSU-latched derivatives
-	batchPatches []float64 // conv: batch×(In·pixels) im2col slabs
-	batchPre     []float64 // conv: batch×(Out·pixels) pre-activations
-	batchActive  []bool    // conv: batch×pixels active-pixel masks
-	batchGrad    []float64 // batch×size upstream gradient slab
-	batchDeltaH  []float64 // gated delta slab (Out dense, OutC·pixels conv)
-	batchDIn     []float64 // batch×(producer size) input-gradient slab
+	batchDerivs []float64 // dense: batch×Out LDSU-latched derivatives
+	batchActive []bool    // conv: batch×pixels active-pixel masks
+	batchGrad   []float64 // batch×size upstream gradient slab
+	batchDeltaH []float64 // gated delta slab (Out dense, OutC·pixels conv)
+	batchDIn    []float64 // batch×(producer size) input-gradient slab
 }
 
 // Graph is a hardware-mapped execution DAG: node 0 is the input, layer
@@ -491,25 +491,7 @@ func (g *Graph) forwardNodeBatch(n *graphNode, batch int, val func(NodeID) []flo
 		}
 		n.batchVal = y
 	case nodeConv:
-		n.batchVal = growFloats(n.batchVal, batch*n.size)
-		s := n.spec
-		pv := val(n.in[0])
-		for smp := 0; smp < batch; smp++ {
-			img := tensor.FromSlice(pv[smp*prod.size:(smp+1)*prod.size], prod.c, prod.h, prod.w)
-			n.patches = tensor.Im2Col(n.patches, img, s, 0)
-			pixels := n.patches.Dim(1)
-			if n.pre == nil || n.pre.Dim(1) != pixels {
-				n.pre = tensor.New(s.OutC, pixels)
-			}
-			if err := n.layer.streamMVM(n.patches.Data(), pixels, n.pre.Data()); err != nil {
-				return err
-			}
-			pre := n.pre.Data()
-			out := n.batchVal[smp*n.size : (smp+1)*n.size]
-			for i := range out {
-				out[i] = n.act.Eval(pre[i])
-			}
-		}
+		return g.convForward(n, batch, val(n.in[0]), false)
 	case nodeGAP:
 		pixels := prod.h * prod.w
 		n.batchVal = growFloats(n.batchVal, batch*n.size)
@@ -548,6 +530,56 @@ func (g *Graph) forwardNodeBatch(n *graphNode, batch int, val func(NodeID) []flo
 				off += p.size
 			}
 			n.bookJoin()
+		}
+	}
+	return nil
+}
+
+// convChunkCols bounds the pixel columns of one conv streamMVM call: a
+// chunk carries as many whole samples as fit (at least one), so the
+// per-tile stream scratch is the same size for any batch.
+const convChunkCols = 256
+
+// convForward is the one conv forward walk, shared by serving and training.
+// pv holds the producer's values for the whole batch. Samples go in chunks
+// of whole samples of at most convChunkCols pixel columns: each sample of a
+// chunk is lowered by im2col into the node's sample-major batchPatches
+// slab, one streamMVM call streams the chunk through every tile, and the
+// GST activation fires per output pixel. Serving (keep false) reuses a slab
+// of one chunk; training (keep true) keeps every sample's patches and
+// pre-activations for the backward walk. Every tile sees the samples in
+// batch order either way, so outputs, noise streams and ledgers do not
+// depend on the chunking.
+func (g *Graph) convForward(n *graphNode, batch int, pv []float64, keep bool) error {
+	inSize := g.nodes[n.in[0]].size
+	s := n.spec
+	pixels := s.OutH() * s.OutW()
+	patchSize := s.InC * s.KH * s.KW * pixels
+	chunk := max(1, convChunkCols/pixels)
+	slab := min(batch, chunk)
+	if keep {
+		slab = batch
+	}
+	n.batchVal = growFloats(n.batchVal, batch*n.size)
+	n.batchPatches = growFloats(n.batchPatches, slab*patchSize)
+	n.batchPre = growFloats(n.batchPre, slab*n.size)
+	for s0 := 0; s0 < batch; s0 += chunk {
+		s1 := min(s0+chunk, batch)
+		at := 0
+		if keep {
+			at = s0
+		}
+		patches := n.batchPatches[at*patchSize : (at+s1-s0)*patchSize]
+		pre := n.batchPre[at*n.size : (at+s1-s0)*n.size]
+		for smp := s0; smp < s1; smp++ {
+			tensor.Im2ColInto(patches[(smp-s0)*patchSize:], pv[smp*inSize:(smp+1)*inSize], s, 0)
+		}
+		if err := n.layer.streamMVM(patches, s1-s0, pixels, pre); err != nil {
+			return err
+		}
+		out := n.batchVal[s0*n.size : s1*n.size]
+		for i, h := range pre {
+			out[i] = n.act.Eval(h)
 		}
 	}
 	return nil

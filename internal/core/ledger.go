@@ -37,24 +37,66 @@ const (
 	CatWavelengthMerge EnergyCategory = "wavelength-merge"
 )
 
-// Ledger accumulates energy by category and elapsed simulated time.
+// Category indices, in declaration order. The ledger stores its energy in
+// a fixed array indexed by these, so every sum over categories runs in the
+// same order; hot paths (PE.step) book through them directly.
+const (
+	catGSTTuning = iota
+	catGSTRead
+	catActivationReset
+	catBPDTIA
+	catLDSU
+	catEOLaser
+	catCache
+	catResidualJoin
+	catWavelengthMerge
+	numCategories
+)
+
+// categories maps an index back to its category.
+var categories = [numCategories]EnergyCategory{
+	CatGSTTuning, CatGSTRead, CatActivationReset, CatBPDTIA, CatLDSU,
+	CatEOLaser, CatCache, CatResidualJoin, CatWavelengthMerge,
+}
+
+// categoryIndex returns cat's index, or -1 for an unknown category.
+func categoryIndex(cat EnergyCategory) int {
+	for i, c := range categories {
+		if c == cat {
+			return i
+		}
+	}
+	return -1
+}
+
+// Ledger accumulates energy by category and elapsed simulated time. The
+// zero value is an empty ledger.
 type Ledger struct {
-	energy  map[EnergyCategory]units.Energy
+	energy  [numCategories]units.Energy
+	booked  uint16 // bit i set once category i has been booked
 	elapsed units.Duration
 }
 
 // NewLedger returns an empty ledger.
-func NewLedger() *Ledger {
-	return &Ledger{energy: make(map[EnergyCategory]units.Energy)}
-}
+func NewLedger() *Ledger { return &Ledger{} }
 
-// Add books energy under a category. Negative energy is a bug in the
-// caller and panics.
+// Add books energy under a category. Negative energy and unknown
+// categories are bugs in the caller and panic.
 func (l *Ledger) Add(cat EnergyCategory, e units.Energy) {
 	if e < 0 {
 		panic(fmt.Sprintf("core: negative energy %v for %s", e, cat))
 	}
-	l.energy[cat] += e
+	i := categoryIndex(cat)
+	if i < 0 {
+		panic(fmt.Sprintf("core: unknown energy category %q", cat))
+	}
+	l.add(i, e)
+}
+
+// add books non-negative energy under category index i.
+func (l *Ledger) add(i int, e units.Energy) {
+	l.energy[i] += e
+	l.booked |= 1 << i
 }
 
 // Advance moves simulated time forward. Negative durations panic.
@@ -68,20 +110,29 @@ func (l *Ledger) Advance(d units.Duration) {
 // Elapsed returns the simulated wall time.
 func (l *Ledger) Elapsed() units.Duration { return l.elapsed }
 
-// Energy returns the energy booked under one category.
-func (l *Ledger) Energy(cat EnergyCategory) units.Energy { return l.energy[cat] }
+// Energy returns the energy booked under one category (zero for a category
+// never booked or unknown).
+func (l *Ledger) Energy(cat EnergyCategory) units.Energy {
+	if i := categoryIndex(cat); i >= 0 {
+		return l.energy[i]
+	}
+	return 0
+}
 
-// Breakdown returns a copy of the per-category energy map (safe for the
-// caller to hold after the ledger moves on).
+// Breakdown returns the energy of every category booked so far, in a fresh
+// map the caller may keep.
 func (l *Ledger) Breakdown() map[EnergyCategory]units.Energy {
-	out := make(map[EnergyCategory]units.Energy, len(l.energy))
-	for cat, e := range l.energy {
-		out[cat] = e
+	out := make(map[EnergyCategory]units.Energy, numCategories)
+	for i, e := range l.energy {
+		if l.booked&(1<<i) != 0 {
+			out[categories[i]] = e
+		}
 	}
 	return out
 }
 
-// TotalEnergy returns the energy summed over all categories.
+// TotalEnergy returns the energy summed over all categories in declaration
+// order, so the result is the same bits on every call.
 func (l *Ledger) TotalEnergy() units.Energy {
 	var t units.Energy
 	for _, e := range l.energy {
@@ -99,28 +150,29 @@ func (l *Ledger) AveragePower() units.Power {
 // Merge adds another ledger's energy (not its elapsed time — time is
 // parallel across PEs, energy is additive).
 func (l *Ledger) Merge(o *Ledger) {
-	for cat, e := range o.energy {
-		l.energy[cat] += e
+	for i, e := range o.energy {
+		if o.booked&(1<<i) != 0 {
+			l.add(i, e)
+		}
 	}
 }
 
 // Reset clears the ledger.
-func (l *Ledger) Reset() {
-	l.energy = make(map[EnergyCategory]units.Energy)
-	l.elapsed = 0
-}
+func (l *Ledger) Reset() { *l = Ledger{} }
 
 // String renders the breakdown sorted by category for stable output.
 func (l *Ledger) String() string {
-	cats := make([]string, 0, len(l.energy))
-	for c := range l.energy {
-		cats = append(cats, string(c))
+	cats := make([]string, 0, numCategories)
+	for i, c := range categories {
+		if l.booked&(1<<i) != 0 {
+			cats = append(cats, string(c))
+		}
 	}
 	sort.Strings(cats)
 	var b strings.Builder
 	fmt.Fprintf(&b, "elapsed %v, total %v", l.elapsed, l.TotalEnergy())
 	for _, c := range cats {
-		fmt.Fprintf(&b, "\n  %-18s %v", c, l.energy[EnergyCategory(c)])
+		fmt.Fprintf(&b, "\n  %-18s %v", c, l.Energy(EnergyCategory(c)))
 	}
 	return b.String()
 }

@@ -50,18 +50,78 @@ func TestLedgerMerge(t *testing.T) {
 
 func TestLedgerPanics(t *testing.T) {
 	l := NewLedger()
-	for _, fn := range []func(){
-		func() { l.Add(CatCache, -1) },
-		func() { l.Advance(-1) },
+	for name, fn := range map[string]func(){
+		"negative energy":  func() { l.Add(CatCache, -1) },
+		"negative time":    func() { l.Advance(-1) },
+		"unknown category": func() { l.Add(EnergyCategory("thermal"), 1) },
 	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Error("negative quantities should panic")
+					t.Errorf("%s should panic", name)
 				}
 			}()
 			fn()
 		}()
+	}
+}
+
+// allCategories is every ledger category in declaration order.
+var allCategories = []EnergyCategory{
+	CatGSTTuning, CatGSTRead, CatActivationReset, CatBPDTIA, CatLDSU,
+	CatEOLaser, CatCache, CatResidualJoin, CatWavelengthMerge,
+}
+
+// TestLedgerTotalFixedOrder: with all nine categories booked at magnitudes
+// whose sum depends on association, TotalEnergy returns the same bits on
+// every call, equal to the sum taken in declaration order.
+func TestLedgerTotalFixedOrder(t *testing.T) {
+	l := NewLedger()
+	for i, cat := range allCategories {
+		l.Add(cat, units.Energy(math.Pow(10, float64(i%4)*-5)*(1+float64(i)/7)))
+	}
+	var want units.Energy
+	for _, cat := range allCategories {
+		want += l.Energy(cat)
+	}
+	for i := 0; i < 1000; i++ {
+		if got := l.TotalEnergy(); math.Float64bits(float64(got)) != math.Float64bits(float64(want)) {
+			t.Fatalf("call %d: TotalEnergy %v, want declaration-order sum %v", i, got, want)
+		}
+	}
+}
+
+// TestLedgerBreakdownBookedOnly: Breakdown lists exactly the categories
+// booked so far — including one booked with zero energy — and Merge carries
+// the other ledger's booked set.
+func TestLedgerBreakdownBookedOnly(t *testing.T) {
+	l := NewLedger()
+	if got := l.Breakdown(); len(got) != 0 {
+		t.Fatalf("empty ledger breakdown %v", got)
+	}
+	l.Add(CatLDSU, 2*units.Picojoule)
+	l.Add(CatResidualJoin, 0)
+	o := NewLedger()
+	o.Add(CatWavelengthMerge, 1*units.Picojoule)
+	l.Merge(o)
+	got := l.Breakdown()
+	want := map[EnergyCategory]units.Energy{
+		CatLDSU: 2 * units.Picojoule, CatResidualJoin: 0, CatWavelengthMerge: 1 * units.Picojoule,
+	}
+	if len(got) != len(want) {
+		t.Fatalf("breakdown %v, want %v", got, want)
+	}
+	for cat, e := range want {
+		if g, ok := got[cat]; !ok || g != e {
+			t.Errorf("breakdown[%s] = %v (present %v), want %v", cat, g, ok, e)
+		}
+	}
+	if s := l.String(); strings.Contains(s, "gst-tuning") || !strings.Contains(s, "residual-join") {
+		t.Errorf("String() = %q, want only booked categories", s)
+	}
+	l.Reset()
+	if got := l.Breakdown(); len(got) != 0 {
+		t.Errorf("breakdown after Reset %v", got)
 	}
 }
 

@@ -85,6 +85,13 @@ type PE struct {
 	noiseRel float64
 	scratch  []float64
 
+	// Per-symbol pipeline costs booked by step, fixed by the geometry.
+	period      units.Duration
+	readEnergy  units.Energy // GST read bias, one clock
+	feEnergy    units.Energy // BPD+TIA front ends, one clock
+	cacheEnergy units.Energy // per-PE cache activity, one clock
+	latchEnergy units.Energy // LDSU latch, one clock
+
 	// Reusable scratch owned by this PE. A PE is driven by exactly one
 	// goroutine at a time (the tile-execution engine decomposes work per
 	// tile), so these need no locking.
@@ -144,6 +151,16 @@ func NewPE(cfg PEConfig) (*PE, error) {
 		blockBuf:  make([][]float64, cfg.Rows),
 		blockData: make([]float64, cfg.Rows*cfg.Cols),
 	}
+	pe.period = device.ClockRate.Period()
+	// Read power is a per-bank budget (Table III row over 256 cells).
+	readShare := units.Power(float64(device.PowerGSTRead) *
+		float64(cfg.Rows*cfg.Cols) / float64(device.MRRsPerPE))
+	pe.readEnergy = readShare.OverTime(pe.period)
+	feShare := units.Power(float64(device.PowerBPDTIA) *
+		float64(cfg.Rows) / float64(device.WeightBankRows))
+	pe.feEnergy = feShare.OverTime(pe.period)
+	pe.cacheEnergy = device.PowerCache.OverTime(pe.period)
+	pe.latchEnergy = device.PowerLDSU.OverTime(pe.period)
 	for j := 0; j < cfg.Rows; j++ {
 		fe, err := analog.NewRowFrontEnd(cfg.NoiseSeed + int64(j) + 1)
 		if err != nil {
@@ -223,28 +240,46 @@ func (p *PE) RefreshWeights() {
 // step books the per-symbol energies common to every optical pass: E/O
 // encoding of n inputs, the GST read pulses that bias the bank, the BPD+TIA
 // front ends, and the per-PE cache activity, then advances one clock.
-func (p *PE) step(n int) {
-	period := device.ClockRate.Period()
-	p.ledger.Add(CatEOLaser, p.lasers.EncodeEnergy(n))
-	// Read power is a per-bank budget (Table III row over 256 cells).
-	readShare := units.Power(float64(device.PowerGSTRead) *
-		float64(p.cfg.Rows*p.cfg.Cols) / float64(device.MRRsPerPE))
-	p.ledger.Add(CatGSTRead, readShare.OverTime(period))
-	feShare := units.Power(float64(device.PowerBPDTIA) *
-		float64(p.cfg.Rows) / float64(device.WeightBankRows))
-	p.ledger.Add(CatBPDTIA, feShare.OverTime(period))
-	p.ledger.Add(CatCache, device.PowerCache.OverTime(period))
-	p.ledger.Advance(period)
+func (p *PE) step(n int) { p.stepEncoded(p.lasers.EncodeEnergy(n)) }
+
+// stepEncoded is step with the E/O encoding energy already computed, so a
+// batch pass computes it once for all its samples.
+func (p *PE) stepEncoded(encode units.Energy) {
+	p.ledger.add(catEOLaser, encode)
+	p.ledger.add(catGSTRead, p.readEnergy)
+	p.ledger.add(catBPDTIA, p.feEnergy)
+	p.ledger.add(catCache, p.cacheEnergy)
+	p.ledger.elapsed += p.period
 }
 
-// noisy perturbs an analog value with the BPD noise model. The vector sum
-// of n contributions carries √n of the single-channel noise.
-func (p *PE) noisy(v float64, n int) float64 {
+// noiseSigma returns the BPD noise sigma of an n-channel vector sum, which
+// carries √n of the single-channel noise; ok is false when noise is off.
+func (p *PE) noiseSigma(n int) (sigma float64, ok bool) {
 	if p.cfg.DisableNoise || p.noiseRel == 0 {
+		return 0, false
+	}
+	return p.noiseRel * math.Sqrt(float64(n)), true
+}
+
+// noisy perturbs an analog value with the BPD noise model.
+func (p *PE) noisy(v float64, n int) float64 {
+	sigma, ok := p.noiseSigma(n)
+	if !ok {
 		return v
 	}
-	sigma := p.noiseRel * math.Sqrt(float64(n))
 	return v + p.rng.NormFloat64()*sigma
+}
+
+// addNoise perturbs every value of one pass in place with the noise of an
+// n-channel sum, drawing in index order exactly as noisy does.
+func (p *PE) addNoise(vs []float64, n int) {
+	sigma, ok := p.noiseSigma(n)
+	if !ok {
+		return
+	}
+	for j, v := range vs {
+		vs[j] = v + p.rng.NormFloat64()*sigma
+	}
 }
 
 // MVMPass runs one optical matrix-vector pass through the bank: encode x,
@@ -288,12 +323,10 @@ func (p *PE) MVMPassBatchInto(dst, xs []float64, batch, n int) ([]float64, error
 	}
 	dst = growFloats(dst, batch*p.cfg.Rows)
 	dst = p.bank.MVMBatchInto(dst, xs, batch, n)
+	p.addNoise(dst[:batch*p.cfg.Rows], n)
+	encode := p.lasers.EncodeEnergy(n)
 	for s := 0; s < batch; s++ {
-		out := dst[s*p.cfg.Rows : (s+1)*p.cfg.Rows]
-		for j := range out {
-			out[j] = p.noisy(out[j], n)
-		}
-		p.step(n)
+		p.stepEncoded(encode)
 	}
 	return dst, nil
 }
@@ -320,12 +353,10 @@ func (p *PE) TransposePassBatchInto(dst, ds []float64, batch, m int) ([]float64,
 	}
 	dst = growFloats(dst, batch*p.cfg.Cols)
 	dst = p.bank.TransposeMVMBatchInto(dst, ds, batch, m)
+	p.addNoise(dst[:batch*p.cfg.Cols], m)
+	encode := p.lasers.EncodeEnergy(m)
 	for s := 0; s < batch; s++ {
-		out := dst[s*p.cfg.Cols : (s+1)*p.cfg.Cols]
-		for i := range out {
-			out[i] = p.noisy(out[i], m)
-		}
-		p.step(m)
+		p.stepEncoded(encode)
 	}
 	return dst, nil
 }
@@ -350,7 +381,7 @@ func (p *PE) ActivateInto(dst, h []float64) ([]float64, error) {
 		norm[j] = p.normalizeToThreshold(v)
 	}
 	p.ldsu.Latch(norm)
-	p.ledger.Add(CatLDSU, device.PowerLDSU.OverTime(device.ClockRate.Period()))
+	p.ledger.add(catLDSU, p.latchEnergy)
 	y := growFloats(dst, len(h))
 	fired := false
 	for j, v := range norm {

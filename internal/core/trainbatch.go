@@ -77,8 +77,8 @@ func (g *Graph) TrainBatch(xs []float64, labels []int) (float64, error) {
 // forwardTrainNodeBatch is forwardNodeBatch plus per-sample training state:
 // dense nodes snapshot the batch's LDSU-latched derivatives, conv nodes
 // keep every sample's im2col patches and pre-activations in sample-major
-// slabs (the serving path overwrites one shared buffer per sample). Join
-// and pool nodes carry no training state and reuse the serving kernels.
+// slabs (the serving path reuses one chunk's slab). Join and pool nodes
+// carry no training state and reuse the serving kernels.
 func (g *Graph) forwardTrainNodeBatch(n *graphNode, batch int) error {
 	prod := g.nodes[n.in[0]]
 	switch n.kind {
@@ -100,25 +100,7 @@ func (g *Graph) forwardTrainNodeBatch(n *graphNode, batch int) error {
 			}
 		}
 	case nodeConv:
-		s := n.spec
-		pixels := s.OutH() * s.OutW()
-		patchDim := s.InC * s.KH * s.KW
-		n.batchVal = growFloats(n.batchVal, batch*n.size)
-		n.batchPatches = growFloats(n.batchPatches, batch*patchDim*pixels)
-		n.batchPre = growFloats(n.batchPre, batch*s.OutC*pixels)
-		for smp := 0; smp < batch; smp++ {
-			img := tensor.FromSlice(prod.batchVal[smp*prod.size:(smp+1)*prod.size], prod.c, prod.h, prod.w)
-			patches := tensor.FromSlice(n.batchPatches[smp*patchDim*pixels:(smp+1)*patchDim*pixels], patchDim, pixels)
-			tensor.Im2Col(patches, img, s, 0)
-			pre := n.batchPre[smp*s.OutC*pixels : (smp+1)*s.OutC*pixels]
-			if err := n.layer.streamMVM(patches.Data(), pixels, pre); err != nil {
-				return err
-			}
-			out := n.batchVal[smp*n.size : (smp+1)*n.size]
-			for i := range out {
-				out[i] = n.act.Eval(pre[i])
-			}
-		}
+		return g.convForward(n, batch, prod.batchVal, true)
 	default:
 		return g.forwardNodeBatch(n, batch, g.batchValOf)
 	}

@@ -175,14 +175,20 @@ func TestRouterQueueFullHandoff(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Fill the slow replica: one request in flight, one parked in its queue.
+	// The second filler is sent only once the first is in the engine: sent
+	// together, both could reach the one-slot queue at once and the second
+	// would be rejected instead of parked.
 	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
+	fill := func() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			instSlow.Submit(context.Background(), []float64{1}) //nolint:errcheck // filler traffic
 		}()
 	}
+	fill()
+	waitFor(t, func() bool { return slow.inFlight.Load() == 1 })
+	fill()
 	waitFor(t, func() bool { return instSlow.b.QueueDepth() == 1 })
 	if instSlow.Score() >= instIdle.Score() {
 		t.Fatalf("test premise broken: slow score %v not below idle %v",

@@ -64,37 +64,59 @@ func Im2Col(dst *Tensor, in *Tensor, s Conv2DSpec, g int) *Tensor {
 	if in.Rank() != 3 || in.Dim(0) != s.InC || in.Dim(1) != s.InH || in.Dim(2) != s.InW {
 		panic(fmt.Sprintf("tensor: Im2Col input shape %v, want [%d %d %d]", in.Shape(), s.InC, s.InH, s.InW))
 	}
-	cg := s.InC / s.Groups
-	rows := cg * s.KH * s.KW
+	rows := s.InC / s.Groups * s.KH * s.KW
 	cols := s.OutH() * s.OutW()
 	if dst == nil {
 		dst = New(rows, cols)
 	} else if dst.Rank() != 2 || dst.Dim(0) != rows || dst.Dim(1) != cols {
 		panic(fmt.Sprintf("tensor: Im2Col dst shape %v, want [%d %d]", dst.Shape(), rows, cols))
 	}
-	outW := s.OutW()
-	id, dd := in.Data(), dst.Data()
-	parallelFor(rows, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			c := g*cg + r/(s.KH*s.KW)
-			kh := (r / s.KW) % s.KH
-			kw := r % s.KW
-			base := c * s.InH * s.InW
-			drow := dd[r*cols : (r+1)*cols]
-			for oc := 0; oc < cols; oc++ {
-				oy := oc / outW
-				ox := oc % outW
-				iy := oy*s.StrideH - s.PadH + kh
-				ix := ox*s.StrideW - s.PadW + kw
-				if iy < 0 || iy >= s.InH || ix < 0 || ix >= s.InW {
-					drow[oc] = 0
-					continue
+	Im2ColInto(dst.Data(), in.Data(), s, g)
+	return dst
+}
+
+// Im2ColInto is Im2Col over flat buffers: img is one CHW image and the
+// (C/G·KH·KW) × (OutH·OutW) patch matrix of group g is written row-major
+// into dst, every element overwritten. The spec must be valid; short
+// buffers panic. The walk is ordered by (channel, kernel tap, output row),
+// so no element index needs a division.
+func Im2ColInto(dst, img []float64, s Conv2DSpec, g int) {
+	cg := s.InC / s.Groups
+	outH, outW := s.OutH(), s.OutW()
+	cols := outH * outW
+	if len(img) < s.InC*s.InH*s.InW || len(dst) < cg*s.KH*s.KW*cols {
+		panic(fmt.Sprintf("tensor: Im2ColInto buffers img %d, dst %d too short for %+v", len(img), len(dst), s))
+	}
+	r := 0
+	for c := g * cg; c < (g+1)*cg; c++ {
+		plane := img[c*s.InH*s.InW : (c+1)*s.InH*s.InW]
+		for kh := 0; kh < s.KH; kh++ {
+			for kw := 0; kw < s.KW; kw++ {
+				drow := dst[r*cols : (r+1)*cols]
+				r++
+				for oy := 0; oy < outH; oy++ {
+					out := drow[oy*outW : (oy+1)*outW]
+					iy := oy*s.StrideH - s.PadH + kh
+					if iy < 0 || iy >= s.InH {
+						for ox := range out {
+							out[ox] = 0
+						}
+						continue
+					}
+					src := plane[iy*s.InW : (iy+1)*s.InW]
+					ix := kw - s.PadW
+					for ox := range out {
+						if ix >= 0 && ix < s.InW {
+							out[ox] = src[ix]
+						} else {
+							out[ox] = 0
+						}
+						ix += s.StrideW
+					}
 				}
-				drow[oc] = id[base+iy*s.InW+ix]
 			}
 		}
-	})
-	return dst
+	}
 }
 
 // Conv2D computes the grouped 2-D convolution out = kernel ⊛ in via im2col.

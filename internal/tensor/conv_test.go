@@ -136,6 +136,51 @@ func TestIm2ColZeroPadding(t *testing.T) {
 	}
 }
 
+// TestIm2ColIntoMatchesIndexFormula: the division-free walk writes every
+// element of the patch matrix exactly as the direct index formula
+// (row r = (c, kh, kw), column = (oy, ox)) defines it, for every group,
+// overwriting whatever the destination held.
+func TestIm2ColIntoMatchesIndexFormula(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 200; trial++ {
+		groups := 1 + rng.Intn(3)
+		s := Conv2DSpec{InC: groups * (1 + rng.Intn(3)), InH: 1 + rng.Intn(9), InW: 1 + rng.Intn(9),
+			OutC: groups, KH: 1 + rng.Intn(4), KW: 1 + rng.Intn(4),
+			StrideH: 1 + rng.Intn(3), StrideW: 1 + rng.Intn(3), PadH: rng.Intn(3), PadW: rng.Intn(3),
+			Groups: groups}
+		if s.Validate() != nil {
+			continue
+		}
+		img := make([]float64, s.InC*s.InH*s.InW)
+		for i := range img {
+			img[i] = rng.NormFloat64()
+		}
+		cg := s.InC / s.Groups
+		rows, cols, outW := cg*s.KH*s.KW, s.OutH()*s.OutW(), s.OutW()
+		for g := 0; g < s.Groups; g++ {
+			dst := make([]float64, rows*cols)
+			for i := range dst {
+				dst[i] = math.NaN()
+			}
+			Im2ColInto(dst, img, s, g)
+			for r := 0; r < rows; r++ {
+				c, kh, kw := g*cg+r/(s.KH*s.KW), (r/s.KW)%s.KH, r%s.KW
+				for oc := 0; oc < cols; oc++ {
+					iy := oc/outW*s.StrideH - s.PadH + kh
+					ix := oc%outW*s.StrideW - s.PadW + kw
+					want := 0.0
+					if iy >= 0 && iy < s.InH && ix >= 0 && ix < s.InW {
+						want = img[(c*s.InH+iy)*s.InW+ix]
+					}
+					if got := dst[r*cols+oc]; got != want {
+						t.Fatalf("%+v group %d: patch[%d,%d] = %v, want %v", s, g, r, oc, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestPoolSpecValidate(t *testing.T) {
 	if err := (PoolSpec{C: 1, H: 4, W: 4, K: 2, Stride: 2}).Validate(); err != nil {
 		t.Fatalf("valid pool rejected: %v", err)
