@@ -23,16 +23,17 @@ tier2:
 	$(GO) test -race ./...
 
 # Tier 2 reliability: the fault campaigns, batch-serving equality tests,
-# execution-graph equivalence/golden-regression tests, and the dirty-row
-# recompilation property tests (every bank mutator must leave no row stale)
-# under the race detector, plus short fuzz runs over the PCM cell state
-# machines the wear model leans on. The whole serve package (the chaos
-# soak, the router/instance tests, and the routed 2-models×2-replicas soak
-# — which drains each replica under live traffic and replays every
+# execution-graph equivalence/golden-regression tests, the worker-count
+# bit-identity tests (serial vs parallel, networks sharing one pool), and
+# the dirty-row recompilation property tests (every bank mutator must leave
+# no row stale) under the race detector, plus short fuzz runs over the PCM
+# cell state machines the wear model leans on. The whole serve package (the
+# chaos soak, the router/instance tests, and the routed 2-models×2-replicas
+# soak — which drains each replica under live traffic and replays every
 # per-replica op journal for bit-identity) also runs under -race here — its
 # correctness claims are concurrency claims.
 tier2-reliability:
-	$(GO) test -race -run 'Campaign|Wear|Fault|BIST|Scheduler|Drift|Batch|Golden|Graph|Recompile|Dirty|Stale|NoOp|ParallelBitIdentical' ./internal/reliability/ ./internal/core/ ./internal/mrr/ ./internal/pcm/
+	$(GO) test -race -run 'Campaign|Wear|Fault|BIST|Scheduler|Drift|Batch|Golden|Graph|Recompile|Dirty|Stale|NoOp|ParallelBitIdentical|ParallelMatchesSerial|SharedPool' ./internal/reliability/ ./internal/core/ ./internal/mrr/ ./internal/pcm/
 	$(GO) test -race -count=2 ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzActivationCell$$' -fuzztime 10s ./internal/pcm/
 	$(GO) test -run '^$$' -fuzz '^FuzzCellProgram$$' -fuzztime 10s ./internal/pcm/

@@ -446,11 +446,11 @@ func BenchmarkAblationStudy(b *testing.B) {
 // hardware outer products on an 8×8 image).
 func BenchmarkHardwareCNNTrainStep(b *testing.B) {
 	b.ReportAllocs()
-	cnn, err := core.NewCNN(core.NetworkConfig{
+	cnn, err := core.NewConvNet(core.NetworkConfig{
 		PE:           core.PEConfig{Rows: 8, Cols: 8, DisableNoise: true},
 		LearningRate: 0.1,
-	}, tensor.Conv2DSpec{InC: 1, InH: 8, InW: 8, OutC: 6, KH: 3, KW: 3,
-		StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, Groups: 1}, 2)
+	}, []tensor.Conv2DSpec{{InC: 1, InH: 8, InW: 8, OutC: 6, KH: 3, KW: 3,
+		StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, Groups: 1}}, 2)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -460,7 +460,7 @@ func BenchmarkHardwareCNNTrainStep(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cnn.TrainSample(img, i%2); err != nil {
+		if _, err := cnn.TrainSample(img.Data(), i%2); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -707,7 +707,7 @@ func BenchmarkEventSimSerial(b *testing.B) {
 // outer-product passes at every stage).
 func BenchmarkDeepCNNTrainStep(b *testing.B) {
 	b.ReportAllocs()
-	d, err := core.NewDeepCNN(core.NetworkConfig{
+	d, err := core.NewConvNet(core.NetworkConfig{
 		PE:           core.PEConfig{Rows: 8, Cols: 8, DisableNoise: true},
 		LearningRate: 0.1,
 	}, []tensor.Conv2DSpec{
@@ -725,7 +725,7 @@ func BenchmarkDeepCNNTrainStep(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := d.TrainSample(img, i%2); err != nil {
+		if _, err := d.TrainSample(img.Data(), i%2); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -931,7 +931,7 @@ const pipeBenchBatch = 64
 // off so the pair times the execution schedule, not the RNG.
 func pipeBenchGraph(b *testing.B) *core.Graph {
 	b.Helper()
-	d, err := core.NewDeepCNN(core.NetworkConfig{
+	d, err := core.NewConvNet(core.NetworkConfig{
 		PE:           core.PEConfig{Rows: 8, Cols: 8, DisableNoise: true},
 		LearningRate: 0.1,
 	}, []tensor.Conv2DSpec{
@@ -947,7 +947,7 @@ func pipeBenchGraph(b *testing.B) *core.Graph {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return d.Graph
+	return d
 }
 
 // BenchmarkDeepCNNBatchSequential streams pipeBenchBatch-sample batches

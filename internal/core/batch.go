@@ -140,3 +140,16 @@ func argmax(v []float64) int {
 	}
 	return bi
 }
+
+// argmaxRows writes the argmax class of each classes-wide row of the
+// sample-major logits into dst, reusing dst when large enough.
+func argmaxRows(dst []int, logits []float64, batch, classes int) []int {
+	if cap(dst) < batch {
+		dst = make([]int, batch)
+	}
+	dst = dst[:batch]
+	for s := range dst {
+		dst[s] = argmax(logits[s*classes : (s+1)*classes])
+	}
+	return dst
+}

@@ -61,7 +61,7 @@ func TestNetworkBatchMatchesSingle(t *testing.T) {
 	}
 	const batch = 6
 	xs := batchInputs(t, 17, batch, 12)
-	got, err := batched.ForwardBatch(xs, batch)
+	got, err := batched.ForwardBatchInto(nil, xs, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestNetworkBatchParallelMatchesSerial(t *testing.T) {
 		}
 		const batch = 8
 		xs := batchInputs(t, 31, batch, 12)
-		out, err := net.ForwardBatch(xs, batch)
+		out, err := net.ForwardBatchInto(nil, xs, batch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,28 +134,24 @@ func TestNetworkBatchParallelMatchesSerial(t *testing.T) {
 func TestCNNBatchMatchesSingle(t *testing.T) {
 	spec := tensor.Conv2DSpec{InC: 1, InH: 8, InW: 8, OutC: 6, KH: 3, KW: 3,
 		StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, Groups: 1}
-	single, err := NewCNN(noisyCfg(), spec, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batched, err := NewCNN(noisyCfg(), spec, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var imgs []*tensor.Tensor
-	for i := int64(1); i <= 9; i++ {
-		imgs = append(imgs, testImage(i))
+	single := newTestCNN(t, noisyCfg(), spec, 3)
+	batched := newTestCNN(t, noisyCfg(), spec, 3)
+	const batch = 9
+	in := batched.InputSize()
+	xs := make([]float64, 0, batch*in)
+	for i := int64(1); i <= batch; i++ {
+		xs = append(xs, testImage(i).Data()...)
 	}
 	pixels := spec.OutH() * spec.OutW()
-	if chunk := convChunkCols / pixels; len(imgs) <= 2*chunk || len(imgs)%chunk == 0 {
-		t.Fatalf("%d images of %d pixels must span >2 chunks of %d and end ragged", len(imgs), pixels, chunk)
+	if chunk := convChunkCols / pixels; batch <= 2*chunk || batch%chunk == 0 {
+		t.Fatalf("%d images of %d pixels must span >2 chunks of %d and end ragged", batch, pixels, chunk)
 	}
-	got, err := batched.ForwardBatch(imgs)
+	got, err := batched.ForwardBatchInto(nil, xs, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for s, img := range imgs {
-		want, err := single.Forward(img)
+	for s := 0; s < batch; s++ {
+		want, err := single.Forward(xs[s*in : (s+1)*in])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,12 +163,12 @@ func TestCNNBatchMatchesSingle(t *testing.T) {
 	}
 	requireSameLedger(t, single.Ledger(), batched.Ledger())
 
-	preds, err := batched.PredictBatch(nil, imgs)
+	preds, err := batched.PredictBatch(nil, xs, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for s, img := range imgs {
-		want, err := single.Predict(img)
+	for s := 0; s < batch; s++ {
+		want, err := single.Predict(xs[s*in : (s+1)*in])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,10 +181,10 @@ func TestCNNBatchMatchesSingle(t *testing.T) {
 // TestBatchGeometryErrors pins the error contract for malformed batches.
 func TestBatchGeometryErrors(t *testing.T) {
 	net, _ := twinNetworks(t)
-	if _, err := net.ForwardBatch(make([]float64, 11), 1); err == nil {
+	if _, err := net.ForwardBatchInto(nil, make([]float64, 11), 1); err == nil {
 		t.Error("short inputs: want error")
 	}
-	if _, err := net.ForwardBatch(nil, -1); err == nil {
+	if _, err := net.ForwardBatchInto(nil, nil, -1); err == nil {
 		t.Error("negative batch: want error")
 	}
 	l := net.Layers()[0]
@@ -241,17 +237,14 @@ func TestConvBatchSteadyStateAllocations(t *testing.T) {
 	withWorkers(t, 1)
 	spec := tensor.Conv2DSpec{InC: 1, InH: 8, InW: 8, OutC: 6, KH: 3, KW: 3,
 		StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, Groups: 1}
-	cnn, err := NewCNN(noisyCfg(), spec, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := cnn.Graph
+	g := newTestCNN(t, noisyCfg(), spec, 3)
 	in := g.InputSize()
 	measure := func(batch int) float64 {
 		xs := batchInputs(t, 5, batch, in)
 		out := make([]float64, batch*3)
 		preds := make([]int, batch)
-		if _, err := g.ForwardBatchInto(out, xs, batch); err != nil {
+		var err error
+		if _, err = g.ForwardBatchInto(out, xs, batch); err != nil {
 			t.Fatal(err)
 		}
 		return testing.AllocsPerRun(10, func() {

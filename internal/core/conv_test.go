@@ -13,31 +13,45 @@ func tinyConvSpec() tensor.Conv2DSpec {
 		StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, Groups: 1}
 }
 
-func quietCNN(t *testing.T, classes int, lr float64) *CNN {
+// newTestCNN builds the single-conv classifier the conv tests and
+// fixtures pin: conv (seed 101) → global average pool → dense head
+// (seed 202).
+func newTestCNN(t *testing.T, cfg NetworkConfig, spec tensor.Conv2DSpec, classes int) *Graph {
 	t.Helper()
-	c, err := NewCNN(NetworkConfig{
-		PE:           PEConfig{Rows: 8, Cols: 8, DisableNoise: true},
-		LearningRate: lr,
-	}, tinyConvSpec(), classes)
+	g, err := NewGraph(cfg, spec.InC, spec.InH, spec.InW)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c
+	gap := g.GlobalAvgPool(g.Conv(g.Input(), spec, 101))
+	if err := g.SetOutput(g.Dense(gap, LayerSpec{In: spec.OutC, Out: classes}, 202)); err != nil {
+		t.Fatal(err)
+	}
+	return g
 }
 
+func quietCNN(t *testing.T, classes int, lr float64) *Graph {
+	t.Helper()
+	return newTestCNN(t, NetworkConfig{
+		PE:           PEConfig{Rows: 8, Cols: 8, DisableNoise: true},
+		LearningRate: lr,
+	}, tinyConvSpec(), classes)
+}
+
+// TestNewCNNValidation: a single-conv NewConvNet rejects grouped and
+// invalid specs and fewer than two classes.
 func TestNewCNNValidation(t *testing.T) {
 	cfg := NetworkConfig{PE: PEConfig{Rows: 8, Cols: 8, DisableNoise: true}}
 	bad := tinyConvSpec()
 	bad.Groups = 2
 	bad.InC = 2
 	bad.OutC = 6
-	if _, err := NewCNN(cfg, bad, 3); err == nil {
+	if _, err := NewConvNet(cfg, []tensor.Conv2DSpec{bad}, 3); err == nil {
 		t.Error("grouped conv: want error")
 	}
-	if _, err := NewCNN(cfg, tinyConvSpec(), 1); err == nil {
+	if _, err := NewConvNet(cfg, []tensor.Conv2DSpec{tinyConvSpec()}, 1); err == nil {
 		t.Error("single class: want error")
 	}
-	if _, err := NewCNN(cfg, tensor.Conv2DSpec{}, 3); err == nil {
+	if _, err := NewConvNet(cfg, []tensor.Conv2DSpec{{}}, 3); err == nil {
 		t.Error("invalid spec: want error")
 	}
 }
@@ -48,14 +62,14 @@ func TestCNNForwardShapeAndDeterminism(t *testing.T) {
 	for i := range img.Data() {
 		img.Data()[i] = 0.1 * float64(i%7)
 	}
-	l1, err := c.Forward(img)
+	l1, err := c.Forward(img.Data())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(l1) != 4 {
 		t.Fatalf("logits = %d, want 4", len(l1))
 	}
-	l2, err := c.Forward(img)
+	l2, err := c.Forward(img.Data())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +78,7 @@ func TestCNNForwardShapeAndDeterminism(t *testing.T) {
 			t.Errorf("noiseless forward not deterministic at %d: %v vs %v", i, l1[i], l2[i])
 		}
 	}
-	if _, err := c.Forward(tensor.New(1, 4, 4)); err == nil {
+	if _, err := c.Forward(tensor.New(1, 4, 4).Data()); err == nil {
 		t.Error("wrong input shape: want error")
 	}
 }
@@ -78,23 +92,24 @@ func TestCNNForwardMatchesDigitalConv(t *testing.T) {
 	for i := range img.Data() {
 		img.Data()[i] = math.Sin(float64(i) * 0.37)
 	}
-	if _, err := c.Forward(img); err != nil {
+	if _, err := c.Forward(img.Data()); err != nil {
 		t.Fatal(err)
 	}
 	// Digital reference: pre-activations from the master kernel weights.
 	spec := tinyConvSpec()
 	kcols := spec.InC * spec.KH * spec.KW
 	k := tensor.New(spec.OutC, kcols)
-	for j, row := range c.KernelWeights() {
+	for j, row := range c.Layers()[0].Weights() {
 		for i, w := range row {
 			k.Set(w, j, i)
 		}
 	}
 	ref := tensor.Conv2D(img, k, spec)
 	pixels := spec.OutH() * spec.OutW()
+	conv := c.nodes[1] // node 0 is the input
 	for oc := 0; oc < spec.OutC; oc++ {
 		for p := 0; p < pixels; p += 7 {
-			hw := c.nodes[c.conv].batchPre[oc*pixels+p]
+			hw := conv.batchPre[oc*pixels+p]
 			dg := ref.Data()[oc*pixels+p]
 			if math.Abs(hw-dg) > 0.08 {
 				t.Fatalf("pre[%d,%d]: hw %v vs digital %v", oc, p, hw, dg)
@@ -112,14 +127,14 @@ func TestCNNTrainsOnMiniImages(t *testing.T) {
 	c := quietCNN(t, 2, 0.1)
 	for epoch := 0; epoch < 8; epoch++ {
 		for i := range trainSet.Inputs {
-			if _, err := c.TrainSample(trainSet.Inputs[i], trainSet.Labels[i]); err != nil {
+			if _, err := c.TrainSample(trainSet.Inputs[i].Data(), trainSet.Labels[i]); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	correct := 0
 	for i := range testSet.Inputs {
-		cls, err := c.Predict(testSet.Inputs[i])
+		cls, err := c.Predict(testSet.Inputs[i].Data())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,13 +154,13 @@ func TestCNNTrainReducesLoss(t *testing.T) {
 	for i := range img.Data() {
 		img.Data()[i] = math.Cos(float64(i) * 0.21)
 	}
-	first, err := c.TrainSample(img, 1)
+	first, err := c.TrainSample(img.Data(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var last float64
 	for i := 0; i < 15; i++ {
-		last, err = c.TrainSample(img, 1)
+		last, err = c.TrainSample(img.Data(), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,7 +168,7 @@ func TestCNNTrainReducesLoss(t *testing.T) {
 	if last >= first {
 		t.Errorf("CNN loss did not decrease: %v → %v", first, last)
 	}
-	if _, err := c.TrainSample(img, 9); err == nil {
+	if _, err := c.TrainSample(img.Data(), 9); err == nil {
 		t.Error("bad label: want error")
 	}
 }
@@ -161,7 +176,7 @@ func TestCNNTrainReducesLoss(t *testing.T) {
 func TestCNNLedgerPopulated(t *testing.T) {
 	c := quietCNN(t, 2, 0.1)
 	img := tensor.New(1, 8, 8)
-	if _, err := c.TrainSample(img, 0); err != nil {
+	if _, err := c.TrainSample(img.Data(), 0); err != nil {
 		t.Fatal(err)
 	}
 	led := c.Ledger()

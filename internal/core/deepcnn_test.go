@@ -17,9 +17,9 @@ func deepSpecs() []tensor.Conv2DSpec {
 	}
 }
 
-func quietDeepCNN(t *testing.T, classes int, lr float64) *DeepCNN {
+func quietDeepCNN(t *testing.T, classes int, lr float64) *Graph {
 	t.Helper()
-	d, err := NewDeepCNN(NetworkConfig{
+	d, err := NewConvNet(NetworkConfig{
 		PE:           PEConfig{Rows: 8, Cols: 8, DisableNoise: true},
 		LearningRate: lr,
 	}, deepSpecs(), classes)
@@ -31,41 +31,41 @@ func quietDeepCNN(t *testing.T, classes int, lr float64) *DeepCNN {
 
 func TestNewDeepCNNValidation(t *testing.T) {
 	cfg := NetworkConfig{PE: PEConfig{Rows: 8, Cols: 8, DisableNoise: true}}
-	if _, err := NewDeepCNN(cfg, nil, 2); err == nil {
+	if _, err := NewConvNet(cfg, nil, 2); err == nil {
 		t.Error("no stages: want error")
 	}
-	if _, err := NewDeepCNN(cfg, deepSpecs(), 1); err == nil {
+	if _, err := NewConvNet(cfg, deepSpecs(), 1); err == nil {
 		t.Error("single class: want error")
 	}
 	bad := deepSpecs()
 	bad[1].InC = 9 // breaks stage chaining
-	if _, err := NewDeepCNN(cfg, bad, 2); err == nil {
+	if _, err := NewConvNet(cfg, bad, 2); err == nil {
 		t.Error("mismatched stage shapes: want error")
 	}
 	grp := deepSpecs()
 	grp[0].Groups = 0
-	if _, err := NewDeepCNN(cfg, grp, 2); err == nil {
+	if _, err := NewConvNet(cfg, grp, 2); err == nil {
 		t.Error("invalid spec: want error")
 	}
 }
 
 func TestDeepCNNForwardShape(t *testing.T) {
 	d := quietDeepCNN(t, 3, 0.05)
-	if d.Stages() != 2 {
-		t.Fatalf("stages = %d, want 2", d.Stages())
+	if got := len(d.Layers()); got != 3 {
+		t.Fatalf("hardware layers = %d, want 2 conv + 1 head", got)
 	}
 	img := tensor.New(1, 8, 8)
 	for i := range img.Data() {
 		img.Data()[i] = math.Sin(0.31 * float64(i))
 	}
-	logits, err := d.Forward(img)
+	logits, err := d.Forward(img.Data())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(logits) != 3 {
 		t.Fatalf("logits = %d, want 3", len(logits))
 	}
-	if _, err := d.Forward(tensor.New(1, 4, 4)); err == nil {
+	if _, err := d.Forward(tensor.New(1, 4, 4).Data()); err == nil {
 		t.Error("wrong input shape: want error")
 	}
 }
@@ -76,13 +76,13 @@ func TestDeepCNNTrainReducesLoss(t *testing.T) {
 	for i := range img.Data() {
 		img.Data()[i] = math.Cos(0.17 * float64(i))
 	}
-	first, err := d.TrainSample(img, 1)
+	first, err := d.TrainSample(img.Data(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var last float64
 	for i := 0; i < 12; i++ {
-		last, err = d.TrainSample(img, 1)
+		last, err = d.TrainSample(img.Data(), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +90,7 @@ func TestDeepCNNTrainReducesLoss(t *testing.T) {
 	if last >= first {
 		t.Errorf("deep CNN loss did not decrease: %v → %v", first, last)
 	}
-	if _, err := d.TrainSample(img, 7); err == nil {
+	if _, err := d.TrainSample(img.Data(), 7); err == nil {
 		t.Error("bad label: want error")
 	}
 }
@@ -101,7 +101,7 @@ func TestDeepCNNTrainReducesLoss(t *testing.T) {
 func TestDeepCNNGradientFlowsToFirstStage(t *testing.T) {
 	d := quietDeepCNN(t, 2, 0.2)
 	before := make([]float64, 0)
-	for _, row := range d.stages[0].kernel.Weights() {
+	for _, row := range d.Layers()[0].Weights() {
 		before = append(before, append([]float64(nil), row...)...)
 	}
 	img := tensor.New(1, 8, 8)
@@ -109,13 +109,13 @@ func TestDeepCNNGradientFlowsToFirstStage(t *testing.T) {
 		img.Data()[i] = math.Sin(0.41 * float64(i))
 	}
 	for i := 0; i < 5; i++ {
-		if _, err := d.TrainSample(img, 0); err != nil {
+		if _, err := d.TrainSample(img.Data(), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
 	moved := 0.0
 	idx := 0
-	for _, row := range d.stages[0].kernel.Weights() {
+	for _, row := range d.Layers()[0].Weights() {
 		for _, w := range row {
 			moved += math.Abs(w - before[idx])
 			idx++
@@ -134,14 +134,14 @@ func TestDeepCNNTrainsOnMiniImages(t *testing.T) {
 	d := quietDeepCNN(t, 2, 0.2)
 	for epoch := 0; epoch < 10; epoch++ {
 		for i := range trainSet.Inputs {
-			if _, err := d.TrainSample(trainSet.Inputs[i], trainSet.Labels[i]); err != nil {
+			if _, err := d.TrainSample(trainSet.Inputs[i].Data(), trainSet.Labels[i]); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	correct := 0
 	for i := range testSet.Inputs {
-		cls, err := d.Predict(testSet.Inputs[i])
+		cls, err := d.Predict(testSet.Inputs[i].Data())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +158,7 @@ func TestDeepCNNTrainsOnMiniImages(t *testing.T) {
 func TestDeepCNNLedger(t *testing.T) {
 	d := quietDeepCNN(t, 2, 0.1)
 	img := tensor.New(1, 8, 8)
-	if _, err := d.TrainSample(img, 0); err != nil {
+	if _, err := d.TrainSample(img.Data(), 0); err != nil {
 		t.Fatal(err)
 	}
 	led := d.Ledger()

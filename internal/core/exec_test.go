@@ -200,26 +200,23 @@ func runCNNSchedule(t *testing.T, workers int) *netTrace {
 	t.Helper()
 	prev := SetMaxWorkers(workers)
 	defer SetMaxWorkers(prev)
-	cnn, err := NewCNN(noisyCfg(), tensor.Conv2DSpec{
+	cnn := newTestCNN(t, noisyCfg(), tensor.Conv2DSpec{
 		InC: 1, InH: 8, InW: 8, OutC: 6, KH: 3, KW: 3,
 		StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, Groups: 1}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	tr := &netTrace{}
 	for s := 0; s < 3; s++ {
-		loss, err := cnn.TrainSample(testImage(int64(s)), s%2)
+		loss, err := cnn.TrainSample(testImage(int64(s)).Data(), s%2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		tr.losses = append(tr.losses, loss)
 	}
-	out, err := cnn.Forward(testImage(99))
+	out, err := cnn.Forward(testImage(99).Data())
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr.out = append(tr.out, out...)
-	flattenWeights(tr, cnn.kernel, cnn.head)
+	flattenWeights(tr, cnn.Layers()...)
 	captureLedger(tr, cnn.Ledger())
 	return tr
 }
@@ -234,7 +231,7 @@ func runDeepCNNSchedule(t *testing.T, workers int) *netTrace {
 	t.Helper()
 	prev := SetMaxWorkers(workers)
 	defer SetMaxWorkers(prev)
-	d, err := NewDeepCNN(noisyCfg(), []tensor.Conv2DSpec{
+	d, err := NewConvNet(noisyCfg(), []tensor.Conv2DSpec{
 		{InC: 1, InH: 8, InW: 8, OutC: 4, KH: 3, KW: 3,
 			StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, Groups: 1},
 		{InC: 4, InH: 8, InW: 8, OutC: 6, KH: 3, KW: 3,
@@ -245,23 +242,19 @@ func runDeepCNNSchedule(t *testing.T, workers int) *netTrace {
 	}
 	tr := &netTrace{}
 	for s := 0; s < 3; s++ {
-		loss, err := d.TrainSample(testImage(int64(s)), s%2)
+		loss, err := d.TrainSample(testImage(int64(s)).Data(), s%2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		tr.losses = append(tr.losses, loss)
 	}
-	out, err := d.Forward(testImage(99))
+	out, err := d.Forward(testImage(99).Data())
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr.out = append(tr.out, out...)
-	layers := []*DenseLayer{d.head}
-	for _, st := range d.stages {
-		layers = append(layers, st.kernel)
-	}
-	flattenWeights(tr, layers...)
-	captureLedger(tr, d.Ledger())
+	flattenWeights(tr, headFirst(d)...)
+	captureLedger(tr, headFirstLedger(d))
 	return tr
 }
 
@@ -283,7 +276,7 @@ func TestConcurrentNetworksSharedPool(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			d, err := NewDeepCNN(noisyCfg(), []tensor.Conv2DSpec{
+			d, err := NewConvNet(noisyCfg(), []tensor.Conv2DSpec{
 				{InC: 1, InH: 8, InW: 8, OutC: 4, KH: 3, KW: 3,
 					StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, Groups: 1},
 			}, 2)
@@ -292,7 +285,7 @@ func TestConcurrentNetworksSharedPool(t *testing.T) {
 				return
 			}
 			for s := 0; s < 2; s++ {
-				if _, err := d.TrainSample(testImage(int64(s)), s%2); err != nil {
+				if _, err := d.TrainSample(testImage(int64(s)).Data(), s%2); err != nil {
 					errs <- err
 					return
 				}

@@ -1,7 +1,8 @@
 package core
 
-// The bit-identity regression harness. The drivers (Network, CNN, DeepCNN)
-// run fixed schedules over the shared execution graph, and the contract is
+// The bit-identity regression harness. Three drivers — the dense Network,
+// the single-conv classifier (newTestCNN) and a two-conv NewConvNet — run
+// fixed schedules over the shared execution graph, and the contract is
 // that nothing observable moves: losses, outputs, final weights,
 // noise-bearing ledgers and fault event streams must match the recorded
 // fixtures byte for byte, serial and parallel, per-sample and batched. The
@@ -98,7 +99,7 @@ func goldenNetworkSchedule(t *testing.T) goldenTrace {
 	tr.put("forward", out)
 	const batch = 4
 	xs := batchInputs(t, 17, batch, 12)
-	bout, err := net.ForwardBatch(xs, batch)
+	bout, err := net.ForwardBatchInto(nil, xs, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,38 +148,51 @@ func goldenNetworkSchedule(t *testing.T) goldenTrace {
 	return tr
 }
 
-// goldenCNNSchedule exercises the single-stage conv driver: training,
+// headFirst lists a conv net's hardware layers head first, then the conv
+// kernels in order — the order the conv-stack fixture records its weights
+// and merges its ledger in.
+func headFirst(g *Graph) []*DenseLayer {
+	ls := g.Layers()
+	return append([]*DenseLayer{ls[len(ls)-1]}, ls[:len(ls)-1]...)
+}
+
+// headFirstLedger merges a conv net's PE ledgers in headFirst order; the
+// float64 energy sums depend on the merge order the fixture pins.
+func headFirstLedger(g *Graph) *Ledger { return mergeTileLedgers(headFirst(g)) }
+
+// goldenCNNSchedule exercises the single-conv classifier: training,
 // per-image and batched inference.
 func goldenCNNSchedule(t *testing.T) goldenTrace {
 	t.Helper()
-	cnn, err := NewCNN(noisyCfg(), tensor.Conv2DSpec{
+	cnn := newTestCNN(t, noisyCfg(), tensor.Conv2DSpec{
 		InC: 1, InH: 8, InW: 8, OutC: 6, KH: 3, KW: 3,
 		StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, Groups: 1}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	tr := goldenTrace{}
 	var losses []float64
 	for s := 0; s < 3; s++ {
-		loss, err := cnn.TrainSample(testImage(int64(s)), s%2)
+		loss, err := cnn.TrainSample(testImage(int64(s)).Data(), s%2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		losses = append(losses, loss)
 	}
 	tr.put("losses", losses)
-	out, err := cnn.Forward(testImage(99))
+	out, err := cnn.Forward(testImage(99).Data())
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr.put("forward", out)
-	imgs := []*tensor.Tensor{testImage(11), testImage(12), testImage(13), testImage(14)}
-	bout, err := cnn.ForwardBatch(imgs)
+	const batch = 4
+	xs := make([]float64, 0, batch*cnn.InputSize())
+	for s := int64(11); s < 11+batch; s++ {
+		xs = append(xs, testImage(s).Data()...)
+	}
+	bout, err := cnn.ForwardBatchInto(nil, xs, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr.put("batch-forward", bout)
-	preds, err := cnn.PredictBatch(nil, imgs)
+	preds, err := cnn.PredictBatch(nil, xs, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,16 +201,16 @@ func goldenCNNSchedule(t *testing.T) goldenTrace {
 		pf[i] = float64(p)
 	}
 	tr.put("batch-predict", pf)
-	tr.putWeights("weights", cnn.kernel, cnn.head)
+	tr.putWeights("weights", cnn.Layers()...)
 	tr.putLedger("ledger", cnn.Ledger())
 	return tr
 }
 
-// goldenDeepCNNSchedule exercises the multi-stage conv driver, whose
-// backward pass crosses the per-pixel transpose and col2im paths.
+// goldenDeepCNNSchedule exercises a two-conv stack, whose backward pass
+// crosses the per-pixel transpose and col2im paths.
 func goldenDeepCNNSchedule(t *testing.T) goldenTrace {
 	t.Helper()
-	d, err := NewDeepCNN(noisyCfg(), []tensor.Conv2DSpec{
+	d, err := NewConvNet(noisyCfg(), []tensor.Conv2DSpec{
 		{InC: 1, InH: 8, InW: 8, OutC: 4, KH: 3, KW: 3,
 			StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, Groups: 1},
 		{InC: 4, InH: 8, InW: 8, OutC: 6, KH: 3, KW: 3,
@@ -208,24 +222,20 @@ func goldenDeepCNNSchedule(t *testing.T) goldenTrace {
 	tr := goldenTrace{}
 	var losses []float64
 	for s := 0; s < 3; s++ {
-		loss, err := d.TrainSample(testImage(int64(s)), s%2)
+		loss, err := d.TrainSample(testImage(int64(s)).Data(), s%2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		losses = append(losses, loss)
 	}
 	tr.put("losses", losses)
-	out, err := d.Forward(testImage(99))
+	out, err := d.Forward(testImage(99).Data())
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr.put("forward", out)
-	layers := []*DenseLayer{d.head}
-	for _, st := range d.stages {
-		layers = append(layers, st.kernel)
-	}
-	tr.putWeights("weights", layers...)
-	tr.putLedger("ledger", d.Ledger())
+	tr.putWeights("weights", headFirst(d)...)
+	tr.putLedger("ledger", headFirstLedger(d))
 	return tr
 }
 

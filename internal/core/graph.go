@@ -5,10 +5,11 @@ package core
 // DAG of input/layer/concat/add nodes; here every layer node is a
 // hardware-mapped stage whose weights live in tiled PCM-MRR banks, and the
 // graph walk drives the Table II passes (forward MVM, gradient-vector
-// transpose, outer product) through the PR 1 worker pool exactly once,
-// instead of per-driver. The sequential drivers (Network, CNN, DeepCNN)
-// are thin constructors over this graph; branched models add residual-add
-// and channel-concat join nodes that model the optical summation and
+// transpose, outer product) through the worker pool exactly once.
+// Sequential models are plain constructors over this graph — NewConvNet
+// for conv stacks, NewNetwork (whose Network wrapper only adds state and
+// replicas) for dense stacks; branched models add residual-add and
+// channel-concat join nodes that model the optical summation and
 // wavelength-merge cost.
 //
 // There is one execution walk: ForwardBatchInto for inference and
@@ -422,12 +423,6 @@ func col2imAddRows(dst []float64, rows []float64, j0 int, s tensor.Conv2DSpec, p
 	}
 }
 
-// ForwardBatch runs a full batched inference through the graph, returning
-// the output sample-major in a fresh slice. See ForwardBatchInto.
-func (g *Graph) ForwardBatch(xs []float64, batch int) ([]float64, error) {
-	return g.ForwardBatchInto(nil, xs, batch)
-}
-
 // ForwardBatchInto streams a batch through every node in topological
 // order: sample s's input occupies xs[s*In : (s+1)*In] and its output
 // lands in dst[s*Out : (s+1)*Out]. Each node processes the whole batch
@@ -600,15 +595,7 @@ func (g *Graph) PredictBatchCtx(ctx context.Context, dst []int, xs []float64, ba
 		return nil, err
 	}
 	g.batchLogits = logits
-	classes := g.nodes[g.output].size
-	if cap(dst) < batch {
-		dst = make([]int, batch)
-	}
-	dst = dst[:batch]
-	for s := 0; s < batch; s++ {
-		dst[s] = argmax(logits[s*classes : (s+1)*classes])
-	}
-	return dst, nil
+	return argmaxRows(dst, logits, batch, g.nodes[g.output].size), nil
 }
 
 // InputSize returns the flat element count of the graph's input node.

@@ -5,6 +5,7 @@ import (
 
 	"trident/internal/device"
 	"trident/internal/nn"
+	"trident/internal/tensor"
 )
 
 // LayerSpec describes one dense layer mapped onto Trident PEs.
@@ -77,15 +78,6 @@ func NewNetwork(cfg NetworkConfig, specs ...LayerSpec) (*Network, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("core: network needs at least one layer")
 	}
-	for li, spec := range specs {
-		if spec.In <= 0 || spec.Out <= 0 {
-			return nil, fmt.Errorf("core: layer %d dims %d→%d must be positive", li, spec.In, spec.Out)
-		}
-		if li > 0 && specs[li-1].Out != spec.In {
-			return nil, fmt.Errorf("core: layer %d input %d does not match previous output %d",
-				li, spec.In, specs[li-1].Out)
-		}
-	}
 	g, err := NewGraph(cfg, specs[0].In)
 	if err != nil {
 		return nil, err
@@ -98,6 +90,35 @@ func NewNetwork(cfg NetworkConfig, specs ...LayerSpec) (*Network, error) {
 		return nil, err
 	}
 	return &Network{Graph: g}, nil
+}
+
+// NewConvNet builds a convolutional classifier over the execution graph:
+// the conv specs in order, each kernel matrix resident in PCM-MRR banks
+// with the GST activation per pixel, then global average pooling and a
+// dense head of `classes` outputs. Conv i is seeded 301+i and the head 401.
+// Graph.Conv rejects grouped, invalid and mis-chained specs.
+func NewConvNet(cfg NetworkConfig, specs []tensor.Conv2DSpec, classes int) (*Graph, error) {
+	if len(specs) == 0 {
+		return nil, fmt.Errorf("core: conv net needs ≥1 conv layer")
+	}
+	if classes < 2 {
+		return nil, fmt.Errorf("core: conv net needs ≥2 classes (got %d)", classes)
+	}
+	first := specs[0]
+	g, err := NewGraph(cfg, first.InC, first.InH, first.InW)
+	if err != nil {
+		return nil, err
+	}
+	cur := g.Input()
+	for i, s := range specs {
+		cur = g.Conv(cur, s, 301+int64(i))
+	}
+	gap := g.GlobalAvgPool(cur)
+	out := g.Dense(gap, LayerSpec{In: specs[len(specs)-1].OutC, Out: classes}, 401)
+	if err := g.SetOutput(out); err != nil {
+		return nil, fmt.Errorf("core: conv net: %w", err)
+	}
+	return g, nil
 }
 
 func newDenseLayer(cfg NetworkConfig, spec LayerSpec, seed int64) (*DenseLayer, error) {

@@ -114,7 +114,7 @@ type Pipeline struct {
 	out    int   // stage index owning the graph output node
 
 	occ    []float64 // last call's per-stage occupancy (busy/wall)
-	logits []float64 // PredictBatchPipelined scratch
+	logits []float64 // PredictBatchCtx scratch
 }
 
 // NewPipeline shards a sealed graph into len(cuts)+1 contiguous stages, each
@@ -393,42 +393,23 @@ func (p *Pipeline) cancelErr(ctx context.Context, node int) error {
 	return nil
 }
 
-// PredictBatchPipelined returns the argmax class per sample through the
-// pipelined forward; see PredictBatchPipelinedCtx.
-func (p *Pipeline) PredictBatchPipelined(dst []int, xs []float64, batch int) ([]int, error) {
-	return p.PredictBatchPipelinedCtx(context.Background(), dst, xs, batch)
-}
-
-// PredictBatchPipelinedCtx is the pipelined twin of Graph.PredictBatchCtx:
-// one pipelined forward into pipeline-owned logits scratch, then a per-sample
-// argmax. Classes are bit-identical to the sequential path because the
+// PredictBatchCtx implements serve.Engine over the pipelined path, so an
+// Instance can dispatch its micro-batches into the pipeline unchanged: one
+// pipelined forward into pipeline-owned logits scratch, then a per-sample
+// argmax. Classes are bit-identical to Graph.PredictBatchCtx because the
 // logits are.
-func (p *Pipeline) PredictBatchPipelinedCtx(ctx context.Context, dst []int, xs []float64, batch int) ([]int, error) {
+func (p *Pipeline) PredictBatchCtx(ctx context.Context, dst []int, xs []float64, batch int) ([]int, error) {
 	logits, err := p.ForwardBatchPipelinedCtx(ctx, p.logits, xs, batch)
 	if err != nil {
 		return nil, err
 	}
 	p.logits = logits
-	classes := p.g.nodes[p.g.output].size
-	if cap(dst) < batch {
-		dst = make([]int, batch)
-	}
-	dst = dst[:batch]
-	for s := 0; s < batch; s++ {
-		dst[s] = argmax(logits[s*classes : (s+1)*classes])
-	}
-	return dst, nil
-}
-
-// PredictBatchCtx implements serve.Engine over the pipelined path, so an
-// Instance can dispatch its micro-batches into the pipeline unchanged.
-func (p *Pipeline) PredictBatchCtx(ctx context.Context, dst []int, xs []float64, batch int) ([]int, error) {
-	return p.PredictBatchPipelinedCtx(ctx, dst, xs, batch)
+	return argmaxRows(dst, logits, batch, p.g.nodes[p.g.output].size), nil
 }
 
 // PredictBatch is PredictBatchCtx without cancellation — the twin-replay
 // entry point, so a journal recorded against a pipelined instance replays
 // through the same engine shape.
 func (p *Pipeline) PredictBatch(dst []int, xs []float64, batch int) ([]int, error) {
-	return p.PredictBatchPipelined(dst, xs, batch)
+	return p.PredictBatchCtx(context.Background(), dst, xs, batch)
 }

@@ -27,11 +27,11 @@ func noisyPipelineCfg() core.NetworkConfig {
 	}
 }
 
-// buildPipelineDeepCNN is a three-conv DeepCNN graph (6 nodes: input, 3
+// buildPipelineDeepCNN is a three-conv NewConvNet graph (6 nodes: input, 3
 // convs, GAP, dense) — deep enough for a genuine 4-stage partition.
 func buildPipelineDeepCNN(t *testing.T) *core.Graph {
 	t.Helper()
-	d, err := core.NewDeepCNN(noisyPipelineCfg(), []tensor.Conv2DSpec{
+	g, err := core.NewConvNet(noisyPipelineCfg(), []tensor.Conv2DSpec{
 		{InC: 1, InH: 8, InW: 8, OutC: 4, KH: 3, KW: 3,
 			StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, Groups: 1},
 		{InC: 4, InH: 8, InW: 8, OutC: 6, KH: 3, KW: 3,
@@ -42,7 +42,7 @@ func buildPipelineDeepCNN(t *testing.T) *core.Graph {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return d.Graph
+	return g
 }
 
 // buildPipelineBranched carries both join kinds (residual add + channel
@@ -119,7 +119,7 @@ func TestGraphPipelinedBatchBitIdentical(t *testing.T) {
 					const batch = 13 // deliberately not a multiple of any micro size
 					xs := pipelineBatchInput(batch*ref.InputSize(), 7)
 
-					want, err := ref.ForwardBatch(xs, batch)
+					want, err := ref.ForwardBatchInto(nil, xs, batch)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -145,11 +145,11 @@ func TestGraphPipelinedBatchBitIdentical(t *testing.T) {
 					// both graphs must still agree, so the pipelined pass
 					// advanced every noise stream exactly as sequential did.
 					xs2 := pipelineBatchInput(batch*ref.InputSize(), 8)
-					want2, err := ref.ForwardBatch(xs2, batch)
+					want2, err := ref.ForwardBatchInto(nil, xs2, batch)
 					if err != nil {
 						t.Fatal(err)
 					}
-					got2, err := shard.ForwardBatch(xs2, batch)
+					got2, err := shard.ForwardBatchInto(nil, xs2, batch)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -58,7 +58,7 @@ func TestTrainBatchDeterministicAcrossWorkers(t *testing.T) {
 	run := func(workers int) ([]float64, []float64) {
 		prev := SetMaxWorkers(workers)
 		defer SetMaxWorkers(prev)
-		d, err := NewDeepCNN(NetworkConfig{
+		d, err := NewConvNet(NetworkConfig{
 			PE:           PEConfig{Rows: 8, Cols: 8},
 			LearningRate: 0.05,
 		}, deepSpecs(), 2)
@@ -73,13 +73,13 @@ func TestTrainBatchDeterministicAcrossWorkers(t *testing.T) {
 			for s := 0; s < batch; s++ {
 				copy(xs[s*64:(s+1)*64], testImage(int64(31+step*batch+s)).Data())
 			}
-			loss, err := d.Graph.TrainBatch(xs, labels)
+			loss, err := d.TrainBatch(xs, labels)
 			if err != nil {
 				t.Fatal(err)
 			}
 			losses = append(losses, loss)
 		}
-		return losses, flattenAllWeights(d.Graph)
+		return losses, flattenAllWeights(d)
 	}
 	lossRef, wRef := run(1)
 	for _, workers := range []int{2, 8} {
@@ -183,8 +183,7 @@ func TestTransposeRaggedTileShapes(t *testing.T) {
 // programming writes to the GST cells. The only endurance traffic left in
 // training is the post-update forward recompile.
 func TestBackwardZeroProgrammingWrites(t *testing.T) {
-	d := quietDeepCNN(t, 2, 0.05)
-	g := d.Graph
+	g := quietDeepCNN(t, 2, 0.05)
 	for step := 0; step < 6; step++ {
 		x := testImage(int64(step)).Data()
 		if _, err := g.Forward(x); err != nil {

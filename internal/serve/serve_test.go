@@ -19,11 +19,13 @@ import (
 )
 
 // fakeEngine is a configurable Engine: class = first feature of each
-// sample, optional service delay, optional injected failure, and tracking
-// of concurrent entry so tests can prove the execute token serializes.
+// sample, optional service delay, optional hold (each call blocks until the
+// channel is closed), optional injected failure, and tracking of concurrent
+// entry so tests can prove the execute token serializes.
 type fakeEngine struct {
 	width       int
 	delay       time.Duration
+	hold        chan struct{}
 	fail        error
 	calls       atomic.Int32
 	inFlight    atomic.Int32
@@ -45,6 +47,13 @@ func (f *fakeEngine) PredictBatchCtx(ctx context.Context, dst []int, xs []float6
 	if f.delay > 0 {
 		select {
 		case <-time.After(f.delay):
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	if f.hold != nil {
+		select {
+		case <-f.hold:
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
@@ -115,29 +124,32 @@ func TestSubmitRejectsBadInput(t *testing.T) {
 }
 
 func TestQueueFullBackpressure(t *testing.T) {
-	eng := &fakeEngine{width: 1}
+	eng := &fakeEngine{width: 1, hold: make(chan struct{})}
 	b := NewBatcher(eng, Config{MaxBatch: 1, MaxWait: 100 * time.Microsecond, QueueCap: 2})
 	defer mustShutdown(t, b)
-	release, err := b.Acquire(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
 	var wg sync.WaitGroup
-	for i := 0; i < 3; i++ { // one dequeued and gate-blocked, two queued
+	submit := func(i int) {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
 			if _, err := b.Submit(context.Background(), []float64{float64(i)}); err != nil {
 				t.Errorf("queued request %d: %v", i, err)
 			}
-		}(i)
+		}()
 	}
+	// The first request goes alone and is held inside the engine before the
+	// next two are sent: sent together, all three could reach the two-slot
+	// queue before the dispatcher dequeued one, and the third would be
+	// rejected instead of queued.
+	submit(0)
+	waitFor(t, func() bool { return eng.inFlight.Load() == 1 })
+	submit(1)
+	submit(2)
 	waitFor(t, func() bool { return b.QueueDepth() == 2 })
-	time.Sleep(5 * time.Millisecond) // let the dispatcher park on the gate
 	if _, err := b.Submit(context.Background(), []float64{9}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("got %v, want ErrQueueFull", err)
 	}
-	release()
+	close(eng.hold)
 	wg.Wait()
 	sn := b.Stats()
 	if sn.RejectedQueueFull != 1 || sn.Served != 3 || sn.Lost() != 0 {
