@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 tier1-fmt tier2 tier2-reliability bench bench-all bench-profile clean all
+.PHONY: tier1 tier1-fmt examples tier2 tier2-reliability bench bench-all bench-profile clean all
 
 all: tier1
 
@@ -16,6 +16,13 @@ tier1:
 tier1-fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
+
+# Examples: run every examples/* program end to end; a non-zero exit fails
+# the target. The examples have no tests of their own, and they call public
+# entry points (PE.Infer, train.RunInSitu, ...) that the tests reach only
+# indirectly.
+examples:
+	@set -e; for d in examples/*/; do echo "go run ./$$d"; $(GO) run ./$$d > /dev/null; done
 
 # Tier 2: static analysis + race-detector run over the whole repo.
 tier2:

@@ -181,7 +181,7 @@ func BenchmarkOpticalMVM(b *testing.B) {
 	out := make([]float64, 16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pe.MVMPassInto(out, x); err != nil {
+		if _, err := pe.MVMPassBatchInto(out, x, 1, len(x)); err != nil {
 			b.Fatal(err)
 		}
 	}

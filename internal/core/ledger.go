@@ -39,7 +39,7 @@ const (
 
 // Category indices, in declaration order. The ledger stores its energy in
 // a fixed array indexed by these, so every sum over categories runs in the
-// same order; hot paths (PE.step) book through them directly.
+// same order; hot paths (PE.stepEncoded) book through them directly.
 const (
 	catGSTTuning = iota
 	catGSTRead

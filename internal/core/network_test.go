@@ -291,15 +291,20 @@ func TestWeightsStayClamped(t *testing.T) {
 // a batch of one, but ForwardBatchInto and TrainBatch accept longer input
 // slices, so the single-sample entry points must reject any input that is
 // not exactly InputSize() long themselves. TrainSample must also reject
-// out-of-range labels without touching a master weight.
+// out-of-range labels without a trace: no master weight changes, no energy
+// is booked and no noise is drawn, so the next Forward matches an untouched
+// twin bit for bit.
 func TestGraphSampleEntryPointsValidate(t *testing.T) {
-	net, err := NewNetwork(noisyCfg(),
-		LayerSpec{In: 12, Out: 16, Activate: true},
-		LayerSpec{In: 16, Out: 3})
-	if err != nil {
-		t.Fatal(err)
+	build := func() *Graph {
+		net, err := NewNetwork(noisyCfg(),
+			LayerSpec{In: 12, Out: 16, Activate: true},
+			LayerSpec{In: 16, Out: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return net.Graph
 	}
-	g := net.Graph
+	g, twin := build(), build()
 	for _, n := range []int{g.InputSize() - 1, g.InputSize() + 1} {
 		x := make([]float64, n)
 		if _, err := g.Forward(x); err == nil {
@@ -322,6 +327,23 @@ func TestGraphSampleEntryPointsValidate(t *testing.T) {
 	for i, w := range flattenAllWeights(g) {
 		if w != before[i] {
 			t.Fatalf("weight[%d] changed by rejected TrainSample: %v → %v", i, before[i], w)
+		}
+	}
+	// A rejected call leaves no trace: no energy booked, no noise drawn.
+	if got, want := g.Ledger().TotalEnergy(), twin.Ledger().TotalEnergy(); got != want {
+		t.Errorf("rejected calls booked energy: %v, untouched twin %v", got, want)
+	}
+	got, err := g.Forward(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := twin.Forward(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("Forward after rejected calls: out[%d] = %v, untouched twin %v", i, got[i], want[i])
 		}
 	}
 }

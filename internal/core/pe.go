@@ -13,37 +13,6 @@ import (
 	"trident/internal/units"
 )
 
-// Mode selects which Table II operand mapping a PE executes.
-type Mode int
-
-// PE operating modes (the three columns of Table II).
-const (
-	// ModeInference: bank holds W_k, inputs carry x_k, BPD output is
-	// y = W·x, which then passes through the GST activation.
-	ModeInference Mode = iota
-	// ModeGradient: bank holds W_{k+1}ᵀ, inputs carry δh_{k+1}, and the
-	// TIAs are programmed to the stored f'(h_k) so the output is
-	// δh_k = (Wᵀδ) ⊙ f'(h) — equation (3).
-	ModeGradient
-	// ModeOuterProduct: bank holds y_{k-1}ᵀ broadcast across rows, inputs
-	// carry δh_k, and the output rows form δW_k = δh·yᵀ — equation (2).
-	ModeOuterProduct
-)
-
-// String names the mode.
-func (m Mode) String() string {
-	switch m {
-	case ModeInference:
-		return "inference"
-	case ModeGradient:
-		return "gradient"
-	case ModeOuterProduct:
-		return "outer-product"
-	default:
-		return fmt.Sprintf("mode(%d)", int(m))
-	}
-}
-
 // PEConfig parameterizes a processing element.
 type PEConfig struct {
 	Rows int // J, output rows; default device.WeightBankRows
@@ -73,7 +42,6 @@ type PE struct {
 	cfg    PEConfig
 	bank   *mrr.WeightBank
 	lasers *optics.LaserBank
-	fes    []*analog.RowFrontEnd
 	ldsu   *pcm.LDSUBank
 	acts   []*pcm.ActivationCell
 	ledger *Ledger
@@ -83,9 +51,8 @@ type PE struct {
 	// noiseRel is the relative RMS analog noise at full scale, derived
 	// from the BPD noise model.
 	noiseRel float64
-	scratch  []float64
 
-	// Per-symbol pipeline costs booked by step, fixed by the geometry.
+	// Per-symbol pipeline costs booked by stepEncoded, fixed by the geometry.
 	period      units.Duration
 	readEnergy  units.Energy // GST read bias, one clock
 	feEnergy    units.Energy // BPD+TIA front ends, one clock
@@ -96,8 +63,6 @@ type PE struct {
 	// goroutine at a time (the tile-execution engine decomposes work per
 	// tile), so these need no locking.
 	normBuf   []float64   // threshold-normalized pre-activations (len Rows)
-	derivBuf  []float64   // LDSU derivative reads (len Rows)
-	bcastRows [][]float64 // broadcast-programming row views (len Rows)
 	blockBuf  [][]float64 // weight-block staging rows (len Rows)
 	blockData []float64   // backing store for blockBuf (Rows×Cols)
 }
@@ -147,7 +112,6 @@ func NewPE(cfg PEConfig) (*PE, error) {
 		ledger:    NewLedger(),
 		rng:       rand.New(rand.NewSource(cfg.NoiseSeed)),
 		normBuf:   make([]float64, cfg.Rows),
-		bcastRows: make([][]float64, cfg.Rows),
 		blockBuf:  make([][]float64, cfg.Rows),
 		blockData: make([]float64, cfg.Rows*cfg.Cols),
 	}
@@ -162,11 +126,6 @@ func NewPE(cfg PEConfig) (*PE, error) {
 	pe.cacheEnergy = device.PowerCache.OverTime(pe.period)
 	pe.latchEnergy = device.PowerLDSU.OverTime(pe.period)
 	for j := 0; j < cfg.Rows; j++ {
-		fe, err := analog.NewRowFrontEnd(cfg.NoiseSeed + int64(j) + 1)
-		if err != nil {
-			return nil, err
-		}
-		pe.fes = append(pe.fes, fe)
 		act, err := pcm.NewActivationCell(pcm.ActivationConfig{})
 		if err != nil {
 			return nil, err
@@ -174,7 +133,7 @@ func NewPE(cfg PEConfig) (*PE, error) {
 		pe.acts = append(pe.acts, act)
 	}
 	if !cfg.DisableNoise {
-		bpd := pe.fes[0].BPD
+		bpd := analog.NewBPD(cfg.NoiseSeed + 1)
 		full := cfg.LaserPower
 		pe.noiseRel = bpd.NoiseSigma(full) / (bpd.Responsivity * full.Watts())
 	}
@@ -237,13 +196,10 @@ func (p *PE) RefreshWeights() {
 	p.applyFaults()
 }
 
-// step books the per-symbol energies common to every optical pass: E/O
-// encoding of n inputs, the GST read pulses that bias the bank, the BPD+TIA
-// front ends, and the per-PE cache activity, then advances one clock.
-func (p *PE) step(n int) { p.stepEncoded(p.lasers.EncodeEnergy(n)) }
-
-// stepEncoded is step with the E/O encoding energy already computed, so a
-// batch pass computes it once for all its samples.
+// stepEncoded books the per-symbol energies common to every optical pass:
+// the E/O encoding of the pass's inputs (computed once per batch by the
+// caller), the GST read pulses that bias the bank, the BPD+TIA front ends,
+// and the per-PE cache activity, then advances one clock.
 func (p *PE) stepEncoded(encode units.Energy) {
 	p.ledger.add(catEOLaser, encode)
 	p.ledger.add(catGSTRead, p.readEnergy)
@@ -261,17 +217,8 @@ func (p *PE) noiseSigma(n int) (sigma float64, ok bool) {
 	return p.noiseRel * math.Sqrt(float64(n)), true
 }
 
-// noisy perturbs an analog value with the BPD noise model.
-func (p *PE) noisy(v float64, n int) float64 {
-	sigma, ok := p.noiseSigma(n)
-	if !ok {
-		return v
-	}
-	return v + p.rng.NormFloat64()*sigma
-}
-
 // addNoise perturbs every value of one pass in place with the noise of an
-// n-channel sum, drawing in index order exactly as noisy does.
+// n-channel sum, drawing in index order.
 func (p *PE) addNoise(vs []float64, n int) {
 	sigma, ok := p.noiseSigma(n)
 	if !ok {
@@ -282,29 +229,6 @@ func (p *PE) addNoise(vs []float64, n int) {
 	}
 }
 
-// MVMPass runs one optical matrix-vector pass through the bank: encode x,
-// filter through the rings, detect on the BPDs. It returns the noisy analog
-// pre-activations and books one clock of pipeline energy.
-func (p *PE) MVMPass(x []float64) ([]float64, error) {
-	return p.MVMPassInto(nil, x)
-}
-
-// MVMPassInto is MVMPass writing into a caller-owned buffer: dst is
-// allocated only when nil or too small, so the steady-state hot path is
-// allocation-free.
-func (p *PE) MVMPassInto(dst, x []float64) ([]float64, error) {
-	if len(x) > p.cfg.Cols {
-		return nil, fmt.Errorf("core: input length %d exceeds bank cols %d", len(x), p.cfg.Cols)
-	}
-	dst = growFloats(dst, p.cfg.Rows)
-	p.scratch = p.bank.MVM(p.scratch, x)
-	for j := range dst {
-		dst[j] = p.noisy(p.scratch[j], len(x))
-	}
-	p.step(len(x))
-	return dst, nil
-}
-
 // MVMPassBatchInto streams a batch of input vectors through the weight-
 // stationary bank in one call: sample s occupies xs[s*n : (s+1)*n] and its
 // noisy pre-activations land in dst[s*Rows : (s+1)*Rows], both sample-major.
@@ -312,8 +236,8 @@ func (p *PE) MVMPassInto(dst, x []float64) ([]float64, error) {
 // first (the bank draws no randomness, and its batch output is bit-identical
 // to per-sample MVM calls), then noise and pipeline energy are applied per
 // sample in batch order — so the outputs, the PE's noise stream and its
-// ledger are bit-identical to calling MVMPassInto once per sample. The
-// steady-state path allocates nothing.
+// ledger are bit-identical to running the samples one at a time as batches
+// of one. The steady-state path allocates nothing.
 func (p *PE) MVMPassBatchInto(dst, xs []float64, batch, n int) ([]float64, error) {
 	if n > p.cfg.Cols {
 		return nil, fmt.Errorf("core: batch sample width %d exceeds bank cols %d", n, p.cfg.Cols)
@@ -361,15 +285,10 @@ func (p *PE) TransposePassBatchInto(dst, ds []float64, batch, m int) ([]float64,
 	return dst, nil
 }
 
-// Activate pushes accumulated pre-activations h (len ≤ Rows) through the
-// PE's GST activation cells and latches the LDSUs. It returns the activated
-// outputs and books the recrystallization energy for cells that fired.
-func (p *PE) Activate(h []float64) ([]float64, error) {
-	return p.ActivateInto(nil, h)
-}
-
-// ActivateInto is Activate writing into a caller-owned buffer (allocated
-// only when nil or too small).
+// ActivateInto pushes accumulated pre-activations h (len ≤ Rows) through the
+// PE's GST activation cells and latches the LDSUs, writing the activated
+// outputs into dst (allocated only when nil or too small). It books the
+// LDSU latch and the recrystallization energy for cells that fired.
 func (p *PE) ActivateInto(dst, h []float64) ([]float64, error) {
 	if len(h) > p.cfg.Rows {
 		return nil, fmt.Errorf("core: %d pre-activations exceed bank rows %d", len(h), p.cfg.Rows)
@@ -400,15 +319,15 @@ func (p *PE) ActivateInto(dst, h []float64) ([]float64, error) {
 	return y, nil
 }
 
-// Infer executes one full ModeInference pass on input x: optical MVM,
-// balanced detection, GST activation, LDSU latch. It returns the activated
-// outputs and the raw pre-activations.
+// Infer executes one full inference pass (Table II's first mode) on input x
+// as a batch of one: optical MVM, balanced detection, GST activation, LDSU
+// latch. It returns the activated outputs and the raw pre-activations.
 func (p *PE) Infer(x []float64) (y, h []float64, err error) {
-	h, err = p.MVMPass(x)
+	h, err = p.MVMPassBatchInto(nil, x, 1, len(x))
 	if err != nil {
 		return nil, nil, err
 	}
-	y, err = p.Activate(h)
+	y, err = p.ActivateInto(nil, h)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -426,112 +345,8 @@ func (p *PE) normalizeToThreshold(h float64) float64 {
 // numeric units; with the shift mapping this is 1.
 func (p *PE) thresholdScale() float64 { return 1 }
 
-// GradientPass executes ModeGradient: the bank holds Wᵀ (programmed by the
-// caller), inputs carry the upstream error δ, and the TIAs apply the
-// latched derivatives, returning δh = (Wᵀδ) ⊙ f'(h).
-func (p *PE) GradientPass(delta []float64) ([]float64, error) {
-	return p.GradientPassInto(nil, delta)
-}
-
-// GradientPassInto is GradientPass writing into a caller-owned buffer
-// (allocated only when nil or too small).
-func (p *PE) GradientPassInto(dst, delta []float64) ([]float64, error) {
-	if len(delta) > p.cfg.Cols {
-		return nil, fmt.Errorf("core: delta length %d exceeds bank cols %d", len(delta), p.cfg.Cols)
-	}
-	p.scratch = p.bank.MVM(p.scratch, delta)
-	p.derivBuf = p.ldsu.Derivatives(p.derivBuf)
-	derivs := p.derivBuf
-	out := growFloats(dst, p.cfg.Rows)
-	for j := range out {
-		v := p.noisy(p.scratch[j], len(delta))
-		// TIA programmed to f'(h_j): the Hadamard product in analog.
-		if err := p.fes[j].TIA.SetScale(derivs[j]); err != nil {
-			return nil, err
-		}
-		out[j] = v * derivs[j]
-	}
-	p.step(len(delta))
-	return out, nil
-}
-
-// OuterProductPass executes ModeOuterProduct: the bank rows hold copies of
-// yᵀ, inputs carry δh, and each row's output is one row of δW = δh·yᵀ. The
-// PE computes Rows outer-product rows per pass; the caller supplies y
-// pre-programmed via ProgramBroadcast.
-func (p *PE) OuterProductPass(deltaH []float64, y []float64) ([][]float64, error) {
-	out := make([][]float64, len(deltaH))
-	for j := range out {
-		out[j] = make([]float64, len(y))
-	}
-	if err := p.OuterProductPassInto(out, deltaH, y); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// OuterProductPassInto is OuterProductPass writing row j of the outer
-// product into dst[j] (each at least len(y) long), avoiding the per-pass row
-// allocations.
-func (p *PE) OuterProductPassInto(dst [][]float64, deltaH, y []float64) error {
-	if len(dst) < len(deltaH) {
-		return fmt.Errorf("core: %d destination rows for %d δh entries", len(dst), len(deltaH))
-	}
-	return p.outerProductInto(dst, deltaH, y, false)
-}
-
-// outerProductInto computes the outer-product rows, either overwriting or
-// accumulating into dst — the accumulate form is the per-pixel streaming
-// path of the convolution backward, where rank-1 updates sum in the PE
-// caches.
-func (p *PE) outerProductInto(dst [][]float64, deltaH, y []float64, accumulate bool) error {
-	if len(y) > p.cfg.Cols {
-		return fmt.Errorf("core: y length %d exceeds bank cols %d", len(y), p.cfg.Cols)
-	}
-	if len(deltaH) > p.cfg.Rows {
-		return fmt.Errorf("core: δh length %d exceeds bank rows %d", len(deltaH), p.cfg.Rows)
-	}
-	// The bank holds y on every row; feeding δh_j on row j's drive yields
-	// row j of the outer product. Physically each row sees its scalar
-	// δh_j modulating the shared y spectrum; numerically: δW[j][i] =
-	// δh[j]·y_realized[i] where y_realized is the quantized bank content.
-	for j := range deltaH {
-		row := dst[j]
-		for i := range y {
-			v := p.noisy(deltaH[j]*p.bank.Weight(j, i), 1)
-			if accumulate {
-				row[i] += v
-			} else {
-				row[i] = v
-			}
-		}
-		// TIAs act as plain amplifiers in this mode.
-		if err := p.fes[j%len(p.fes)].TIA.SetScale(1); err != nil {
-			return err
-		}
-	}
-	p.step(len(y))
-	return nil
-}
-
-// ProgramBroadcast writes the same vector y into every bank row — the
-// outer-product operand layout of Table II ("encoded with y_{k-1}ᵀ from N
-// inputs, to utilize the entire weight bank").
-func (p *PE) ProgramBroadcast(y []float64) error {
-	if len(y) > p.cfg.Cols {
-		return fmt.Errorf("core: broadcast length %d exceeds bank cols %d", len(y), p.cfg.Cols)
-	}
-	for j := range p.bcastRows {
-		p.bcastRows[j] = y
-	}
-	return p.Program(p.bcastRows)
-}
-
 // Derivatives exposes the LDSU bank contents (for tests and the trainer).
 func (p *PE) Derivatives() []float64 { return p.ldsu.Derivatives(nil) }
-
-// ClearLDSU resets the derivative latches between samples.
-func (p *PE) ClearLDSU() { p.ldsu.Clear() }
 
 // HoldPower returns the PE's standby power once programmed: zero bank hold
 // power (non-volatile GST) plus the electronic front ends — the 0.11 W

@@ -90,7 +90,7 @@ func TestPEInferValidation(t *testing.T) {
 	if _, _, err := pe.Infer([]float64{1, 2, 3}); err == nil {
 		t.Error("oversized input: want error")
 	}
-	if _, err := pe.Activate([]float64{1, 2, 3}); err == nil {
+	if _, err := pe.ActivateInto(nil, []float64{1, 2, 3}); err == nil {
 		t.Error("oversized pre-activation: want error")
 	}
 }
@@ -115,70 +115,6 @@ func TestPELDSUMatchesActivation(t *testing.T) {
 	}
 	if d[1] != device.ActivationDerivativeLow {
 		t.Errorf("silent row derivative = %v, want 0", d[1])
-	}
-	pe.ClearLDSU()
-	d = pe.Derivatives()
-	if d[0] != 0 || d[1] != 0 {
-		t.Error("ClearLDSU must reset derivatives")
-	}
-}
-
-// TestPEGradientPass checks Table II's gradient-vector mode: bank holds Wᵀ,
-// TIAs apply the latched f'(h).
-func TestPEGradientPass(t *testing.T) {
-	pe := newTestPE(t, 2, 2)
-	// Forward to latch derivatives: row 0 fires, row 1 does not.
-	if err := pe.Program([][]float64{{1, 0}, {-1, 0}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := pe.Infer([]float64{0.9, 0}); err != nil {
-		t.Fatal(err)
-	}
-	// Gradient pass with some Wᵀ content.
-	if err := pe.Program([][]float64{{0.5, 0.5}, {0.5, 0.5}}); err != nil {
-		t.Fatal(err)
-	}
-	out, err := pe.GradientPass([]float64{1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Row 0: (0.5+0.5)·0.34 ≈ 0.34; row 1: ·0 = 0.
-	if math.Abs(out[0]-0.34) > 0.02 {
-		t.Errorf("δh[0] = %v, want ≈0.34", out[0])
-	}
-	if out[1] != 0 {
-		t.Errorf("δh[1] = %v, want 0 (derivative gate)", out[1])
-	}
-	if _, err := pe.GradientPass(make([]float64, 3)); err == nil {
-		t.Error("oversized delta: want error")
-	}
-}
-
-// TestPEOuterProduct checks Table II's weight-update mode.
-func TestPEOuterProduct(t *testing.T) {
-	pe := newTestPE(t, 4, 4)
-	y := []float64{0.5, -0.25, 0.125, 0}
-	if err := pe.ProgramBroadcast(y); err != nil {
-		t.Fatal(err)
-	}
-	deltaH := []float64{1, -1, 0.5, 0}
-	rows, err := pe.OuterProductPass(deltaH, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := range deltaH {
-		for i := range y {
-			want := deltaH[j] * y[i]
-			if math.Abs(rows[j][i]-want) > 0.01 {
-				t.Errorf("δW[%d][%d] = %v, want ≈%v", j, i, rows[j][i], want)
-			}
-		}
-	}
-	if _, err := pe.OuterProductPass(make([]float64, 5), y); err == nil {
-		t.Error("oversized δh: want error")
-	}
-	if _, err := pe.OuterProductPass(deltaH, make([]float64, 5)); err == nil {
-		t.Error("oversized y: want error")
 	}
 }
 
@@ -226,7 +162,7 @@ func TestPENoiseBounded(t *testing.T) {
 	const n = 300
 	var mean, m2 float64
 	for i := 0; i < n; i++ {
-		h, err := noisy.MVMPass([]float64{0.5, 0.5})
+		h, err := noisy.MVMPassBatchInto(nil, []float64{0.5, 0.5}, 1, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,7 +170,7 @@ func TestPENoiseBounded(t *testing.T) {
 	}
 	mean /= n
 	for i := 0; i < n; i++ {
-		h, _ := noisy.MVMPass([]float64{0.5, 0.5})
+		h, _ := noisy.MVMPassBatchInto(nil, []float64{0.5, 0.5}, 1, 2)
 		d := h[0] - mean
 		m2 += d * d
 	}

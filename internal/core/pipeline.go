@@ -164,9 +164,6 @@ func (p *Pipeline) Stages() int { return len(p.stages) }
 // Cuts returns the node indices each stage boundary falls after.
 func (p *Pipeline) Cuts() []int { return append([]int(nil), p.cuts...) }
 
-// MicroBatch returns the configured micro-batch size (0 = auto).
-func (p *Pipeline) MicroBatch() int { return p.micro }
-
 // Graph returns the underlying execution graph.
 func (p *Pipeline) Graph() *Graph { return p.g }
 

@@ -46,23 +46,26 @@ func (g *Graph) TrainBatch(xs []float64, labels []int) (float64, error) {
 		return 0, fmt.Errorf("core: batch %d×%d needs %d inputs, have %d",
 			batch, in, batch*in, len(xs))
 	}
+	out := g.nodes[g.output]
+	classes := out.size
+	// Reject bad labels before the walk books energy or draws noise.
+	for _, label := range labels {
+		if label < 0 || label >= classes {
+			return 0, fmt.Errorf("core: label %d out of range [0,%d)", label, classes)
+		}
+	}
 	g.nodes[0].batchVal = xs
 	for i := 1; i < len(g.nodes); i++ {
 		if err := g.forwardTrainNodeBatch(g.nodes[i], batch); err != nil {
 			return 0, err
 		}
 	}
-	out := g.nodes[g.output]
-	classes := out.size
 	g.batchDelta = growFloats(g.batchDelta, batch*classes)
 	delta := g.batchDelta[:batch*classes]
 	var total float64
 	for s := 0; s < batch; s++ {
 		label := labels[s]
 		probs := nn.Softmax(out.batchVal[s*classes : (s+1)*classes])
-		if label < 0 || label >= classes {
-			return 0, fmt.Errorf("core: label %d out of range [0,%d)", label, classes)
-		}
 		total += -math.Log(math.Max(probs[label], 1e-300))
 		d := delta[s*classes : (s+1)*classes]
 		copy(d, probs)

@@ -70,8 +70,9 @@ func (b *WeightBank) ensureTransposeCompiled() {
 
 // EnsureTransposeCompiled activates (if needed) and freshens the transpose
 // view, recompiling the shared snapshot first when weight state changed.
-// Training layers call it at programming time so the first backward pass of
-// a serving window doesn't pay activation latency.
+// No training path calls it: the first transpose MVM activates the view
+// lazily. Tests and benchmarks call it to materialize the view before they
+// inspect or time it.
 func (b *WeightBank) EnsureTransposeCompiled() { b.ensureTransposeCompiled() }
 
 // TransposeViewActive reports whether the compiled transpose view has been

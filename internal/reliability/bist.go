@@ -68,9 +68,6 @@ func (s Suspect) key() suspectKey {
 	return suspectKey{s.Layer, s.TileRow, s.TileCol, s.PhysRow, s.Col}
 }
 
-// Deviation returns |Measured − Expected|.
-func (s Suspect) Deviation() float64 { return math.Abs(s.Measured - s.Expected) }
-
 // BankHealth summarizes one PE tile's self-test outcome.
 type BankHealth struct {
 	Layer, TileRow, TileCol int

@@ -45,14 +45,13 @@ const (
 	wearScorePenalty = 5 * time.Millisecond
 )
 
-// NewInstance bundles an engine into a named serving instance: a fresh
-// journal (unless cfg.Journal is preset) and a batcher started over eng.
-// For hardware graphs use NewGraphInstance, which also wires the health
-// probe and the maintainer.
+// NewInstance bundles an engine into a named serving instance: a batcher
+// started over eng, recording into cfg.Journal when one is set. The journal
+// is opt-in because it keeps a copy of every batch forever; soaks, chaos
+// runs and replay tests set it, production serving leaves it nil. For
+// hardware graphs use NewGraphInstance, which also wires the health probe
+// and the maintainer.
 func NewInstance(name string, eng Engine, cfg Config) *Instance {
-	if cfg.Journal == nil {
-		cfg.Journal = NewJournal()
-	}
 	return &Instance{
 		name: name,
 		eng:  eng,
@@ -61,8 +60,8 @@ func NewInstance(name string, eng Engine, cfg Config) *Instance {
 	}
 }
 
-// NewGraphInstance builds an instance over a hardware graph: journal,
-// batcher with the graph health probe, and — when mcfg is non-nil — a
+// NewGraphInstance builds an instance over a hardware graph: optional
+// journal, batcher with the graph health probe, and — when mcfg is non-nil — a
 // maintainer whose reliability scheduler drains this instance's batcher
 // through the execute token. The maintainer is constructed but not
 // running; drive it with Maintainer().Run or CheckNow.
@@ -117,9 +116,9 @@ func (inst *Instance) Name() string { return inst.name }
 // Batcher returns the instance's micro-batcher.
 func (inst *Instance) Batcher() *Batcher { return inst.b }
 
-// Journal returns the instance's op journal. It records only this
-// replica's accelerator history, so it replays on a twin of this replica
-// alone.
+// Journal returns the instance's op journal, or nil when Config.Journal
+// was not set. It records only this replica's accelerator history, so it
+// replays on a twin of this replica alone.
 func (inst *Instance) Journal() *Journal { return inst.j }
 
 // Maintainer returns the instance's maintainer, or nil when none was

@@ -75,7 +75,6 @@ type Maintainer struct {
 	mu     sync.Mutex
 	step   int
 	checks int
-	last   reliability.CheckResult
 }
 
 // schedGate adapts the batcher's execute token to reliability.Gate and
@@ -169,18 +168,10 @@ func (m *Maintainer) CheckNow(ctx context.Context) (reliability.CheckResult, err
 		return res, err
 	}
 	m.checks++
-	m.last = res
 	if err := m.b.RefreshHealth(ctx); err != nil {
 		return res, err
 	}
 	return res, nil
-}
-
-// LastResult returns the most recent check result.
-func (m *Maintainer) LastResult() reliability.CheckResult {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.last
 }
 
 // SchedulerState returns the underlying remediation scheduler's cumulative

@@ -78,7 +78,7 @@ func TestServeSoakPipelined(t *testing.T) {
 	mcfg := MaintainerConfig{Seed: 21, Policy: servePolicy()}
 	inst, err := NewGraphInstance("pipe/replica-0", net.Graph, Config{
 		MaxBatch: 8, MaxWait: time.Millisecond, QueueCap: 64,
-		PipelineStages: 2,
+		PipelineStages: 2, Journal: NewJournal(),
 	}, &mcfg)
 	if err != nil {
 		t.Fatal(err)

@@ -106,7 +106,7 @@ func TestRouterSoak(t *testing.T) {
 			}
 			mcfg := MaintainerConfig{Seed: int64(31 + si*10 + i), Policy: servePolicy()}
 			inst, err := NewGraphInstance(fmt.Sprintf("%s/replica-%d", spec.name, i), rep.Graph,
-				Config{MaxBatch: 8, MaxWait: time.Millisecond, QueueCap: 64}, &mcfg)
+				Config{MaxBatch: 8, MaxWait: time.Millisecond, QueueCap: 64, Journal: NewJournal()}, &mcfg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -460,12 +460,14 @@ func (b *Batcher) runBatch(batch []*request) {
 	}
 	classes, err := b.eng.PredictBatchCtx(b.baseCtx, b.clsBuf[:n], xs, n)
 	if err == nil {
-		b.cfg.Journal.Record(Op{
-			Kind:    OpBatch,
-			Inputs:  append([]float64(nil), xs...),
-			Batch:   n,
-			Classes: append([]int(nil), classes...),
-		})
+		if b.cfg.Journal != nil {
+			b.cfg.Journal.Record(Op{
+				Kind:    OpBatch,
+				Inputs:  append([]float64(nil), xs...),
+				Batch:   n,
+				Classes: append([]int(nil), classes...),
+			})
+		}
 		if po, ok := b.eng.(stageOccupier); ok {
 			// Read while the token is still held: the occupancy slice is
 			// engine scratch another batch would overwrite.

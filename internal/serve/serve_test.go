@@ -535,6 +535,42 @@ func servePolicy() reliability.Policy {
 	return reliability.Policy{TimePerStep: 30 * units.Second, BISTRepeats: 1}
 }
 
+// TestGraphInstanceJournalOptIn: the op journal keeps a copy of every batch
+// forever, so an instance records one only when Config.Journal is set.
+// Without it the instance still serves, and Journal() is nil.
+func TestGraphInstanceJournalOptIn(t *testing.T) {
+	net := buildServeNet(t)
+	x := []float64{0.1, -0.2, 0.3, 0.4, -0.5, 0.6}
+	want, err := net.Predict(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range []*Journal{nil, NewJournal()} {
+		inst, err := NewGraphInstance("m/replica-0", net.Graph,
+			Config{MaxBatch: 1, MaxWait: time.Millisecond, Journal: j}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := inst.Submit(context.Background(), x)
+		mustShutdown(t, inst.Batcher())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("journal %v: served class %d, want %d", j != nil, got, want)
+		}
+		if sn := inst.Stats(); sn.Served != 1 || sn.Lost() != 0 {
+			t.Errorf("journal %v: stats %+v, want 1 served, 0 lost", j != nil, sn)
+		}
+		if inst.Journal() != j {
+			t.Fatalf("Journal() = %p, want the configured %p", inst.Journal(), j)
+		}
+		if j != nil && j.CountKind(OpBatch) != 1 {
+			t.Errorf("configured journal holds %d batches, want 1", j.CountKind(OpBatch))
+		}
+	}
+}
+
 // TestJournalReplayBitIdentical drives a serving stack sequentially —
 // batches, chaos mutations, forced maintenance windows — then replays the
 // journal on a twin graph and demands bitwise-identical classes for every

@@ -42,7 +42,7 @@ func NewServer(rt *Router) *Server {
 // The model is named "default" and /predict requests may omit Model.
 func NewSingleServer(b *Batcher) *Server {
 	rt := NewRouter()
-	inst := &Instance{name: "default", eng: b.eng, b: b, j: NewJournal()}
+	inst := &Instance{name: "default", eng: b.eng, b: b, j: b.cfg.Journal}
 	if err := rt.AddModel("default", inst); err != nil {
 		panic(err) // unreachable: fresh router, one well-formed model
 	}

@@ -116,74 +116,19 @@ type InSituResult struct {
 }
 
 // RunInSitu trains a two-layer GST-activated network on the hardware model
-// and evaluates it. The network is sized dim → hidden → classes.
+// one sample at a time and evaluates it. The network is sized dim → hidden →
+// classes.
 func RunInSitu(data *dataset.Set, hidden, epochs int, lr float64, noisy bool) (*InSituResult, error) {
-	if data.Len() == 0 {
-		return nil, fmt.Errorf("train: empty dataset")
-	}
-	trainSet, testSet := data.Split(0.8)
-	dim := trainSet.Inputs[0].Len()
-	net, err := core.NewNetwork(core.NetworkConfig{
-		PE:           core.PEConfig{Rows: 8, Cols: 8, DisableNoise: !noisy, NoiseSeed: 11},
-		LearningRate: lr,
-	},
-		core.LayerSpec{In: dim, Out: hidden, Activate: true},
-		core.LayerSpec{In: hidden, Out: data.Classes},
-	)
-	if err != nil {
-		return nil, err
-	}
-	var loss float64
-	for e := 0; e < epochs; e++ {
-		for i := range trainSet.Inputs {
-			loss, err = net.TrainSample(trainSet.Inputs[i].Data(), trainSet.Labels[i])
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-	acc := func(s *dataset.Set) (float64, error) {
-		if s.Len() == 0 {
-			return 0, nil
-		}
-		correct := 0
-		for i := range s.Inputs {
-			cls, err := net.Predict(s.Inputs[i].Data())
-			if err != nil {
-				return 0, err
-			}
-			if cls == s.Labels[i] {
-				correct++
-			}
-		}
-		return float64(correct) / float64(s.Len()), nil
-	}
-	trainAcc, err := acc(trainSet)
-	if err != nil {
-		return nil, err
-	}
-	testAcc, err := acc(testSet)
-	if err != nil {
-		return nil, err
-	}
-	led := net.Ledger()
-	return &InSituResult{
-		TrainAccuracy: trainAcc,
-		TestAccuracy:  testAcc,
-		FinalLoss:     loss,
-		Energy:        led.TotalEnergy(),
-		TuningShare:   led.Energy(core.CatGSTTuning).Joules() / led.TotalEnergy().Joules(),
-	}, nil
+	return RunInSituBatched(data, hidden, epochs, lr, 1, noisy)
 }
 
 // RunInSituBatched is RunInSitu with minibatch SGD: each epoch walks the
 // training set in batches of the given size through Graph.TrainBatch — one
 // batched forward, reprogram-free transpose GEMMs on the backward walk, and
 // one mean-gradient update per layer per batch — so the banks reprogram
-// once per batch instead of once per sample. batch ≤ 1 degrades to the
-// per-sample schedule of RunInSitu (bit-identically: a batch of one IS a
-// TrainSample step). The trailing partial batch is trained at its natural
-// size.
+// once per batch instead of once per sample. batch ≤ 1 is the per-sample
+// schedule of RunInSitu (a batch of one IS a TrainSample step). The
+// trailing partial batch is trained at its natural size.
 func RunInSituBatched(data *dataset.Set, hidden, epochs int, lr float64, batch int, noisy bool) (*InSituResult, error) {
 	if data.Len() == 0 {
 		return nil, fmt.Errorf("train: empty dataset")

@@ -240,32 +240,3 @@ func TestRunQATRecoversLowBitLoss(t *testing.T) {
 		t.Error("bad bit width: want error")
 	}
 }
-
-// TestInSituHistory: the convergence curve falls in loss and rises in
-// accuracy over the run.
-func TestInSituHistory(t *testing.T) {
-	data := dataset.Blobs(150, 3, 6, 0.1, 7)
-	h, err := RunInSituWithHistory(data, 16, 8, 0.08, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Len() != 8 {
-		t.Fatalf("epochs recorded = %d, want 8", h.Len())
-	}
-	if h.Loss[len(h.Loss)-1] >= h.Loss[0] {
-		t.Errorf("loss did not fall: %v → %v", h.Loss[0], h.Loss[len(h.Loss)-1])
-	}
-	if h.Accuracy[len(h.Accuracy)-1] < h.Accuracy[0] {
-		t.Errorf("accuracy fell: %v → %v", h.Accuracy[0], h.Accuracy[len(h.Accuracy)-1])
-	}
-	fig := h.Figure("convergence")
-	if len(fig.Series) != 2 || len(fig.Series[0].X) != 8 {
-		t.Error("figure malformed")
-	}
-	if _, err := RunInSituWithHistory(&dataset.Set{}, 4, 1, 0.1, false); err == nil {
-		t.Error("empty dataset: want error")
-	}
-	if _, err := RunInSituWithHistory(data, 4, 0, 0.1, false); err == nil {
-		t.Error("zero epochs: want error")
-	}
-}
