@@ -38,12 +38,15 @@ tier2:
 # chaos soak, the router/instance tests, and the routed 2-models×2-replicas
 # soak — which drains each replica under live traffic and replays every
 # per-replica op journal for bit-identity) also runs under -race here — its
-# correctness claims are concurrency claims.
+# correctness claims are concurrency claims. A short FuzzGraphBuild run
+# builds random conv/GAP/dense/add/concat graphs and runs every one that
+# seals on zeros.
 tier2-reliability:
 	$(GO) test -race -run 'Campaign|Wear|Fault|BIST|Scheduler|Drift|Batch|Golden|Graph|Recompile|Dirty|Stale|NoOp|ParallelBitIdentical|ParallelMatchesSerial|SharedPool' ./internal/reliability/ ./internal/core/ ./internal/mrr/ ./internal/pcm/
 	$(GO) test -race -count=2 ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzActivationCell$$' -fuzztime 10s ./internal/pcm/
 	$(GO) test -run '^$$' -fuzz '^FuzzCellProgram$$' -fuzztime 10s ./internal/pcm/
+	$(GO) test -run '^$$' -fuzz '^FuzzGraphBuild$$' -fuzztime 10s ./internal/core/
 
 # Benchmark trajectory: the hot-path microbenchmarks, BENCH_COUNT
 # repetitions with allocation reporting, parsed into the machine-readable

@@ -317,9 +317,10 @@ func BenchmarkTrainBatch(b *testing.B) {
 	})
 }
 
-// BenchmarkTransposeCompiled times the compiled transpose GEMV — the Wᵀ·δ
-// backward pass served from the shared snapshot's transpose view with zero
-// bank reprogramming — across the bank-geometry sweep.
+// BenchmarkTransposeCompiled times one compiled transpose pass — the Wᵀ·δ
+// backward pass as a batch of one, served from the shared snapshot's
+// transpose view with zero bank reprogramming — across the bank-geometry
+// sweep.
 func BenchmarkTransposeCompiled(b *testing.B) {
 	for _, size := range bankSizes {
 		b.Run(fmt.Sprintf("%dx%d", size, size), func(b *testing.B) {
@@ -330,7 +331,7 @@ func BenchmarkTransposeCompiled(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				dst = bank.TransposeMVM(dst, delta)
+				dst = bank.TransposeMVMBatchInto(dst, delta, 1, size)
 			}
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "MVMs/sec")
 		})
@@ -419,7 +420,7 @@ func BenchmarkInSituEpoch(b *testing.B) {
 	data := dataset.Blobs(150, 3, 6, 0.1, 7)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := train.RunInSitu(data, 16, 1, 0.08, false); err != nil {
+		if _, err := train.RunInSitu(data, 16, 1, 0.08, 1, false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -511,8 +512,8 @@ func benchInput(size int, seed int64) []float64 {
 	return x
 }
 
-// BenchmarkBankMVM times the production bank path (the compiled-snapshot
-// GEMV) — the numerator of the ≥3× compiled-vs-reference trajectory gate
+// BenchmarkBankMVM times the production bank path at a batch of one (the
+// compiled-snapshot GEMV) — the numerator of the ≥3× compiled-vs-reference trajectory gate
 // on the 64×64 geometry.
 func BenchmarkBankMVM(b *testing.B) {
 	for _, size := range bankSizes {
@@ -523,7 +524,7 @@ func BenchmarkBankMVM(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				dst = bank.MVM(dst, x)
+				dst = bank.MVMBatchInto(dst, x, 1, size)
 			}
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "MVMs/sec")
 		})

@@ -23,6 +23,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"os/signal"
 	"strings"
@@ -169,35 +170,27 @@ func cmdTrain(args []string) {
 		cmdLifetime(*seed)
 		return
 	}
-	if *model == "branched" {
-		const hw = 8
-		data := dataset.MiniImages(*samples, *classes, 1, hw, hw, 0.05, *seed)
-		fmt.Printf("in-situ training: %d images, %d classes, branched graph (conv→conv→add→concat→GAP→dense), %d epochs\n",
-			*samples, *classes, *epochs)
-		res, err := train.RunBranched(data, *epochs, *lr, *noise)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("  train accuracy   %.1f%%\n", res.TrainAccuracy*100)
-		fmt.Printf("  test accuracy    %.1f%%\n", res.TestAccuracy*100)
-		fmt.Printf("  final loss       %.4f\n", res.FinalLoss)
-		fmt.Printf("  energy           %v (%.1f%% GST tuning)\n", res.Energy, res.TuningShare*100)
-		return
-	}
-	if *model != "mlp" {
-		log.Fatalf("unknown -model %q (want mlp or branched)", *model)
-	}
-	data := dataset.Blobs(*samples, *classes, *dim, 0.1, *seed)
-	fmt.Printf("in-situ training: %d samples, %d classes, %d→%d→%d network, %d epochs",
-		*samples, *classes, *dim, *hidden, *classes, *epochs)
+	var data *dataset.Set
 	var res *train.InSituResult
 	var err error
-	if *batch > 1 {
-		fmt.Printf(", batch %d\n", *batch)
-		res, err = train.RunInSituBatched(data, *hidden, *epochs, *lr, *batch, *noise)
-	} else {
+	switch *model {
+	case "branched":
+		const hw = 8
+		data = dataset.MiniImages(*samples, *classes, 1, hw, hw, 0.05, *seed)
+		fmt.Printf("in-situ training: %d images, %d classes, branched graph (conv→conv→add→concat→GAP→dense), %d epochs\n",
+			*samples, *classes, *epochs)
+		res, err = train.RunBranched(data, *epochs, *lr, *noise)
+	case "mlp":
+		data = dataset.Blobs(*samples, *classes, *dim, 0.1, *seed)
+		fmt.Printf("in-situ training: %d samples, %d classes, %d→%d→%d network, %d epochs",
+			*samples, *classes, *dim, *hidden, *classes, *epochs)
+		if *batch > 1 {
+			fmt.Printf(", batch %d", *batch)
+		}
 		fmt.Println()
-		res, err = train.RunInSitu(data, *hidden, *epochs, *lr, *noise)
+		res, err = train.RunInSitu(data, *hidden, *epochs, *lr, *batch, *noise)
+	default:
+		log.Fatalf("unknown -model %q (want mlp or branched)", *model)
 	}
 	if err != nil {
 		log.Fatal(err)
@@ -206,8 +199,10 @@ func cmdTrain(args []string) {
 	fmt.Printf("  test accuracy    %.1f%%\n", res.TestAccuracy*100)
 	fmt.Printf("  final loss       %.4f\n", res.FinalLoss)
 	fmt.Printf("  energy           %v (%.1f%% GST tuning)\n", res.Energy, res.TuningShare*100)
-	digital := train.DigitalBaselineAccuracy(data, *hidden, *epochs, *lr, 1)
-	fmt.Printf("  digital baseline %.1f%%\n", digital*100)
+	if *model == "mlp" {
+		digital := train.DigitalBaselineAccuracy(data, *hidden, *epochs, *lr, 1)
+		fmt.Printf("  digital baseline %.1f%%\n", digital*100)
+	}
 }
 
 // cmdLifetime runs the compressed wear-out campaign: a network trains in
@@ -319,10 +314,8 @@ func cmdExport(args []string) {
 		log.Fatal(err)
 	}
 	for e := 0; e < *epochs; e++ {
-		for i := range data.Inputs {
-			if _, err := net.TrainSample(data.Inputs[i].Data(), data.Labels[i]); err != nil {
-				log.Fatal(err)
-			}
+		if _, err := net.TrainEpoch(data.Inputs, data.Labels, 1); err != nil {
+			log.Fatal(err)
 		}
 	}
 	f, err := os.Create(*out)
@@ -346,20 +339,21 @@ func cmdExport(args []string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	agree := 0
-	for i := range data.Inputs {
-		a, err := net.Predict(data.Inputs[i].Data())
-		if err != nil {
-			log.Fatal(err)
-		}
-		b, err := loaded.Predict(data.Inputs[i].Data())
-		if err != nil {
-			log.Fatal(err)
-		}
-		if a == b {
-			agree++
-		}
+	// The original's predictions are the labels the reloaded copy is
+	// scored against.
+	xs := make([]float64, 0, len(data.Inputs)*net.InputSize())
+	for _, x := range data.Inputs {
+		xs = append(xs, x.Data()...)
 	}
+	want, err := net.PredictBatch(nil, xs, len(data.Inputs))
+	if err != nil {
+		log.Fatal(err)
+	}
+	agreement, err := loaded.Accuracy(data.Inputs, want)
+	if err != nil {
+		log.Fatal(err)
+	}
+	agree := int(math.Round(agreement * float64(len(want))))
 	fmt.Printf("saved %s; reload agreement %d/%d predictions\n", *out, agree, len(data.Inputs))
 }
 

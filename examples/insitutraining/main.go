@@ -30,14 +30,14 @@ func main() {
 	data := dataset.Blobs(600, 3, 6, 0.1, 42)
 
 	fmt.Println("== In-situ training on Trident hardware (noiseless analog) ==")
-	res, err := train.RunInSitu(data, 16, 10, 0.08, false)
+	res, err := train.RunInSitu(data, 16, 10, 0.08, 1, false)
 	if err != nil {
 		log.Fatal(err)
 	}
 	report(res)
 
 	fmt.Println("\n== Same run with BPD shot/thermal noise enabled ==")
-	noisy, err := train.RunInSitu(data, 16, 10, 0.08, true)
+	noisy, err := train.RunInSitu(data, 16, 10, 0.08, 1, true)
 	if err != nil {
 		log.Fatal(err)
 	}

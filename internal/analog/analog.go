@@ -93,41 +93,27 @@ func (b *BPD) SNRBits(fullScale units.Power) float64 {
 	return math.Log2(i / (2 * sigma))
 }
 
-// TIA is a transimpedance amplifier with a programmable gain. During
-// inference the gain is fixed; during the gradient-vector pass the control
-// unit programs each row's gain to the stored derivative f'(h) so that the
-// electrical output is (Wᵀδ)⊙f'(h) — equation (3) executed in the analog
-// domain.
+// TIA is a transimpedance amplifier. In hardware the control unit also
+// programs each row's gain to the stored derivative f'(h) during the
+// gradient-vector pass, so that the electrical output is (Wᵀδ)⊙f'(h) —
+// equation (3) executed in the analog domain. The functional core applies
+// that gate from the latched LDSU derivatives (internal/core), so this
+// model carries the fixed transimpedance only.
 type TIA struct {
 	GainOhms float64 // transimpedance, V/A
-	scale    float64 // programmable multiplicative gain factor
 }
 
-// NewTIA returns a TIA with the given transimpedance and unit gain factor.
+// NewTIA returns a TIA with the given transimpedance.
 func NewTIA(gainOhms float64) (*TIA, error) {
 	if gainOhms <= 0 {
 		return nil, fmt.Errorf("analog: TIA gain %v must be positive", gainOhms)
 	}
-	return &TIA{GainOhms: gainOhms, scale: 1}, nil
+	return &TIA{GainOhms: gainOhms}, nil
 }
 
-// SetScale programs the multiplicative gain factor (the f'(h) hook).
-// Negative scales are rejected: the derivative of the GST activation is
-// non-negative and the hardware gain stage is unipolar.
-func (t *TIA) SetScale(s float64) error {
-	if s < 0 || math.IsNaN(s) || math.IsInf(s, 0) {
-		return fmt.Errorf("analog: TIA scale %v must be a finite non-negative value", s)
-	}
-	t.scale = s
-	return nil
-}
-
-// Scale returns the programmed gain factor.
-func (t *TIA) Scale() float64 { return t.scale }
-
-// Amplify converts a photocurrent to a voltage: V = I·gain·scale.
+// Amplify converts a photocurrent to a voltage: V = I·gain.
 func (t *TIA) Amplify(current float64) float64 {
-	return current * t.GainOhms * t.scale
+	return current * t.GainOhms
 }
 
 // ADC models the analog-to-digital converter baseline photonic accelerators
@@ -183,31 +169,4 @@ func NewDAC() *DAC {
 // EnergyPerConversion returns the energy of one sample.
 func (d *DAC) EnergyPerConversion() units.Energy {
 	return d.Power.OverTime(d.SampleRate.Period())
-}
-
-// RowFrontEnd bundles the per-row electronics of one Trident PE row: BPD
-// followed by TIA. Its power is the Table III BPD+TIA row divided across
-// the PE's rows.
-type RowFrontEnd struct {
-	BPD *BPD
-	TIA *TIA
-}
-
-// NewRowFrontEnd returns a front end seeded for reproducible noise.
-func NewRowFrontEnd(seed int64) (*RowFrontEnd, error) {
-	tia, err := NewTIA(1000)
-	if err != nil {
-		return nil, err
-	}
-	return &RowFrontEnd{BPD: NewBPD(seed), TIA: tia}, nil
-}
-
-// Power returns the row's share of the Table III BPD+TIA budget.
-func (RowFrontEnd) Power() units.Power {
-	return units.Power(float64(device.PowerBPDTIA) / float64(device.WeightBankRows))
-}
-
-// Process runs detection and amplification on a differential optical input.
-func (r *RowFrontEnd) Process(plus, minus units.Power) float64 {
-	return r.TIA.Amplify(r.BPD.Detect(plus, minus))
 }

@@ -85,21 +85,6 @@ func TestTIA(t *testing.T) {
 	if got := tia.Amplify(1e-3); math.Abs(got-1.0) > 1e-15 {
 		t.Errorf("1mA × 1kΩ = %v, want 1V", got)
 	}
-	// Programmable scale: the f'(h) hook.
-	if err := tia.SetScale(0.34); err != nil {
-		t.Fatal(err)
-	}
-	if got := tia.Amplify(1e-3); math.Abs(got-0.34) > 1e-15 {
-		t.Errorf("scaled gain = %v, want 0.34", got)
-	}
-	if tia.Scale() != 0.34 {
-		t.Errorf("Scale() = %v, want 0.34", tia.Scale())
-	}
-	for _, bad := range []float64{-1, math.NaN(), math.Inf(1)} {
-		if err := tia.SetScale(bad); err == nil {
-			t.Errorf("SetScale(%v): want error", bad)
-		}
-	}
 }
 
 func TestADCConvert(t *testing.T) {
@@ -161,22 +146,5 @@ func TestConverterEnergies(t *testing.T) {
 	got := adc.EnergyPerConversion().Picojoules()
 	if got < 5 || got > 20 {
 		t.Errorf("ADC energy/conversion = %vpJ, want ≈10.8", got)
-	}
-}
-
-func TestRowFrontEnd(t *testing.T) {
-	fe, err := NewRowFrontEnd(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Per-row power share: 12.1mW / 16 rows.
-	want := 12.1 / 16
-	if got := fe.Power().Milliwatts(); math.Abs(got-want) > 1e-9 {
-		t.Errorf("row front-end power = %vmW, want %v", got, want)
-	}
-	out := fe.Process(2*units.Milliwatt, 1*units.Milliwatt)
-	ideal := fe.TIA.Amplify(fe.BPD.DetectIdeal(2*units.Milliwatt, 1*units.Milliwatt))
-	if math.Abs(out-ideal) > math.Abs(ideal)*0.05+1e-3 {
-		t.Errorf("processed output %v too far from ideal %v", out, ideal)
 	}
 }

@@ -14,7 +14,8 @@ package core
 //
 // There is one execution walk: ForwardBatchInto for inference and
 // TrainBatch for training (trainbatch.go). Forward, Predict and TrainSample
-// run it with a batch of one.
+// run it with a batch of one; TrainEpoch and Accuracy run it over a whole
+// labelled set.
 //
 // Determinism contract: the topological order is the construction order,
 // every node's hardware passes run in that fixed order, and gradient
@@ -25,7 +26,9 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 
 	"trident/internal/device"
 	"trident/internal/nn"
@@ -35,6 +38,23 @@ import (
 
 // NodeID names a node in an execution graph.
 type NodeID int
+
+// ErrShapeOverflow reports a graph shape whose element count does not fit
+// in an int.
+var ErrShapeOverflow = errors.New("core: shape element count overflows int")
+
+// mulDims returns the product of positive dims, or false when it overflows
+// int.
+func mulDims(dims ...int) (int, bool) {
+	n := 1
+	for _, d := range dims {
+		if n > math.MaxInt/d {
+			return 0, false
+		}
+		n *= d
+	}
+	return n, true
+}
 
 type nodeKind int
 
@@ -95,8 +115,9 @@ type graphNode struct {
 // Graph is a hardware-mapped execution DAG: node 0 is the input, layer
 // nodes execute on tiled PEs, and join nodes merge branches optically.
 // Build it with Dense/Conv/GlobalAvgPool/Add/Concat, seal it with
-// SetOutput, then run the batched paths or their batch-of-one wrappers
-// Forward, Predict and TrainSample.
+// SetOutput, then run the batched paths, their batch-of-one wrappers
+// Forward, Predict and TrainSample, or the whole-set TrainEpoch and
+// Accuracy.
 type Graph struct {
 	cfg       NetworkConfig
 	nodes     []*graphNode
@@ -138,8 +159,12 @@ func NewGraph(cfg NetworkConfig, inputShape ...int) (*Graph, error) {
 		if c <= 0 || h <= 0 || w <= 0 {
 			return nil, fmt.Errorf("core: graph input shape %v must be positive", inputShape)
 		}
+		size, ok := mulDims(c, h, w)
+		if !ok {
+			return nil, fmt.Errorf("%w: graph input shape %v", ErrShapeOverflow, inputShape)
+		}
 		in.c, in.h, in.w = c, h, w
-		in.size = c * h * w
+		in.size = size
 	default:
 		return nil, fmt.Errorf("core: graph input shape must be [n] or [c h w], got %v", inputShape)
 	}
@@ -227,6 +252,13 @@ func (g *Graph) Conv(in NodeID, spec tensor.Conv2DSpec, seed int64) NodeID {
 		return g.fail("core: conv node input [%d %d %d] does not match producer [%d %d %d]",
 			spec.InC, spec.InH, spec.InW, prod.c, prod.h, prod.w)
 	}
+	// The node value (OutC·pixels) and one sample's im2col patches
+	// (InC·KH·KW·pixels) must both be addressable.
+	size, ok := mulDims(spec.OutC, spec.OutH(), spec.OutW())
+	if _, okPatches := mulDims(spec.InC, spec.KH, spec.KW, spec.OutH(), spec.OutW()); !ok || !okPatches {
+		return g.failErr(fmt.Errorf("%w: conv node %d→%d channels over %dx%d pixels with a %dx%d kernel",
+			ErrShapeOverflow, spec.InC, spec.OutC, spec.OutH(), spec.OutW(), spec.KH, spec.KW))
+	}
 	l, err := newDenseLayer(g.cfg, LayerSpec{In: spec.InC * spec.KH * spec.KW, Out: spec.OutC}, seed)
 	if err != nil {
 		return g.failErr(err)
@@ -236,7 +268,7 @@ func (g *Graph) Conv(in NodeID, spec tensor.Conv2DSpec, seed int64) NodeID {
 	g.layers = append(g.layers, l)
 	return g.push(&graphNode{
 		kind: nodeConv, in: []NodeID{in},
-		size: spec.OutC * spec.OutH() * spec.OutW(),
+		size: size,
 		c:    spec.OutC, h: spec.OutH(), w: spec.OutW(),
 		layer: l, spec: spec, act: act,
 	})
@@ -398,6 +430,74 @@ func (g *Graph) TrainSample(x []float64, label int) (float64, error) {
 	}
 	g.sampleLabel[0] = label
 	return g.TrainBatch(x, g.sampleLabel[:])
+}
+
+// TrainEpoch runs one in-situ training epoch over a labelled set: it walks
+// xs in order, batch samples at a time, through TrainBatch and returns the
+// last batch's loss. The trailing partial batch trains at its natural size;
+// a batch of one is exactly a TrainSample loop. An empty set trains nothing.
+func (g *Graph) TrainEpoch(xs []*tensor.Tensor, labels []int, batch int) (float64, error) {
+	if batch < 1 {
+		return 0, fmt.Errorf("core: training batch %d must be positive", batch)
+	}
+	if len(xs) != len(labels) {
+		return 0, fmt.Errorf("core: %d inputs vs %d labels", len(xs), len(labels))
+	}
+	in := g.InputSize()
+	buf := make([]float64, min(batch, len(xs))*in)
+	var loss float64
+	for at := 0; at < len(xs); at += batch {
+		end := min(at+batch, len(xs))
+		if err := g.pack(buf, xs[at:end]); err != nil {
+			return 0, err
+		}
+		var err error
+		if loss, err = g.TrainBatch(buf[:(end-at)*in], labels[at:end]); err != nil {
+			return 0, err
+		}
+	}
+	return loss, nil
+}
+
+// Accuracy scores the graph on a labelled set with one PredictBatch call:
+// the fraction of samples whose argmax class matches the label, and 0 for
+// an empty set. Outputs, noise streams and ledgers are those of a Predict
+// loop over the set.
+func (g *Graph) Accuracy(xs []*tensor.Tensor, labels []int) (float64, error) {
+	if len(xs) != len(labels) {
+		return 0, fmt.Errorf("core: %d inputs vs %d labels", len(xs), len(labels))
+	}
+	if len(xs) == 0 {
+		return 0, nil
+	}
+	buf := make([]float64, len(xs)*g.InputSize())
+	if err := g.pack(buf, xs); err != nil {
+		return 0, err
+	}
+	pred, err := g.PredictBatch(nil, buf, len(xs))
+	if err != nil {
+		return 0, err
+	}
+	correct := 0
+	for i, cls := range pred {
+		if cls == labels[i] {
+			correct++
+		}
+	}
+	return float64(correct) / float64(len(xs)), nil
+}
+
+// pack copies xs into dst sample-major, checking that every sample has the
+// graph's input size.
+func (g *Graph) pack(dst []float64, xs []*tensor.Tensor) error {
+	in := g.InputSize()
+	for i, x := range xs {
+		if x.Len() != in {
+			return fmt.Errorf("core: graph input %d, want %d", x.Len(), in)
+		}
+		copy(dst[i*in:], x.Data())
+	}
+	return nil
 }
 
 // col2imAddRows scatters rows [j0, j0+len(rows)) of one pixel's patch

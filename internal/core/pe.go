@@ -233,8 +233,8 @@ func (p *PE) addNoise(vs []float64, n int) {
 // stationary bank in one call: sample s occupies xs[s*n : (s+1)*n] and its
 // noisy pre-activations land in dst[s*Rows : (s+1)*Rows], both sample-major.
 // The whole batch runs through the bank's register-blocked compiled kernel
-// first (the bank draws no randomness, and its batch output is bit-identical
-// to per-sample MVM calls), then noise and pipeline energy are applied per
+// first (the bank draws no randomness, and a sample's output does not depend
+// on the batch it rides in), then noise and pipeline energy are applied per
 // sample in batch order — so the outputs, the PE's noise stream and its
 // ledger are bit-identical to running the samples one at a time as batches
 // of one. The steady-state path allocates nothing.
@@ -263,8 +263,8 @@ func (p *PE) MVMPassBatchInto(dst, xs []float64, batch, n int) ([]float64, error
 // occupies ds[s*m : (s+1)*m] and its noisy input-gradients land in
 // dst[s*Cols : (s+1)*Cols], both sample-major. Like MVMPassBatchInto, the
 // whole batch runs through the bank's compiled transpose view first (the
-// bank draws no randomness and its batch output is bit-identical to
-// per-sample TransposeMVM calls), then detection noise and pipeline energy
+// bank draws no randomness and a delta's output does not depend on the
+// batch it rides in), then detection noise and pipeline energy
 // are booked per sample in batch order, exactly like a forward pass of the
 // same optical depth — so a sample's result does not depend on the batch
 // it rides in, and the steady state is allocation-free.

@@ -190,27 +190,15 @@ func NoiseSweep(seed int64) ([]NoiseSweepRow, error) {
 			return nil, err
 		}
 		for e := 0; e < 8; e++ {
-			for i := range trainSet.Inputs {
-				if _, err := net.TrainSample(trainSet.Inputs[i].Data(), trainSet.Labels[i]); err != nil {
-					return nil, err
-				}
-			}
-		}
-		correct := 0
-		for i := range testSet.Inputs {
-			cls, err := net.Predict(testSet.Inputs[i].Data())
-			if err != nil {
+			if _, err := net.TrainEpoch(trainSet.Inputs, trainSet.Labels, 1); err != nil {
 				return nil, err
 			}
-			if cls == testSet.Labels[i] {
-				correct++
-			}
 		}
-		out = append(out, NoiseSweepRow{
-			LaserPower: pw,
-			SNRBits:    snrBitsAt(pw),
-			Accuracy:   float64(correct) / float64(testSet.Len()),
-		})
+		acc, err := net.Accuracy(testSet.Inputs, testSet.Labels)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, NoiseSweepRow{LaserPower: pw, SNRBits: snrBitsAt(pw), Accuracy: acc})
 	}
 	return out, nil
 }
@@ -261,26 +249,10 @@ func FaultRecovery(seed int64) ([]FaultRecoveryRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		eval := func() (float64, error) {
-			correct := 0
-			for i := range testSet.Inputs {
-				cls, err := net.Predict(testSet.Inputs[i].Data())
-				if err != nil {
-					return 0, err
-				}
-				if cls == testSet.Labels[i] {
-					correct++
-				}
-			}
-			return float64(correct) / float64(testSet.Len()), nil
-		}
+		eval := func() (float64, error) { return net.Accuracy(testSet.Inputs, testSet.Labels) }
 		epoch := func() error {
-			for i := range trainSet.Inputs {
-				if _, err := net.TrainSample(trainSet.Inputs[i].Data(), trainSet.Labels[i]); err != nil {
-					return err
-				}
-			}
-			return nil
+			_, err := net.TrainEpoch(trainSet.Inputs, trainSet.Labels, 1)
+			return err
 		}
 		for e := 0; e < 10; e++ {
 			if err := epoch(); err != nil {

@@ -22,8 +22,8 @@ import (
 // logical→physical map lets the controller wear-level write traffic across
 // rings, and physical rows can be masked out when their cells die beyond
 // repair — the bank keeps serving with the dead row contributing zero.
-// Internal storage (rings, tuners, weights) is physical; Program, MVM,
-// Weight and Tuner address logical rows through the map.
+// Internal storage (rings, tuners, weights) is physical; Program,
+// MVMBatchInto, Weight and Tuner address logical rows through the map.
 type WeightBank struct {
 	rows, cols int
 	plan       *optics.ChannelPlan
@@ -530,10 +530,10 @@ func (b *WeightBank) Refresh(now units.Duration) ProgramResult {
 	return res
 }
 
-// mvmPrepare is the preamble shared by every MVM kernel: it sizes dst to
-// the bank's row count (allocating only when nil or short) and clamps the
-// input length to the bank width. Keeping it in one place guarantees the
-// sizing semantics cannot drift between kernels.
+// mvmPrepare is the preamble shared by the oracle MVMs (ReferenceMVM,
+// IdealMVM): it sizes dst to the bank's row count (allocating only when nil
+// or short) and clamps the input length to the bank width. Keeping it in
+// one place guarantees the sizing semantics cannot drift between them.
 func (b *WeightBank) mvmPrepare(dst, x []float64) ([]float64, int) {
 	if cap(dst) < b.rows {
 		dst = make([]float64, b.rows)
@@ -559,28 +559,6 @@ func (b *WeightBank) rowWeights(j int) (wj []float64, ok bool) {
 	return b.weights[pr], true
 }
 
-// MVM computes the bank's optical matrix-vector product y = W·x for a
-// normalized input vector x (len ≤ N), including inter-channel crosstalk:
-// each ring also drops a small amount of its neighbours' channels, so
-//
-//	y_j = Σ_n w_jn·x_n + Σ_n Σ_{m≠n} w_jm·leak(|m−n|)·x_n
-//
-// The bank is weight-stationary, so the whole transfer function — weights,
-// crosstalk band, wear-leveling rotation and dead-row masking — is constant
-// between weight-state mutations. The production kernel exploits that: it
-// compiles a flat effective-weight matrix Weff once per epoch (see
-// compiled.go) and serves every pass as a single contiguous GEMV with zero
-// per-row indirection; ReferenceMVM keeps the O(rows·n·N) triple loop as the
-// test oracle. The result is written into dst, which is allocated if nil or
-// short. The lazily-recompiled snapshot makes a bank single-writer: callers
-// follow the one-goroutine-per-PE ownership contract of the tile-execution
-// engine.
-func (b *WeightBank) MVM(dst, x []float64) []float64 {
-	dst, n := b.mvmPrepare(dst, x)
-	b.compiledMVM(dst, x[:n])
-	return dst
-}
-
 // batchPrepare validates batched-MVM geometry (panicking on a wiring error
 // in the caller, like MVMBatchInto always has) and sizes dst to batch×rows,
 // allocating only when nil or short.
@@ -597,14 +575,27 @@ func (b *WeightBank) batchPrepare(dst, xs []float64, batch, n int) []float64 {
 	return dst[:batch*b.rows]
 }
 
-// MVMBatchInto streams a batch of input vectors through the weight-
-// stationary bank: sample s occupies xs[s*n : (s+1)*n] and its outputs land
-// in dst[s*J : (s+1)*J], both sample-major. It runs the register-blocked
-// compiled kernel (compiled.go), which amortizes each effective-weight row
-// across four samples at a time while staying bit-identical to per-sample
-// MVM calls; the steady-state path performs zero per-sample allocations. It
-// panics on inconsistent geometry (a wiring error in the caller). dst is
-// allocated when nil or short.
+// MVMBatchInto computes the bank's optical matrix-vector product y = W·x
+// for each of a batch of normalized input vectors (len n ≤ N), including
+// inter-channel crosstalk: each ring also drops a small amount of its
+// neighbours' channels, so
+//
+//	y_j = Σ_n w_jn·x_n + Σ_n Σ_{m≠n} w_jm·leak(|m−n|)·x_n
+//
+// The bank is weight-stationary, so the whole transfer function — weights,
+// crosstalk band, wear-leveling rotation and dead-row masking — is constant
+// between weight-state mutations. The production kernel exploits that: it
+// compiles a flat effective-weight matrix Weff once per epoch (see
+// compiled.go) and serves every pass as a register-blocked GEMM with zero
+// per-row indirection; ReferenceMVM keeps the O(rows·n·N) triple loop as the
+// test oracle. Sample s occupies xs[s*n : (s+1)*n] and its outputs land in
+// dst[s*J : (s+1)*J], both sample-major; a single sample is a batch of one.
+// Every output is bit-identical whatever batch its sample rides in, and the
+// steady-state path performs zero per-sample allocations. It panics on
+// inconsistent geometry (a wiring error in the caller). dst is allocated
+// when nil or short. The lazily-recompiled snapshot makes a bank
+// single-writer: callers follow the one-goroutine-per-PE ownership contract
+// of the tile-execution engine.
 func (b *WeightBank) MVMBatchInto(dst, xs []float64, batch, n int) []float64 {
 	dst = b.batchPrepare(dst, xs, batch, n)
 	b.compiledMVMBatch(dst, xs, batch, n)

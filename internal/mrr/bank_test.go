@@ -62,7 +62,7 @@ func TestProgramAndMVM(t *testing.T) {
 	}
 
 	x := []float64{1, 0.5, 0.25, 0.125}
-	y := b.MVM(nil, x)
+	y := b.MVMBatchInto(nil, x, 1, len(x))
 	want := make([]float64, 3)
 	for j := range w {
 		for n := range x {
@@ -98,7 +98,7 @@ func TestMVMCrosstalkSmallButPresent(t *testing.T) {
 	// Input only on channel 0, whose own weight is 0: any output is pure
 	// crosstalk through the neighbouring rings.
 	x := []float64{1, 0, 0, 0, 0, 0, 0, 0}
-	y := b.MVM(nil, x)
+	y := b.MVMBatchInto(nil, x, 1, len(x))
 	ideal := b.IdealMVM(nil, x)
 	if ideal[0] != 0 {
 		t.Fatalf("ideal output = %v, want 0", ideal[0])
@@ -172,7 +172,7 @@ func TestQuickMVMMatchesRealizedWeights(t *testing.T) {
 		for i := range x {
 			x[i] = rng.Float64()*2 - 1
 		}
-		y := b.MVM(nil, x)
+		y := b.MVMBatchInto(nil, x, 1, len(x))
 		ideal := b.IdealMVM(nil, x)
 		for j := range y {
 			if math.Abs(y[j]-ideal[j]) > 8*8*2e-4 {
@@ -190,12 +190,12 @@ func TestMVMReusesDst(t *testing.T) {
 	p := testPlan(t, 2)
 	b, _ := NewPCMWeightBank(2, 2, p)
 	dst := make([]float64, 2)
-	got := b.MVM(dst, []float64{1, 1})
+	got := b.MVMBatchInto(dst, []float64{1, 1}, 1, 2)
 	if &got[0] != &dst[0] {
 		t.Error("MVM must reuse a sufficiently large dst")
 	}
 	// Short input vectors only engage the leading columns.
-	y := b.MVM(nil, []float64{1})
+	y := b.MVMBatchInto(nil, []float64{1}, 1, 1)
 	if len(y) != 2 {
 		t.Errorf("output length = %d, want bank rows 2", len(y))
 	}

@@ -56,11 +56,11 @@ const (
 	// + 4 inputs) stays within a 32 KiB L1 even at large bank widths. The
 	// running accumulator round-trips through dst between k-panels — an
 	// exact float64 store/load — so per-element accumulation order, and
-	// therefore bit-identity with the single-sample kernel, is unchanged.
+	// therefore bit-identity between batch sizes, is unchanged.
 	gemmColBlock = 512
 	// gemmParallelMinWork is the rows·cols·batch product below which the
 	// batched kernel stays serial: a 16×16 PE bank never pays fan-out
-	// latency, a 256×256 serving bank always shards.
+	// latency, a 256×256 serving bank shards every batch of two or more.
 	gemmParallelMinWork = 1 << 16
 )
 
@@ -198,44 +198,21 @@ func (b *WeightBank) compileRow(j int) {
 	b.patchTransposeRow(j, row)
 }
 
-// compiledMVM is the production single-sample kernel: one naive ascending
-// dot per row over the compiled matrix. It must stay a plain
-// single-accumulator loop — the batch kernel's bit-identity to the
-// single-sample path depends on both using the same per-element
-// accumulation order. x must already be clamped to the bank width; dst must
-// have exactly rows entries.
-func (b *WeightBank) compiledMVM(dst, x []float64) {
-	b.ensureCompiled()
-	n := len(x)
-	cols := b.cols
-	for j := 0; j < b.rows; j++ {
-		row := b.weff[j*cols : j*cols+n]
-		var acc float64
-		for i, xi := range x {
-			acc += row[i] * xi
-		}
-		dst[j] = acc
-	}
-}
-
-// compiledMVMBatch is the batched production kernel: a cache-blocked GEMM
-// over the compiled matrix, sharded across the worker pool by row-block
-// ownership when the bank is large enough. Each worker owns a fixed,
-// disjoint range of output rows for the whole batch, so there is no merge
-// step and no ordering hazard — outputs are bit-identical at any worker
-// count, and (because every accumulator still sums its (row, sample) dot in
-// ascending column order) bit-identical to per-sample compiledMVM calls.
-// Geometry is validated by the caller (batchPrepare); dst is sample-major
-// batch×rows, xs sample-major batch×n. A batch of one runs compiledMVM
-// itself: the panel set-up would only add overhead to a single GEMV.
+// compiledMVMBatch is the production kernel: a cache-blocked GEMM over the
+// compiled matrix, sharded across the worker pool by row-block ownership
+// when the bank is large enough and the batch holds more than one sample.
+// Each worker owns a fixed, disjoint range of output rows for the whole
+// batch, so there is no merge step and no ordering hazard — outputs are
+// bit-identical at any worker count, and (because every accumulator still
+// sums its (row, sample) dot in ascending column order) bit-identical to
+// running each sample as a batch of one. Geometry is validated by the
+// caller (batchPrepare); dst is sample-major batch×rows, xs sample-major
+// batch×n. A batch of one stays serial: it is the single-sample GEMV, and
+// fanning out one sample's rows would only add latency.
 func (b *WeightBank) compiledMVMBatch(dst, xs []float64, batch, n int) {
 	rows := b.rows
-	if batch == 1 {
-		b.compiledMVM(dst[:rows], xs[:n])
-		return
-	}
 	b.ensureCompiled()
-	if b.pfor != nil && rows >= 2*gemmRowBlock && rows*n*batch >= gemmParallelMinWork {
+	if b.pfor != nil && batch > 1 && rows >= 2*gemmRowBlock && rows*n*batch >= gemmParallelMinWork {
 		blocks := (rows + gemmRowBlock - 1) / gemmRowBlock
 		b.pfor(blocks, func(bi int) {
 			j0 := bi * gemmRowBlock
@@ -251,8 +228,8 @@ func (b *WeightBank) compiledMVMBatch(dst, xs []float64, batch, n int) {
 // samples is streamed against the row range one gemmColBlock-wide column
 // panel at a time, so the weight and input slices the micro-kernel touches
 // stay cache-resident. k-panels run in ascending column order and the
-// accumulator round-trips through dst exactly, preserving the per-element
-// accumulation order of the single-sample kernel.
+// accumulator round-trips through dst exactly, so every output element is a
+// plain ascending dot whatever the batch size.
 //
 // The kernel is parameterized on the compiled matrix rather than bound to
 // Weff: mat row j is mat[j*ld : j*ld+n] and each sample's outputs occupy
@@ -287,7 +264,8 @@ func gemmRowRange(mat []float64, ld, outRows int, dst, xs []float64, j0, j1, bat
 // first k-panel the accumulators start at zero and the store initializes
 // dst; on later panels they resume from dst — a float64 round-trip is
 // exact, so every output element remains a plain ascending dot of one
-// (row, sample) pair, bit-identical to the single-sample compiledMVM.
+// (row, sample) pair: a batch of one, which runs only the sample-remainder
+// loop, is bit-identical to the same sample inside any larger batch.
 func gemmPanel(mat []float64, ld, outRows int, dst, xs []float64, j0, j1, s0, s1, k0, k1, n int, first bool) {
 	kw := k1 - k0
 	s := s0
@@ -340,8 +318,8 @@ func gemmPanel(mat []float64, ld, outRows int, dst, xs []float64, j0, j1, s0, s1
 			d0[j], d1[j], d2[j], d3[j] = a0, a1, a2, a3
 		}
 	}
-	// Sample remainder: single-sample column over the same k-panel, same
-	// resume-from-dst accumulation.
+	// Sample remainder (all of a batch of one): single-sample column over
+	// the same k-panel, same resume-from-dst accumulation.
 	for ; s < s1; s++ {
 		x := xs[s*n+k0 : s*n+k1]
 		d := dst[s*outRows : (s+1)*outRows]

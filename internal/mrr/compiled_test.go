@@ -105,7 +105,7 @@ func TestCompiledMatchesReferenceUnderMutation(t *testing.T) {
 				}
 				now += units.Second
 				x := randomInput(rng, width, step%3)
-				assertMatchesReference(t, b.MVM(nil, x), b.ReferenceMVM(nil, x),
+				assertMatchesReference(t, b.MVMBatchInto(nil, x, 1, len(x)), b.ReferenceMVM(nil, x),
 					fmt.Sprintf("step %d single", step))
 				if step%4 == 0 {
 					const batch = 5
@@ -168,13 +168,13 @@ func TestEveryMutatorBumpsEpoch(t *testing.T) {
 			// ApplyDrift(year) mutator also visibly moves the readout.
 			b.ApplyDrift(year / 2)
 			x := randomInput(rng, width, 0)
-			before := append([]float64(nil), b.MVM(nil, x)...) // compiles the snapshot
+			before := append([]float64(nil), b.MVMBatchInto(nil, x, 1, len(x))...) // compiles the snapshot
 			epoch := b.Epoch()
 			m.call(t, b)
 			if b.Epoch() == epoch {
 				t.Fatalf("%s did not bump the weight-state epoch: a stale compiled snapshot would be served", m.name)
 			}
-			got := b.MVM(nil, x)
+			got := b.MVMBatchInto(nil, x, 1, len(x))
 			assertMatchesReference(t, got, b.ReferenceMVM(nil, x), m.name)
 			// Sanity: the mutation visibly changed the output, so a stale
 			// snapshot could not have hidden behind an unchanged result.
@@ -210,7 +210,7 @@ func TestCompiledBatchBitIdenticalToSingle(t *testing.T) {
 			got := b.MVMBatchInto(nil, xs, batch, n)
 			single := make([]float64, rows)
 			for s := 0; s < batch; s++ {
-				b.MVM(single, xs[s*n:(s+1)*n])
+				b.MVMBatchInto(single, xs[s*n:(s+1)*n], 1, n)
 				for j := range single {
 					if got[s*rows+j] != single[j] {
 						t.Fatalf("rows=%d batch=%d sample %d row %d: batch %v, single %v",
@@ -230,7 +230,7 @@ func TestCompiledLazily(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	b := wideBank(t, rng, 8)
 	x := randomInput(rng, 8, 0)
-	b.MVM(nil, x)
+	b.MVMBatchInto(nil, x, 1, len(x))
 	if b.compiledAt != b.epoch {
 		t.Fatal("MVM did not compile the snapshot")
 	}
@@ -238,7 +238,7 @@ func TestCompiledLazily(t *testing.T) {
 	if b.compiledAt == b.epoch {
 		t.Fatal("mutation must not recompile eagerly; compilation is lazy")
 	}
-	b.MVM(nil, x)
+	b.MVMBatchInto(nil, x, 1, len(x))
 	if b.compiledAt != b.epoch {
 		t.Fatal("MVM after mutation did not recompile")
 	}

@@ -137,7 +137,7 @@ func TestIncrementalRecompileMatchesFullCompile(t *testing.T) {
 				full := fullCompileFrom(b)
 				assertSnapshotExact(t, inc, full, width, fmt.Sprintf("step %d", step))
 				x := randomInput(rng, width, step%3)
-				got, want := b.MVM(nil, x), b.ReferenceMVM(nil, x)
+				got, want := b.MVMBatchInto(nil, x, 1, len(x)), b.ReferenceMVM(nil, x)
 				for j := range want {
 					diff := math.Abs(got[j] - want[j])
 					if scale := math.Max(math.Abs(want[j]), 1); diff/scale > 1e-12 {

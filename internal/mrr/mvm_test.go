@@ -74,7 +74,7 @@ func TestCompiledKernelMatchesReference(t *testing.T) {
 		for flavour := 0; flavour < 3; flavour++ {
 			x := randomInput(rng, cols, flavour)
 			fast := make([]float64, rows)
-			b.compiledMVM(fast, x)
+			b.MVMBatchInto(fast, x, 1, len(x))
 			ref := b.ReferenceMVM(nil, x)
 			for j := range fast {
 				diff := math.Abs(fast[j] - ref[j])
@@ -108,7 +108,7 @@ func TestMVMBatchMatchesSingle(t *testing.T) {
 	}
 	single := make([]float64, b.Rows())
 	for s := 0; s < batch; s++ {
-		b.MVM(single, xs[s*n:(s+1)*n])
+		b.MVMBatchInto(single, xs[s*n:(s+1)*n], 1, n)
 		for j := range single {
 			if got[s*b.Rows()+j] != single[j] {
 				t.Fatalf("sample %d row %d: batch %v, single %v", s, j, got[s*b.Rows()+j], single[j])

@@ -10,9 +10,9 @@ import "fmt"
 // pulses, no endurance cycles, and no epoch ping-pong between forward and
 // backward orientations. This file gives the simulator the same property:
 // WeffT is a second, column-major image of the *same* compiled snapshot as
-// Weff, so Wᵀ·δ becomes one contiguous GEMV per pass (and the cache-blocked
-// batch GEMM of compiled.go for batched training), with the transpose
-// resolved once at compile time instead of once per inner-loop iteration.
+// Weff, so Wᵀ·δ runs the same cache-blocked GEMM as the forward pass
+// (compiled.go), with the transpose resolved once at compile time instead
+// of once per inner-loop iteration.
 //
 // The two views share one dirty protocol. WeffT stays nil until the first
 // transpose pass (serving-only banks never allocate it); activation is a
@@ -81,9 +81,9 @@ func (b *WeightBank) EnsureTransposeCompiled() { b.ensureTransposeCompiled() }
 // and once true, EnsureCompiled keeps both views patched.
 func (b *WeightBank) TransposeViewActive() bool { return b.wefft != nil }
 
-// tmvmPrepare is the transpose twin of mvmPrepare: dst sizes to the bank's
-// column count (the transpose output width) and the delta length clamps to
-// the row count.
+// tmvmPrepare is the transpose twin of mvmPrepare for
+// ReferenceTransposeMVM: dst sizes to the bank's column count (the
+// transpose output width) and the delta length clamps to the row count.
 func (b *WeightBank) tmvmPrepare(dst, delta []float64) ([]float64, int) {
 	if cap(dst) < b.cols {
 		dst = make([]float64, b.cols)
@@ -112,40 +112,18 @@ func (b *WeightBank) tbatchPrepare(dst, ds []float64, batch, m int) []float64 {
 	return dst[:batch*b.cols]
 }
 
-// compiledTransposeMVM is the production single-sample backward kernel: one
-// contiguous ascending dot per output column over the transpose view —
-// exactly compiledMVM's shape, so the batch kernel's bit-identity argument
-// carries over unchanged. delta must already be clamped to the bank's row
-// count; dst must have exactly cols entries.
-func (b *WeightBank) compiledTransposeMVM(dst, delta []float64) {
-	b.ensureTransposeCompiled()
-	rows := b.rows
-	for i := 0; i < b.cols; i++ {
-		col := b.wefft[i*rows : i*rows+len(delta)]
-		var acc float64
-		for j, dj := range delta {
-			acc += col[j] * dj
-		}
-		dst[i] = acc
-	}
-}
-
-// compiledTransposeMVMBatch is the batched backward kernel: the identical
-// cache-blocked, worker-pool-sharded GEMM as the forward batch path, run
-// over the transpose view (mat = wefft, ld = rows, outRows = cols). Fixed
+// compiledTransposeMVMBatch is the backward kernel: the identical
+// cache-blocked, worker-pool-sharded GEMM as the forward path, run over the
+// transpose view (mat = wefft, ld = rows, outRows = cols). Fixed
 // output-row-block ownership gives disjoint writes and no merge step, so
-// results are bit-identical at any worker count and to per-sample
-// compiledTransposeMVM calls. Geometry is validated by the caller
-// (tbatchPrepare); dst is sample-major batch×cols, ds sample-major batch×m.
-// A batch of one runs compiledTransposeMVM itself, like compiledMVMBatch.
+// results are bit-identical at any worker count and whatever batch a delta
+// rides in. Geometry is validated by the caller (tbatchPrepare); dst is
+// sample-major batch×cols, ds sample-major batch×m. A batch of one stays
+// serial, like compiledMVMBatch.
 func (b *WeightBank) compiledTransposeMVMBatch(dst, ds []float64, batch, m int) {
 	rows, cols := b.rows, b.cols
-	if batch == 1 {
-		b.compiledTransposeMVM(dst[:cols], ds[:m])
-		return
-	}
 	b.ensureTransposeCompiled()
-	if b.pfor != nil && cols >= 2*gemmRowBlock && cols*m*batch >= gemmParallelMinWork {
+	if b.pfor != nil && batch > 1 && cols >= 2*gemmRowBlock && cols*m*batch >= gemmParallelMinWork {
 		blocks := (cols + gemmRowBlock - 1) / gemmRowBlock
 		b.pfor(blocks, func(bi int) {
 			i0 := bi * gemmRowBlock
@@ -156,23 +134,15 @@ func (b *WeightBank) compiledTransposeMVMBatch(dst, ds []float64, batch, m int) 
 	gemmRowRange(b.wefft, rows, cols, dst, ds, 0, cols, batch, m)
 }
 
-// TransposeMVM computes the bank's adjoint pass out = Weffᵀ·δ for a delta
-// vector (len ≤ J): the gradient the forward operator MVM induces on its
-// input, crosstalk included. It is served from the compiled transpose view
-// — no bank reprogramming, no endurance writes, no invalidation of the
-// forward snapshot. The result is written into dst, which is allocated if
-// nil or short.
-func (b *WeightBank) TransposeMVM(dst, delta []float64) []float64 {
-	dst, m := b.tmvmPrepare(dst, delta)
-	b.compiledTransposeMVM(dst, delta[:m])
-	return dst
-}
-
-// TransposeMVMBatchInto streams a batch of delta vectors through the
-// transpose view: sample s occupies ds[s*m : (s+1)*m] and its outputs land
-// in dst[s*N : (s+1)*N], both sample-major. It runs the same
-// register-blocked GEMM as the forward batch path over the transpose view,
-// bit-identical to per-sample TransposeMVM calls at any worker count. It
+// TransposeMVMBatchInto computes the bank's adjoint pass out = Weffᵀ·δ for
+// each of a batch of delta vectors (len m ≤ J): the gradient the forward
+// operator MVMBatchInto induces on its input, crosstalk included. It is
+// served from the compiled transpose view — no bank reprogramming, no
+// endurance writes, no invalidation of the forward snapshot. Sample s
+// occupies ds[s*m : (s+1)*m] and its outputs land in dst[s*N : (s+1)*N],
+// both sample-major; a single delta is a batch of one. It runs the same
+// register-blocked GEMM as the forward path over the transpose view,
+// bit-identical whatever batch a delta rides in and at any worker count. It
 // panics on inconsistent geometry; dst is allocated when nil or short.
 func (b *WeightBank) TransposeMVMBatchInto(dst, ds []float64, batch, m int) []float64 {
 	dst = b.tbatchPrepare(dst, ds, batch, m)

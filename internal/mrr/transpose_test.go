@@ -131,7 +131,7 @@ func TestTransposeCompiledMatchesReferenceUnderMutation(t *testing.T) {
 				}
 				now += units.Second
 				delta := randomDelta(rng, rows, step%3)
-				assertTransposeMatches(t, b.TransposeMVM(nil, delta),
+				assertTransposeMatches(t, b.TransposeMVMBatchInto(nil, delta, 1, len(delta)),
 					b.ReferenceTransposeMVM(nil, delta),
 					fmt.Sprintf("step %d single", step))
 				if step%4 == 0 {
@@ -194,13 +194,13 @@ func TestTransposeSharedDirtyRowPatch(t *testing.T) {
 		t.Fatalf("dirty rows after one override: got %d, want 1", got)
 	}
 	delta := randomDelta(rng, 32, 0)
-	assertTransposeMatches(t, b.TransposeMVM(nil, delta),
+	assertTransposeMatches(t, b.TransposeMVMBatchInto(nil, delta, 1, len(delta)),
 		b.ReferenceTransposeMVM(nil, delta), "adjoint after patch")
 	if got := b.RowsCompiled() - before; got != 1 {
 		t.Fatalf("rows recompiled for one dirty row: got %d, want 1", got)
 	}
 	x := randomInput(rng, 24, 0)
-	assertMatchesReference(t, b.MVM(nil, x), b.ReferenceMVM(nil, x),
+	assertMatchesReference(t, b.MVMBatchInto(nil, x, 1, len(x)), b.ReferenceMVM(nil, x),
 		"forward after patch")
 }
 
@@ -218,7 +218,7 @@ func TestTransposeBatchBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 	want := make([]float64, batch*cols)
 	for s := 0; s < batch; s++ {
-		b.TransposeMVM(want[s*cols:(s+1)*cols], ds[s*rows:(s+1)*rows])
+		b.TransposeMVMBatchInto(want[s*cols:(s+1)*cols], ds[s*rows:(s+1)*rows], 1, rows)
 	}
 	for _, workers := range []int{0, 1, 2, 8} {
 		b.SetParallelFor(nil)
@@ -247,7 +247,7 @@ func TestTransposePassPerformsNoWrites(t *testing.T) {
 	}
 	writes, epoch := totalTunerWrites(b), b.Epoch()
 	delta := randomDelta(rng, 24, 0)
-	b.TransposeMVM(nil, delta)
+	b.TransposeMVMBatchInto(nil, delta, 1, len(delta))
 	const batch = 4
 	ds := make([]float64, batch*24)
 	for i := range ds {

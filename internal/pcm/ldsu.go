@@ -94,13 +94,6 @@ func (b *LDSUBank) Derivatives(dst []float64) []float64 {
 	return dst
 }
 
-// Clear resets every LDSU in the bank.
-func (b *LDSUBank) Clear() {
-	for i := range b.units {
-		b.units[i].Clear()
-	}
-}
-
 // EnergyConsumed returns the total latch energy across the bank.
 func (b *LDSUBank) EnergyConsumed() units.Energy {
 	var e units.Energy

@@ -159,26 +159,10 @@ func RunCampaignCtx(ctx context.Context, cfg CampaignConfig) (*CampaignResult, e
 		return nil, err
 	}
 	trainEpoch := func() error {
-		for i := range trainSet.Inputs {
-			if _, err := net.TrainSample(trainSet.Inputs[i].Data(), trainSet.Labels[i]); err != nil {
-				return err
-			}
-		}
-		return nil
+		_, err := net.TrainEpoch(trainSet.Inputs, trainSet.Labels, 1)
+		return err
 	}
-	evalAcc := func() (float64, error) {
-		correct := 0
-		for i := range testSet.Inputs {
-			cls, err := net.Predict(testSet.Inputs[i].Data())
-			if err != nil {
-				return 0, err
-			}
-			if cls == testSet.Labels[i] {
-				correct++
-			}
-		}
-		return float64(correct) / float64(testSet.Len()), nil
-	}
+	evalAcc := func() (float64, error) { return net.Accuracy(testSet.Inputs, testSet.Labels) }
 	for e := 0; e < cfg.WarmupEpochs; e++ {
 		if ctx.Err() != nil {
 			break // partial warmup; supervise loop exits immediately below

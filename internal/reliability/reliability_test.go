@@ -403,7 +403,7 @@ func TestRemediationRecompilesBanks(t *testing.T) {
 		for i := range x {
 			x[i] = rng.Float64()*2 - 1
 		}
-		got := bank.MVM(nil, x)
+		got := bank.MVMBatchInto(nil, x, 1, len(x))
 		want := bank.ReferenceMVM(nil, x)
 		for j := range want {
 			diff := math.Abs(got[j] - want[j])
@@ -465,7 +465,7 @@ func TestRemediationRecompilesTransposeView(t *testing.T) {
 		for i := range delta {
 			delta[i] = rng.Float64()*2 - 1
 		}
-		got := bank.TransposeMVM(nil, delta)
+		got := bank.TransposeMVMBatchInto(nil, delta, 1, len(delta))
 		want := bank.ReferenceTransposeMVM(nil, delta)
 		for i := range want {
 			diff := math.Abs(got[i] - want[i])

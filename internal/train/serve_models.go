@@ -86,10 +86,8 @@ func NewServeModel(kind ServeModelKind, seed int64) (*core.Network, error) {
 		return nil, err
 	}
 	for e := 0; e < rec.epochs; e++ {
-		for i := range data.Inputs {
-			if _, err := net.TrainSample(data.Inputs[i].Data(), data.Labels[i]); err != nil {
-				return nil, fmt.Errorf("train: serve model %q epoch %d: %w", kind, e, err)
-			}
+		if _, err := net.TrainEpoch(data.Inputs, data.Labels, 1); err != nil {
+			return nil, fmt.Errorf("train: serve model %q epoch %d: %w", kind, e, err)
 		}
 	}
 	return net, nil

@@ -116,28 +116,17 @@ type InSituResult struct {
 }
 
 // RunInSitu trains a two-layer GST-activated network on the hardware model
-// one sample at a time and evaluates it. The network is sized dim → hidden →
-// classes.
-func RunInSitu(data *dataset.Set, hidden, epochs int, lr float64, noisy bool) (*InSituResult, error) {
-	return RunInSituBatched(data, hidden, epochs, lr, 1, noisy)
-}
-
-// RunInSituBatched is RunInSitu with minibatch SGD: each epoch walks the
-// training set in batches of the given size through Graph.TrainBatch — one
-// batched forward, reprogram-free transpose GEMMs on the backward walk, and
-// one mean-gradient update per layer per batch — so the banks reprogram
-// once per batch instead of once per sample. batch ≤ 1 is the per-sample
-// schedule of RunInSitu (a batch of one IS a TrainSample step). The
-// trailing partial batch is trained at its natural size.
-func RunInSituBatched(data *dataset.Set, hidden, epochs int, lr float64, batch int, noisy bool) (*InSituResult, error) {
+// and evaluates it. The network is sized dim → hidden → classes. Each
+// epoch walks the training set in batches of the given size through
+// Graph.TrainEpoch: one batched forward, reprogram-free transpose GEMMs on
+// the backward walk, and one mean-gradient update per layer per batch, so
+// the banks reprogram once per batch instead of once per sample. batch ≤ 1
+// is the per-sample schedule (a batch of one IS a TrainSample step).
+func RunInSitu(data *dataset.Set, hidden, epochs int, lr float64, batch int, noisy bool) (*InSituResult, error) {
 	if data.Len() == 0 {
 		return nil, fmt.Errorf("train: empty dataset")
 	}
-	if batch < 1 {
-		batch = 1
-	}
-	trainSet, testSet := data.Split(0.8)
-	dim := trainSet.Inputs[0].Len()
+	dim := data.Inputs[0].Len()
 	net, err := core.NewNetwork(core.NetworkConfig{
 		PE:           core.PEConfig{Rows: 8, Cols: 8, DisableNoise: !noisy, NoiseSeed: 11},
 		LearningRate: lr,
@@ -148,66 +137,18 @@ func RunInSituBatched(data *dataset.Set, hidden, epochs int, lr float64, batch i
 	if err != nil {
 		return nil, err
 	}
-	xs := make([]float64, batch*dim)
-	labels := make([]int, 0, batch)
-	var loss float64
-	for e := 0; e < epochs; e++ {
-		for at := 0; at < trainSet.Len(); at += batch {
-			end := min(at+batch, trainSet.Len())
-			labels = labels[:0]
-			for i := at; i < end; i++ {
-				copy(xs[(i-at)*dim:(i-at+1)*dim], trainSet.Inputs[i].Data())
-				labels = append(labels, trainSet.Labels[i])
-			}
-			loss, err = net.TrainBatch(xs[:(end-at)*dim], labels)
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-	acc := func(s *dataset.Set) (float64, error) {
-		if s.Len() == 0 {
-			return 0, nil
-		}
-		correct := 0
-		for i := range s.Inputs {
-			cls, err := net.Predict(s.Inputs[i].Data())
-			if err != nil {
-				return 0, err
-			}
-			if cls == s.Labels[i] {
-				correct++
-			}
-		}
-		return float64(correct) / float64(s.Len()), nil
-	}
-	trainAcc, err := acc(trainSet)
-	if err != nil {
-		return nil, err
-	}
-	testAcc, err := acc(testSet)
-	if err != nil {
-		return nil, err
-	}
-	led := net.Ledger()
-	return &InSituResult{
-		TrainAccuracy: trainAcc,
-		TestAccuracy:  testAcc,
-		FinalLoss:     loss,
-		Energy:        led.TotalEnergy(),
-		TuningShare:   led.Energy(core.CatGSTTuning).Joules() / led.TotalEnergy().Joules(),
-	}, nil
+	return fitAndScore(net.Graph, data, epochs, max(batch, 1))
 }
 
 // RunBranched trains the branched hardware miniature — residual add plus
-// channel concat on the shared execution graph — in-situ on image data and
-// evaluates it. Inputs must be C×H×W tensors with square spatial extent.
+// channel concat on the shared execution graph — in-situ on image data, one
+// sample at a time, and evaluates it. Inputs must be C×H×W tensors with
+// square spatial extent.
 func RunBranched(data *dataset.Set, epochs int, lr float64, noisy bool) (*InSituResult, error) {
 	if data.Len() == 0 {
 		return nil, fmt.Errorf("train: empty dataset")
 	}
-	trainSet, testSet := data.Split(0.8)
-	img := trainSet.Inputs[0]
+	img := data.Inputs[0]
 	if img.Rank() != 3 || img.Dim(1) != img.Dim(2) {
 		return nil, fmt.Errorf("train: branched model needs square C×H×W inputs, got shape %v", img.Shape())
 	}
@@ -218,36 +159,26 @@ func RunBranched(data *dataset.Set, epochs int, lr float64, noisy bool) (*InSitu
 	if err != nil {
 		return nil, err
 	}
+	return fitAndScore(g, data, epochs, 1)
+}
+
+// fitAndScore is the shared tail of the in-situ runs: split the data 80/20,
+// train epochs passes over the training split in batches of the given
+// size, then score both splits and summarize the ledger.
+func fitAndScore(g *core.Graph, data *dataset.Set, epochs, batch int) (*InSituResult, error) {
+	trainSet, testSet := data.Split(0.8)
 	var loss float64
 	for e := 0; e < epochs; e++ {
-		for i := range trainSet.Inputs {
-			loss, err = g.TrainSample(trainSet.Inputs[i].Data(), trainSet.Labels[i])
-			if err != nil {
-				return nil, err
-			}
+		var err error
+		if loss, err = g.TrainEpoch(trainSet.Inputs, trainSet.Labels, batch); err != nil {
+			return nil, err
 		}
 	}
-	acc := func(s *dataset.Set) (float64, error) {
-		if s.Len() == 0 {
-			return 0, nil
-		}
-		correct := 0
-		for i := range s.Inputs {
-			cls, err := g.Predict(s.Inputs[i].Data())
-			if err != nil {
-				return 0, err
-			}
-			if cls == s.Labels[i] {
-				correct++
-			}
-		}
-		return float64(correct) / float64(s.Len()), nil
-	}
-	trainAcc, err := acc(trainSet)
+	trainAcc, err := g.Accuracy(trainSet.Inputs, trainSet.Labels)
 	if err != nil {
 		return nil, err
 	}
-	testAcc, err := acc(testSet)
+	testAcc, err := g.Accuracy(testSet.Inputs, testSet.Labels)
 	if err != nil {
 		return nil, err
 	}

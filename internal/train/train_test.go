@@ -94,7 +94,7 @@ func TestStepTimesOrdering(t *testing.T) {
 // on separable data and spends most of its energy on GST tuning.
 func TestRunInSituLearns(t *testing.T) {
 	data := dataset.Blobs(150, 3, 6, 0.1, 7)
-	res, err := RunInSitu(data, 16, 10, 0.08, false)
+	res, err := RunInSitu(data, 16, 10, 0.08, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,18 +107,18 @@ func TestRunInSituLearns(t *testing.T) {
 	if res.TuningShare < 0.5 {
 		t.Errorf("tuning share = %.2f, expected dominant per Table III", res.TuningShare)
 	}
-	if _, err := RunInSitu(&dataset.Set{}, 4, 1, 0.1, false); err == nil {
+	if _, err := RunInSitu(&dataset.Set{}, 4, 1, 0.1, 1, false); err == nil {
 		t.Error("empty dataset: want error")
 	}
 }
 
-// TestRunInSituBatchedLearns: the minibatch schedule must learn the same
-// task through the batched reprogram-free backward path, and a batch of
-// one must reproduce the per-sample RunInSitu schedule exactly — same
-// noise draws, same weight trajectory, same ledger.
-func TestRunInSituBatchedLearns(t *testing.T) {
+// TestRunInSituMinibatchLearns: the minibatch schedule must learn the same
+// task through the batched reprogram-free backward path, and a batch below
+// one must run the per-sample schedule exactly — same noise draws, same
+// weight trajectory, same ledger.
+func TestRunInSituMinibatchLearns(t *testing.T) {
 	data := dataset.Blobs(150, 3, 6, 0.1, 7)
-	res, err := RunInSituBatched(data, 16, 10, 0.08, 8, false)
+	res, err := RunInSitu(data, 16, 10, 0.08, 8, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,18 +128,18 @@ func TestRunInSituBatchedLearns(t *testing.T) {
 	if res.Energy <= 0 {
 		t.Error("energy ledger empty")
 	}
-	single, err := RunInSitu(data, 16, 4, 0.08, true)
+	single, err := RunInSitu(data, 16, 4, 0.08, 1, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batchOne, err := RunInSituBatched(data, 16, 4, 0.08, 1, true)
+	clamped, err := RunInSitu(data, 16, 4, 0.08, 0, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if *single != *batchOne {
-		t.Errorf("batch-of-one run diverged from per-sample run:\n  single %+v\n  batched %+v", single, batchOne)
+	if *single != *clamped {
+		t.Errorf("batch 0 diverged from the per-sample run:\n  batch 1 %+v\n  batch 0 %+v", single, clamped)
 	}
-	if _, err := RunInSituBatched(&dataset.Set{}, 4, 1, 0.1, 4, false); err == nil {
+	if _, err := RunInSitu(&dataset.Set{}, 4, 1, 0.1, 4, false); err == nil {
 		t.Error("empty dataset: want error")
 	}
 }
@@ -147,7 +147,7 @@ func TestRunInSituBatchedLearns(t *testing.T) {
 // TestRunInSituWithNoise: analog noise must not destroy learning.
 func TestRunInSituWithNoise(t *testing.T) {
 	data := dataset.Blobs(150, 3, 6, 0.1, 9)
-	res, err := RunInSitu(data, 16, 10, 0.08, true)
+	res, err := RunInSitu(data, 16, 10, 0.08, 1, true)
 	if err != nil {
 		t.Fatal(err)
 	}
