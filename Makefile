@@ -17,12 +17,16 @@ tier1-fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 
-# Examples: run every examples/* program end to end; a non-zero exit fails
-# the target. The examples have no tests of their own, and they call public
-# entry points (PE.Infer, train.RunInSitu, ...) that the tests reach only
-# indirectly.
+# Examples: run every examples/* program end to end, then the extended
+# paper tables (the only non-test caller of the DFA comparison and the QAT
+# run) and a one-sample `trident train` (the tiny-dataset path through the
+# in-situ run and the digital baseline); a non-zero exit fails the target.
+# The examples have no tests of their own, and they call public entry points
+# (PE.Infer, train.RunInSitu, ...) that the tests reach only indirectly.
 examples:
 	@set -e; for d in examples/*/; do echo "go run ./$$d"; $(GO) run ./$$d > /dev/null; done
+	@echo "go run ./cmd/papertables -extended"; $(GO) run ./cmd/papertables -extended > /dev/null
+	@echo "go run ./cmd/trident train -samples 1 -epochs 1"; $(GO) run ./cmd/trident train -samples 1 -epochs 1 > /dev/null
 
 # Tier 2: static analysis + race-detector run over the whole repo.
 tier2:

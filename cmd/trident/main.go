@@ -170,6 +170,14 @@ func cmdTrain(args []string) {
 		cmdLifetime(*seed)
 		return
 	}
+	switch {
+	case *samples < 1:
+		log.Fatalf("-samples %d: need at least 1 sample", *samples)
+	case *classes < 2:
+		log.Fatalf("-classes %d: need at least 2 classes", *classes)
+	case *dim < 1:
+		log.Fatalf("-dim %d: need at least 1 input dimension", *dim)
+	}
 	var data *dataset.Set
 	var res *train.InSituResult
 	var err error
@@ -200,7 +208,10 @@ func cmdTrain(args []string) {
 	fmt.Printf("  final loss       %.4f\n", res.FinalLoss)
 	fmt.Printf("  energy           %v (%.1f%% GST tuning)\n", res.Energy, res.TuningShare*100)
 	if *model == "mlp" {
-		digital := train.DigitalBaselineAccuracy(data, *hidden, *epochs, *lr, 1)
+		digital, err := train.DigitalBaselineAccuracy(data, *hidden, *epochs, *lr, 1)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("  digital baseline %.1f%%\n", digital*100)
 	}
 }

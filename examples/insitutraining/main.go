@@ -43,7 +43,10 @@ func main() {
 	}
 	report(noisy)
 
-	digital := train.DigitalBaselineAccuracy(data, 16, 10, 0.08, 7)
+	digital, err := train.DigitalBaselineAccuracy(data, 16, 10, 0.08, 7)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\ndigital float baseline (same architecture): %.1f%% test accuracy\n", digital*100)
 
 	fmt.Println("\n== Offline-train-then-map mismatch (Section I motivation) ==")

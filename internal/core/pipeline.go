@@ -164,14 +164,8 @@ func (p *Pipeline) Stages() int { return len(p.stages) }
 // Cuts returns the node indices each stage boundary falls after.
 func (p *Pipeline) Cuts() []int { return append([]int(nil), p.cuts...) }
 
-// Graph returns the underlying execution graph.
-func (p *Pipeline) Graph() *Graph { return p.g }
-
 // InputSize returns the graph input width (the serve.Engine contract).
 func (p *Pipeline) InputSize() int { return p.g.InputSize() }
-
-// OutputSize returns the graph output width.
-func (p *Pipeline) OutputSize() int { return p.g.OutputSize() }
 
 // StageOccupancy returns each stage's busy-time fraction of the last
 // ForwardBatchPipelined call's wall time — the serving stats' per-stage
@@ -402,11 +396,4 @@ func (p *Pipeline) PredictBatchCtx(ctx context.Context, dst []int, xs []float64,
 	}
 	p.logits = logits
 	return argmaxRows(dst, logits, batch, p.g.nodes[p.g.output].size), nil
-}
-
-// PredictBatch is PredictBatchCtx without cancellation — the twin-replay
-// entry point, so a journal recorded against a pipelined instance replays
-// through the same engine shape.
-func (p *Pipeline) PredictBatch(dst []int, xs []float64, batch int) ([]int, error) {
-	return p.PredictBatchCtx(context.Background(), dst, xs, batch)
 }

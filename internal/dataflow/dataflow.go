@@ -138,15 +138,6 @@ func mapMatrix(name string, kind models.LayerKind, g Geometry, rowsM, colsM, pix
 
 func ceilDiv(a, b int64) int64 { return (a + b - 1) / b }
 
-// TotalTiles sums tiles across layers.
-func (m *Mapping) TotalTiles() int64 {
-	var t int64
-	for _, l := range m.Layers {
-		t += l.Tiles
-	}
-	return t
-}
-
 // TotalActivePECycles sums tiles × pixels across layers: the number of
 // (PE, cycle) pairs actually streaming data. Energy scales with this —
 // idle PEs in a partially filled wave are clock-gated — while wall time

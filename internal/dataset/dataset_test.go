@@ -200,7 +200,7 @@ func TestDigitsLearnable(t *testing.T) {
 			nn.TrainStep(net, opt, train.Inputs[i], train.Labels[i])
 		}
 	}
-	if acc := nn.Accuracy(net, test.Inputs, test.Labels); acc < 0.95 {
+	if acc := nn.Accuracy(net.Forward, test.Inputs, test.Labels); acc < 0.95 {
 		t.Errorf("digits accuracy = %.2f, want ≥ 0.95", acc)
 	}
 }

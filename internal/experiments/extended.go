@@ -60,7 +60,7 @@ func DFAComparison(seed int64) (*DFAResult, error) {
 			nn.TrainStep(bp, nn.SGD{LearningRate: lr}, trainSet.Inputs[i], trainSet.Labels[i])
 		}
 	}
-	bpAcc := nn.Accuracy(bp, testSet.Inputs, testSet.Labels)
+	bpAcc := nn.Accuracy(bp.Forward, testSet.Inputs, testSet.Labels)
 
 	dfa, err := nn.NewDFATrainer([]nn.DFABlock{
 		{Param: nn.NewConv2D("c1", spec1, seed), Act: nn.NewReLU("r1")},
@@ -75,7 +75,7 @@ func DFAComparison(seed int64) (*DFAResult, error) {
 			dfa.TrainStep(lr, trainSet.Inputs[i], trainSet.Labels[i])
 		}
 	}
-	dfaAcc := dfa.Accuracy(testSet.Inputs, testSet.Labels)
+	dfaAcc := nn.Accuracy(dfa.Forward, testSet.Inputs, testSet.Labels)
 	return &DFAResult{BPAccuracy: bpAcc, DFAAccuracy: dfaAcc, Gap: bpAcc - dfaAcc}, nil
 }
 

@@ -5,11 +5,11 @@ import (
 	"trident/internal/tensor"
 )
 
-// Hardware counterparts of the branched miniatures: the same structural
-// ideas as MiniInception/MiniResNet — parallel branches, residual
-// shortcut, channel merge — expressed on the hardware-functional execution
-// graph, so they train in-situ through the PCM banks, GST activations and
-// LDSU backward passes instead of the digital reference.
+// Hardware miniature of the branched evaluation architectures: the
+// structural ideas of GoogleNet and ResNet-50 — parallel branches,
+// residual shortcut, channel merge — expressed on the hardware-functional
+// execution graph, so it trains in-situ through the PCM banks, GST
+// activations and LDSU backward passes instead of the digital reference.
 
 // HardwareMiniBranched builds a residual-plus-concat miniature on c×hw×hw
 // inputs, entirely on Trident hardware:

@@ -7,18 +7,18 @@ import (
 	"trident/internal/tensor"
 )
 
-// Instantiate builds a runnable nn.Network from a sequential model
-// descriptor at an arbitrary square input resolution: the same channel
-// counts, kernels, strides and classifier widths, with spatial sizes (and
-// the first classifier's fan-in) recomputed for the smaller input. This is
-// how the test-suite and examples run "real VGG-16-shaped" networks at
-// laptop scale: the 224×224 evaluation geometry feeds the cost models, the
-// scaled instance feeds the functional ones.
+// Instantiate builds the runnable layer chain of a sequential model
+// descriptor (nn.NewNetwork runs it) at an arbitrary square input
+// resolution: the same channel counts, kernels, strides and classifier
+// widths, with spatial sizes (and the first classifier's fan-in)
+// recomputed for the smaller input. This is how the test-suite runs "real
+// VGG-16-shaped" networks at laptop scale: the 224×224 evaluation geometry
+// feeds the cost models, the scaled instance feeds the functional ones.
 //
 // classes overrides the final classifier width (the descriptors' 1000-way
 // ImageNet head is rarely wanted at small scale). useGST selects the GST
 // photonic activation instead of ReLU for every activation layer.
-func Instantiate(m *Model, inputHW, classes int, useGST bool, seed int64) (*nn.Network, error) {
+func Instantiate(m *Model, inputHW, classes int, useGST bool, seed int64) ([]nn.Layer, error) {
 	if !m.Sequential {
 		return nil, fmt.Errorf("models: %s is branched; only sequential models (AlexNet, VGG-16) can be replayed as a chain", m.Name)
 	}
@@ -92,5 +92,5 @@ func Instantiate(m *Model, inputHW, classes int, useGST bool, seed int64) (*nn.N
 			return nil, fmt.Errorf("models: %s contains a concat; not sequential", m.Name)
 		}
 	}
-	return nn.NewNetwork(layers...), nil
+	return layers, nil
 }

@@ -25,10 +25,11 @@ func TestInstantiateValidation(t *testing.T) {
 // TestInstantiateVGGAt32 builds a runnable VGG-16 at 32×32 (the CIFAR
 // geometry) and checks the forward shape and trainability.
 func TestInstantiateVGGAt32(t *testing.T) {
-	net, err := Instantiate(VGG16(), 32, 10, false, 7)
+	layers, err := Instantiate(VGG16(), 32, 10, false, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
+	net := nn.NewNetwork(layers...)
 	x := tensor.New(3, 32, 32)
 	for i := range x.Data() {
 		x.Data()[i] = 0.01 * float64(i%17)
@@ -38,7 +39,7 @@ func TestInstantiateVGGAt32(t *testing.T) {
 		t.Fatalf("output = %d classes, want 10", out.Len())
 	}
 	// 32 → five pools of stride 2 → 1×1×512 into fc6.
-	for _, l := range net.Layers() {
+	for _, l := range layers {
 		if d, ok := l.(*nn.Dense); ok {
 			if d.Name() == "fc6" && d.W.Value.Dim(1) != 512 {
 				t.Errorf("fc6 fan-in = %d, want 512 at 32×32", d.W.Value.Dim(1))
@@ -57,12 +58,12 @@ func TestInstantiateVGGAt32(t *testing.T) {
 // TestInstantiateAlexNetGST builds AlexNet at 96×96 with the photonic
 // activation in place of ReLU.
 func TestInstantiateAlexNetGST(t *testing.T) {
-	net, err := Instantiate(AlexNet(), 64, 5, true, 11)
+	layers, err := Instantiate(AlexNet(), 64, 5, true, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sawGST := false
-	for _, l := range net.Layers() {
+	for _, l := range layers {
 		if _, ok := l.(*nn.GSTActivation); ok {
 			sawGST = true
 		}
@@ -74,7 +75,7 @@ func TestInstantiateAlexNetGST(t *testing.T) {
 		t.Fatal("no GST activation layers present")
 	}
 	x := tensor.New(3, 64, 64)
-	out := net.Forward(x)
+	out := nn.NewNetwork(layers...).Forward(x)
 	if out.Len() != 5 {
 		t.Fatalf("output = %d classes, want 5", out.Len())
 	}
@@ -83,12 +84,12 @@ func TestInstantiateAlexNetGST(t *testing.T) {
 // TestInstantiateLayerCounts: the runnable chain carries the same number
 // of conv and dense layers as the descriptor.
 func TestInstantiateLayerCounts(t *testing.T) {
-	net, err := Instantiate(AlexNet(), 64, 10, false, 3)
+	layers, err := Instantiate(AlexNet(), 64, 10, false, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var convs, denses int
-	for _, l := range net.Layers() {
+	for _, l := range layers {
 		switch l.(type) {
 		case *nn.Conv2D:
 			convs++

@@ -181,11 +181,6 @@ func (b *builder) maxpool(name string, k, stride int, ceil bool) *builder {
 	return b.pool(name, KindMaxPool, k, stride, ceil)
 }
 
-// avgpool appends average pooling.
-func (b *builder) avgpool(name string, k, stride int) *builder {
-	return b.pool(name, KindAvgPool, k, stride, false)
-}
-
 func (b *builder) pool(name string, kind LayerKind, k, stride int, ceil bool) *builder {
 	outH := (b.h-k)/stride + 1
 	outW := (b.w-k)/stride + 1

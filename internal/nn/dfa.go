@@ -144,22 +144,3 @@ func (t *DFATrainer) TrainStep(lr float64, x *tensor.Tensor, label int) float64 
 	}
 	return loss
 }
-
-// Predict returns the argmax class.
-func (t *DFATrainer) Predict(x *tensor.Tensor) int {
-	return t.Forward(x).ArgMax()
-}
-
-// Accuracy evaluates the trainer's network.
-func (t *DFATrainer) Accuracy(xs []*tensor.Tensor, labels []int) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	correct := 0
-	for i, x := range xs {
-		if t.Predict(x) == labels[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(xs))
-}

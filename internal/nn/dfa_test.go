@@ -49,7 +49,7 @@ func TestDFALearnsDenseTask(t *testing.T) {
 	if last >= first {
 		t.Errorf("DFA loss did not decrease: %v → %v", first, last)
 	}
-	if acc := tr.Accuracy(xs, labels); acc < 0.9 {
+	if acc := Accuracy(tr.Forward, xs, labels); acc < 0.9 {
 		t.Errorf("DFA dense accuracy = %.2f, want ≥ 0.9", acc)
 	}
 }

@@ -6,9 +6,11 @@ import (
 	"trident/internal/tensor"
 )
 
-// Graph is a directed acyclic network supporting the two join operations
-// the branched evaluation models need: channel-wise concatenation
-// (inception modules) and element-wise addition (residual shortcuts).
+// Graph is the digital reference's one model type: a directed acyclic
+// network of layers (NewNetwork builds a plain chain) supporting the two
+// join operations the branched evaluation models need: channel-wise
+// concatenation (inception modules) and element-wise addition (residual
+// shortcuts).
 // Nodes may only reference earlier nodes, so insertion order is a
 // topological order and forward/backward are single passes.
 type Graph struct {
@@ -216,29 +218,4 @@ func (g *Graph) accumulate(id NodeID, grad *tensor.Tensor) {
 		return
 	}
 	g.grads[id].AddInPlace(grad)
-}
-
-// GraphTrainStep runs one SGD step on a graph classifier and returns the
-// loss.
-func GraphTrainStep(g *Graph, opt Optimizer, x *tensor.Tensor, label int) float64 {
-	g.ZeroGrad()
-	logits := g.Forward(x)
-	loss, grad := CrossEntropyLoss(logits, label)
-	g.Backward(grad)
-	opt.Step(g.Params())
-	return loss
-}
-
-// GraphAccuracy evaluates a graph classifier.
-func GraphAccuracy(g *Graph, xs []*tensor.Tensor, labels []int) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	correct := 0
-	for i, x := range xs {
-		if g.Forward(x).ArgMax() == labels[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(xs))
 }

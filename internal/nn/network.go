@@ -7,62 +7,20 @@ import (
 	"trident/internal/tensor"
 )
 
-// Network is a sequential stack of layers.
-type Network struct {
-	layers []Layer
-}
-
-// NewNetwork returns a sequential network over the given layers.
-func NewNetwork(layers ...Layer) *Network {
+// NewNetwork returns a sequential network over the given layers: a graph
+// whose nodes form one chain from the input to the last layer, with the
+// output already set.
+func NewNetwork(layers ...Layer) *Graph {
 	if len(layers) == 0 {
 		panic("nn: network needs at least one layer")
 	}
-	return &Network{layers: layers}
-}
-
-// Layers returns the layer stack.
-func (n *Network) Layers() []Layer { return n.layers }
-
-// Params returns every trainable parameter in the network.
-func (n *Network) Params() []*Param {
-	var ps []*Param
-	for _, l := range n.layers {
-		ps = append(ps, l.Params()...)
+	g := NewGraph()
+	id := g.Input()
+	for _, l := range layers {
+		id = g.Layer(l, id)
 	}
-	return ps
-}
-
-// ParamCount returns the total number of scalar parameters.
-func (n *Network) ParamCount() int {
-	total := 0
-	for _, p := range n.Params() {
-		total += p.Value.Len()
-	}
-	return total
-}
-
-// Forward runs the full forward pass.
-func (n *Network) Forward(x *tensor.Tensor) *tensor.Tensor {
-	for _, l := range n.layers {
-		x = l.Forward(x)
-	}
-	return x
-}
-
-// Backward propagates an output gradient to the input, accumulating
-// parameter gradients along the way.
-func (n *Network) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	for i := len(n.layers) - 1; i >= 0; i-- {
-		grad = n.layers[i].Backward(grad)
-	}
-	return grad
-}
-
-// ZeroGrad clears every parameter gradient.
-func (n *Network) ZeroGrad() {
-	for _, p := range n.Params() {
-		p.ZeroGrad()
-	}
+	g.SetOutput(id)
+	return g
 }
 
 // Softmax writes the softmax of logits into a new slice, using the max-
@@ -126,22 +84,19 @@ func (s SGD) Step(params []*Param) {
 
 // TrainStep runs one forward/backward/update cycle on a single example and
 // returns the loss — the digital reference for what Trident does in-situ.
-func TrainStep(n *Network, opt SGD, x *tensor.Tensor, label int) float64 {
-	n.ZeroGrad()
-	logits := n.Forward(x)
+func TrainStep(g *Graph, opt SGD, x *tensor.Tensor, label int) float64 {
+	g.ZeroGrad()
+	logits := g.Forward(x)
 	loss, grad := CrossEntropyLoss(logits, label)
-	n.Backward(grad)
-	opt.Step(n.Params())
+	g.Backward(grad)
+	opt.Step(g.Params())
 	return loss
 }
 
-// Predict returns the argmax class of the network on x.
-func Predict(n *Network, x *tensor.Tensor) int {
-	return n.Forward(x).ArgMax()
-}
-
-// Accuracy evaluates classification accuracy over a dataset.
-func Accuracy(n *Network, xs []*tensor.Tensor, labels []int) float64 {
+// Accuracy evaluates classification accuracy over a dataset: the fraction
+// of inputs whose forward output peaks at the label. forward is any
+// classifier's forward pass (Graph.Forward, DFATrainer.Forward).
+func Accuracy(forward func(*tensor.Tensor) *tensor.Tensor, xs []*tensor.Tensor, labels []int) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
@@ -150,7 +105,7 @@ func Accuracy(n *Network, xs []*tensor.Tensor, labels []int) float64 {
 	}
 	correct := 0
 	for i, x := range xs {
-		if Predict(n, x) == labels[i] {
+		if forward(x).ArgMax() == labels[i] {
 			correct++
 		}
 	}

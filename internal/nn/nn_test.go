@@ -27,7 +27,7 @@ func numericalGrad(p *Param, eval func() float64) []float64 {
 
 // checkGradients verifies analytic parameter gradients and the input
 // gradient of a single-layer network against finite differences.
-func checkGradients(t *testing.T, net *Network, x *tensor.Tensor, label int, tol float64) {
+func checkGradients(t *testing.T, net *Graph, x *tensor.Tensor, label int, tol float64) {
 	t.Helper()
 	eval := func() float64 {
 		loss, _ := CrossEntropyLoss(net.Forward(x), label)
@@ -232,7 +232,11 @@ func TestNetworkParamCount(t *testing.T) {
 		NewReLU("r"),
 		NewDense("fc2", 20, 5, 2), // 100 + 5
 	)
-	if got := net.ParamCount(); got != 325 {
+	total := 0
+	for _, p := range net.Params() {
+		total += p.Value.Len()
+	}
+	if got := total; got != 325 {
 		t.Errorf("param count = %d, want 325", got)
 	}
 }
@@ -259,7 +263,7 @@ func TestTrainingConvergesXOR(t *testing.T) {
 			TrainStep(net, opt, xs[i], labels[i])
 		}
 	}
-	if acc := Accuracy(net, xs, labels); acc != 1.0 {
+	if acc := Accuracy(net.Forward, xs, labels); acc != 1.0 {
 		t.Errorf("XOR accuracy = %v, want 1.0", acc)
 	}
 }
@@ -279,7 +283,7 @@ func TestSGDStepDirection(t *testing.T) {
 
 func TestAccuracyValidation(t *testing.T) {
 	net := NewNetwork(NewDense("fc", 2, 2, 31))
-	if got := Accuracy(net, nil, nil); got != 0 {
+	if got := Accuracy(net.Forward, nil, nil); got != 0 {
 		t.Errorf("empty accuracy = %v, want 0", got)
 	}
 	defer func() {
@@ -287,5 +291,69 @@ func TestAccuracyValidation(t *testing.T) {
 			t.Error("mismatched lengths should panic")
 		}
 	}()
-	Accuracy(net, []*tensor.Tensor{tensor.New(2)}, []int{0, 1})
+	Accuracy(net.Forward, []*tensor.Tensor{tensor.New(2)}, []int{0, 1})
+}
+
+// TestNewNetworkMatchesLayerChain: a sequential network is a plain chain —
+// training it with TrainStep is bit-identical to calling each layer's
+// Forward in order, Backward in reverse and SGD.Step over the layers'
+// parameters by hand, on a dense stack and on a conv stack.
+func TestNewNetworkMatchesLayerChain(t *testing.T) {
+	spec := tensor.Conv2DSpec{InC: 1, InH: 5, InW: 5, OutC: 2, KH: 3, KW: 3,
+		StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, Groups: 1}
+	for name, c := range map[string]struct {
+		layers func() []Layer
+		shape  []int
+	}{
+		"dense": {func() []Layer {
+			return []Layer{NewDense("fc1", 4, 6, 41), NewGSTActivation("gst", 0), NewDense("fc2", 6, 3, 42)}
+		}, []int{4}},
+		"conv": {func() []Layer {
+			return []Layer{NewConv2D("conv", spec, 43), NewReLU("relu"), NewFlatten("flat"), NewDense("fc", 50, 3, 44)}
+		}, []int{1, 5, 5}},
+	} {
+		chain := c.layers()
+		net := NewNetwork(c.layers()...)
+		var chainParams []*Param
+		for _, l := range chain {
+			chainParams = append(chainParams, l.Params()...)
+		}
+		if len(net.Params()) != len(chainParams) {
+			t.Fatalf("%s: %d params, layer chain %d", name, len(net.Params()), len(chainParams))
+		}
+		opt := SGD{LearningRate: 0.05}
+		rng := rand.New(rand.NewSource(45))
+		for step := 0; step < 24; step++ {
+			x := tensor.New(c.shape...)
+			for i := range x.Data() {
+				x.Data()[i] = rng.NormFloat64()
+			}
+			label := step % 3
+			got := TrainStep(net, opt, x, label)
+
+			for _, p := range chainParams {
+				p.ZeroGrad()
+			}
+			out := x
+			for _, l := range chain {
+				out = l.Forward(out)
+			}
+			want, grad := CrossEntropyLoss(out, label)
+			for i := len(chain) - 1; i >= 0; i-- {
+				grad = chain[i].Backward(grad)
+			}
+			opt.Step(chainParams)
+
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s step %d: loss %v, layer chain %v", name, step, got, want)
+			}
+		}
+		for i, p := range net.Params() {
+			for j, v := range p.Value.Data() {
+				if math.Float64bits(v) != math.Float64bits(chainParams[i].Value.Data()[j]) {
+					t.Fatalf("%s: %s[%d] = %v, layer chain %v", name, p.Name, j, v, chainParams[i].Value.Data()[j])
+				}
+			}
+		}
+	}
 }

@@ -15,19 +15,16 @@ import (
 // separate how much of the 6-bit thermal accuracy loss is quantization
 // (QAT recovers it) versus device variation (QAT cannot see it).
 type QATTrainer struct {
-	net   *Network
-	opt   Optimizer
+	net   *Graph
+	opt   SGD
 	quant *fixed.Quantizer
-	// saved holds the float master values while the quantized copies are
-	// resident in the layers.
-	saved [][]float64
 }
 
 // NewQATTrainer wraps a network for quantization-aware training at the
 // given weight resolution.
-func NewQATTrainer(net *Network, opt Optimizer, bits int) (*QATTrainer, error) {
-	if net == nil || opt == nil {
-		return nil, fmt.Errorf("nn: QAT needs a network and an optimizer")
+func NewQATTrainer(net *Graph, opt SGD, bits int) (*QATTrainer, error) {
+	if net == nil {
+		return nil, fmt.Errorf("nn: QAT needs a network")
 	}
 	q, err := fixed.ForBits(bits)
 	if err != nil {
@@ -36,52 +33,58 @@ func NewQATTrainer(net *Network, opt Optimizer, bits int) (*QATTrainer, error) {
 	return &QATTrainer{net: net, opt: opt, quant: q}, nil
 }
 
-// quantizeInPlace swaps quantized parameter values in, saving the masters.
-// Each tensor is scaled by its max-abs before hitting the [-1,1] grid, the
-// same per-tensor normalization the control unit applies when mapping.
-func (t *QATTrainer) quantizeInPlace() {
-	params := t.net.Params()
-	t.saved = t.saved[:0]
+// quantizeParams swaps hardware-grid copies of the parameters in and
+// returns the float masters, one slice per parameter in order. Each tensor
+// is scaled by its max-abs before hitting the [-1,1] grid, the same
+// per-tensor normalization the control unit applies when mapping; a
+// non-nil variation adds one programming-error draw per weight, on the
+// grid's scale, in parameter order.
+func quantizeParams(params []*Param, q *fixed.Quantizer, variation func() float64) [][]float64 {
+	saved := make([][]float64, 0, len(params))
 	for _, p := range params {
-		t.saved = append(t.saved, append([]float64(nil), p.Value.Data()...))
+		saved = append(saved, append([]float64(nil), p.Value.Data()...))
 		scale := p.Value.MaxAbs()
 		if scale == 0 {
 			scale = 1
 		}
 		for i, v := range p.Value.Data() {
-			p.Value.Data()[i] = t.quant.Quantize(v/scale) * scale
+			w := q.Quantize(v / scale)
+			if variation != nil {
+				w += variation()
+			}
+			p.Value.Data()[i] = w * scale
 		}
+	}
+	return saved
+}
+
+// restoreParams puts the float masters saved by quantizeParams back.
+func restoreParams(params []*Param, saved [][]float64) {
+	for i, p := range params {
+		copy(p.Value.Data(), saved[i])
 	}
 }
 
-// restore puts the float masters back.
-func (t *QATTrainer) restore() {
-	for i, p := range t.net.Params() {
-		copy(p.Value.Data(), t.saved[i])
-	}
+// QuantizedAccuracy evaluates g with its parameters mapped onto the
+// quantizer's grid (plus variation, when non-nil) — the deployed
+// condition — and restores the float masters afterwards.
+func QuantizedAccuracy(g *Graph, q *fixed.Quantizer, variation func() float64, xs []*tensor.Tensor, labels []int) float64 {
+	params := g.Params()
+	saved := quantizeParams(params, q, variation)
+	defer restoreParams(params, saved)
+	return Accuracy(g.Forward, xs, labels)
 }
 
 // TrainStep runs one QAT step: quantized forward/backward (straight-through
 // gradients), full-precision update.
 func (t *QATTrainer) TrainStep(x *tensor.Tensor, label int) float64 {
+	params := t.net.Params()
 	t.net.ZeroGrad()
-	t.quantizeInPlace()
+	saved := quantizeParams(params, t.quant, nil)
 	logits := t.net.Forward(x)
 	loss, grad := CrossEntropyLoss(logits, label)
 	t.net.Backward(grad)
-	t.restore()
-	t.opt.Step(t.net.Params())
+	restoreParams(params, saved)
+	t.opt.Step(params)
 	return loss
 }
-
-// EvalQuantized runs inference with the parameters quantized (the deployed
-// condition) and restores the masters afterwards.
-func (t *QATTrainer) EvalQuantized(xs []*tensor.Tensor, labels []int) float64 {
-	t.quantizeInPlace()
-	acc := Accuracy(t.net, xs, labels)
-	t.restore()
-	return acc
-}
-
-// Network returns the wrapped network (master weights).
-func (t *QATTrainer) Network() *Network { return t.net }

@@ -117,7 +117,6 @@ type Scheduler struct {
 	gate     Gate
 
 	seen     map[suspectKey]Suspect
-	order    []Suspect // insertion-ordered view of seen
 	checks   int
 	lastStep int
 	heals    int
@@ -178,17 +177,8 @@ func (s *Scheduler) State() State {
 	}
 }
 
-// Baseline returns the accuracy target the scheduler defends.
-func (s *Scheduler) Baseline() float64 { return s.baseline }
-
 // Heals returns how many healing interventions have run.
 func (s *Scheduler) Heals() int { return s.heals }
-
-// SuspectCount returns the cumulative number of distinct flagged cells.
-func (s *Scheduler) SuspectCount() int { return len(s.seen) }
-
-// Suspects returns the cumulative distinct suspects in first-flagged order.
-func (s *Scheduler) Suspects() []Suspect { return s.order }
 
 // Suspected reports whether the self-test has ever flagged the fabricated
 // cell at the given network position — the hook the campaign's oracle-side
@@ -205,7 +195,6 @@ func (s *Scheduler) absorb(rep *BISTReport) int {
 	for _, su := range rep.Suspects {
 		if _, ok := s.seen[su.key()]; !ok {
 			s.seen[su.key()] = su
-			s.order = append(s.order, su)
 			fresh++
 		}
 	}

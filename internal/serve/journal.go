@@ -83,16 +83,6 @@ func (j *Journal) Ops() []Op {
 	return append([]Op(nil), j.ops...)
 }
 
-// Len returns the number of recorded ops.
-func (j *Journal) Len() int {
-	if j == nil {
-		return 0
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return len(j.ops)
-}
-
 // CountKind returns how many ops of one kind were recorded.
 func (j *Journal) CountKind(kind OpKind) int {
 	if j == nil {

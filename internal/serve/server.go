@@ -52,9 +52,6 @@ func NewSingleServer(b *Batcher) *Server {
 // Handler returns the route mux.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Router returns the router the server fronts.
-func (s *Server) Router() *Router { return s.rt }
-
 // PredictRequest is the /predict request body.
 type PredictRequest struct {
 	// Model names the target model. Optional when the router fronts exactly

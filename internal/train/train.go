@@ -209,61 +209,30 @@ func RunMismatch(data *dataset.Set, hidden, epochs int, lr float64, seed int64) 
 		return nil, fmt.Errorf("train: empty dataset")
 	}
 	trainSet, testSet := data.Split(0.8)
-	dim := trainSet.Inputs[0].Len()
-	build := func() *nn.Network {
-		act := nn.NewGSTActivation("gst", 0)
-		act.MaxOut = 1.0
-		return nn.NewNetwork(
-			nn.NewDense("fc1", dim, hidden, seed),
-			act,
-			nn.NewDense("fc2", hidden, data.Classes, seed+1),
-		)
-	}
-	net := build()
-	opt := nn.SGD{LearningRate: lr}
-	for e := 0; e < epochs; e++ {
-		for i := range trainSet.Inputs {
-			nn.TrainStep(net, opt, trainSet.Inputs[i], trainSet.Labels[i])
-		}
-	}
+	net := trainMLP(trainSet, data.Inputs[0].Len(), hidden, epochs, lr, seed)
 	// Mapping digital weights onto hardware loses accuracy through two
 	// mechanisms the paper names: finite resolution (quantization to the
 	// tuner's grid) and manufacturing/programming variation the offline
-	// model cannot see. The variation scale tracks what limits each
-	// mechanism's resolution in the first place: thermal banks sit at 6
-	// bits *because* crosstalk-induced variation is about one step there
-	// (σ = 1 LSB), while optically programmed GST lands within half a
-	// level (σ = 0.5 LSB, citing the 255-level demonstrations).
+	// model cannot see. The optical bank realizes weights on [-1,1], so
+	// each tensor is scaled by its max-abs first (the control unit's
+	// best-effort normalization) and larger digital weights saturate —
+	// exactly the mapping loss the paper describes. The variation scale
+	// tracks what limits each mechanism's resolution in the first place:
+	// thermal banks sit at 6 bits *because* crosstalk-induced variation is
+	// about one step there (σ = 1 LSB), while optically programmed GST
+	// lands within half a level (σ = 0.5 LSB, citing the 255-level
+	// demonstrations).
 	evalQuantized := func(bits int, variationSeed int64) float64 {
 		q := fixed.MustForBits(bits)
 		sigma := 0.5 * q.Step()
 		if bits <= device.ThermalBits {
 			sigma = 1.0 * q.Step()
 		}
-		rng := newDeterministicNormal(variationSeed)
-		saved := make([][]float64, 0)
-		for _, p := range net.Params() {
-			saved = append(saved, append([]float64(nil), p.Value.Data()...))
-			// The optical bank realizes weights on [-1,1]; larger digital
-			// weights saturate — exactly the mapping loss the paper
-			// describes. Scale each tensor by its max-abs first (the
-			// control unit's best-effort normalization), then quantize.
-			scale := p.Value.MaxAbs()
-			if scale == 0 {
-				scale = 1
-			}
-			for i, v := range p.Value.Data() {
-				programmed := q.Quantize(v/scale) + rng()*sigma
-				p.Value.Data()[i] = programmed * scale
-			}
-		}
-		acc := nn.Accuracy(net, testSet.Inputs, testSet.Labels)
-		for pi, p := range net.Params() {
-			copy(p.Value.Data(), saved[pi])
-		}
-		return acc
+		rng := rand.New(rand.NewSource(variationSeed))
+		variation := func() float64 { return rng.NormFloat64() * sigma }
+		return nn.QuantizedAccuracy(net, q, variation, testSet.Inputs, testSet.Labels)
 	}
-	floatAcc := nn.Accuracy(net, testSet.Inputs, testSet.Labels)
+	floatAcc := nn.Accuracy(net.Forward, testSet.Inputs, testSet.Labels)
 	// Average the mapped accuracies over several device-variation draws so
 	// the comparison is not hostage to one lucky perturbation.
 	const draws = 5
@@ -279,23 +248,17 @@ func RunMismatch(data *dataset.Set, hidden, epochs int, lr float64, seed int64) 
 	}, nil
 }
 
-// newDeterministicNormal returns a seeded standard-normal generator.
-func newDeterministicNormal(seed int64) func() float64 {
-	r := rand.New(rand.NewSource(seed))
-	return r.NormFloat64
-}
-
-// DigitalBaselineAccuracy trains the same architecture purely digitally and
-// returns test accuracy — the yardstick for in-situ runs.
-func DigitalBaselineAccuracy(data *dataset.Set, hidden, epochs int, lr float64, seed int64) float64 {
-	trainSet, testSet := data.Split(0.8)
-	dim := trainSet.Inputs[0].Len()
+// trainMLP builds the digital reference of the in-situ MLP — dim → hidden
+// with the GST activation (saturating at 1) → classes, its two dense
+// layers seeded seed and seed+1 — and SGD-trains it for epochs in-order
+// passes over trainSet.
+func trainMLP(trainSet *dataset.Set, dim, hidden, epochs int, lr float64, seed int64) *nn.Graph {
 	act := nn.NewGSTActivation("gst", 0)
 	act.MaxOut = 1.0
 	net := nn.NewNetwork(
 		nn.NewDense("fc1", dim, hidden, seed),
 		act,
-		nn.NewDense("fc2", hidden, data.Classes, seed+1),
+		nn.NewDense("fc2", hidden, trainSet.Classes, seed+1),
 	)
 	opt := nn.SGD{LearningRate: lr}
 	for e := 0; e < epochs; e++ {
@@ -303,7 +266,18 @@ func DigitalBaselineAccuracy(data *dataset.Set, hidden, epochs int, lr float64, 
 			nn.TrainStep(net, opt, trainSet.Inputs[i], trainSet.Labels[i])
 		}
 	}
-	return nn.Accuracy(net, testSet.Inputs, testSet.Labels)
+	return net
+}
+
+// DigitalBaselineAccuracy trains the same architecture purely digitally and
+// returns test accuracy — the yardstick for in-situ runs.
+func DigitalBaselineAccuracy(data *dataset.Set, hidden, epochs int, lr float64, seed int64) (float64, error) {
+	if data.Len() == 0 {
+		return 0, fmt.Errorf("train: empty dataset")
+	}
+	trainSet, testSet := data.Split(0.8)
+	net := trainMLP(trainSet, data.Inputs[0].Len(), hidden, epochs, lr, seed)
+	return nn.Accuracy(net.Forward, testSet.Inputs, testSet.Labels), nil
 }
 
 // QuantizationErrorAtBits returns the RMS weight error of quantizing a
@@ -339,58 +313,21 @@ func RunQAT(data *dataset.Set, hidden, epochs int, lr float64, bits int, seed in
 		return nil, fmt.Errorf("train: empty dataset")
 	}
 	trainSet, testSet := data.Split(0.8)
-	dim := trainSet.Inputs[0].Len()
-	build := func(s int64) *nn.Network {
-		act := nn.NewGSTActivation("gst", 0)
-		act.MaxOut = 1.0
-		return nn.NewNetwork(
-			nn.NewDense("fc1", dim, hidden, s),
-			act,
-			nn.NewDense("fc2", hidden, data.Classes, s+1),
-		)
-	}
 	q, err := fixed.ForBits(bits)
 	if err != nil {
 		return nil, err
 	}
-	quantizeEval := func(net *nn.Network) float64 {
-		saved := make([][]float64, 0, len(net.Params()))
-		for _, p := range net.Params() {
-			saved = append(saved, append([]float64(nil), p.Value.Data()...))
-			scale := p.Value.MaxAbs()
-			if scale == 0 {
-				scale = 1
-			}
-			for i, v := range p.Value.Data() {
-				p.Value.Data()[i] = q.Quantize(v/scale) * scale
-			}
-		}
-		acc := nn.Accuracy(net, testSet.Inputs, testSet.Labels)
-		for pi, p := range net.Params() {
-			copy(p.Value.Data(), saved[pi])
-		}
-		return acc
-	}
 
 	// Flow 1: plain float training.
-	floatNet := build(seed)
-	opt := nn.SGD{LearningRate: lr}
-	for e := 0; e < epochs; e++ {
-		for i := range trainSet.Inputs {
-			nn.TrainStep(floatNet, opt, trainSet.Inputs[i], trainSet.Labels[i])
-		}
-	}
-	floatAcc := nn.Accuracy(floatNet, testSet.Inputs, testSet.Labels)
-	ptq := quantizeEval(floatNet)
+	net := trainMLP(trainSet, data.Inputs[0].Len(), hidden, epochs, lr, seed)
+	floatAcc := nn.Accuracy(net.Forward, testSet.Inputs, testSet.Labels)
+	ptq := nn.QuantizedAccuracy(net, q, nil, testSet.Inputs, testSet.Labels)
 
 	// Flow 2: quantization-aware fine-tuning from the float model — the
-	// standard deployment recipe. Copy the trained weights, then continue
-	// training against the quantized grid at a reduced rate.
-	qatNet := build(seed)
-	for pi, p := range qatNet.Params() {
-		copy(p.Value.Data(), floatNet.Params()[pi].Value.Data())
-	}
-	qat, err := nn.NewQATTrainer(qatNet, nn.SGD{LearningRate: lr / 4}, bits)
+	// standard deployment recipe. Once both float scores are taken, the
+	// trained network continues training against the quantized grid at a
+	// reduced rate.
+	qat, err := nn.NewQATTrainer(net, nn.SGD{LearningRate: lr / 4}, bits)
 	if err != nil {
 		return nil, err
 	}
@@ -400,6 +337,6 @@ func RunQAT(data *dataset.Set, hidden, epochs int, lr float64, bits int, seed in
 			qat.TrainStep(trainSet.Inputs[i], trainSet.Labels[i])
 		}
 	}
-	qatAcc := qat.EvalQuantized(testSet.Inputs, testSet.Labels)
+	qatAcc := nn.QuantizedAccuracy(net, q, nil, testSet.Inputs, testSet.Labels)
 	return &QATResult{FloatAccuracy: floatAcc, PostTraining: ptq, QAT: qatAcc}, nil
 }

@@ -189,9 +189,31 @@ func TestRunMismatch(t *testing.T) {
 // TestDigitalBaseline matches the in-situ architecture digitally.
 func TestDigitalBaseline(t *testing.T) {
 	data := dataset.Blobs(150, 3, 6, 0.1, 7)
-	acc := DigitalBaselineAccuracy(data, 16, 10, 0.08, 3)
+	acc, err := DigitalBaselineAccuracy(data, 16, 10, 0.08, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if acc < 0.85 {
 		t.Errorf("digital baseline accuracy = %.2f, want ≥ 0.85", acc)
+	}
+}
+
+// TestDigitalRunsTinySet: the digital runs take the input width from the
+// whole set, so a set too small to leave anything in the training split
+// still runs, and an empty set is an error rather than a panic.
+func TestDigitalRunsTinySet(t *testing.T) {
+	one := dataset.Blobs(1, 2, 3, 0.1, 1)
+	if _, err := RunMismatch(one, 4, 1, 0.1, 1); err != nil {
+		t.Errorf("RunMismatch on one sample: %v", err)
+	}
+	if _, err := RunQAT(one, 4, 1, 0.1, 4, 1); err != nil {
+		t.Errorf("RunQAT on one sample: %v", err)
+	}
+	if _, err := DigitalBaselineAccuracy(one, 4, 1, 0.1, 1); err != nil {
+		t.Errorf("DigitalBaselineAccuracy on one sample: %v", err)
+	}
+	if _, err := DigitalBaselineAccuracy(&dataset.Set{}, 4, 1, 0.1, 1); err == nil {
+		t.Error("DigitalBaselineAccuracy on an empty set: want error")
 	}
 }
 
