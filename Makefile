@@ -19,14 +19,18 @@ tier1-fmt:
 
 # Examples: run every examples/* program end to end, then the extended
 # paper tables (the only non-test caller of the DFA comparison and the QAT
-# run) and a one-sample `trident train` (the tiny-dataset path through the
-# in-situ run and the digital baseline); a non-zero exit fails the target.
+# run), a one-sample `trident train` (the tiny-dataset path through the
+# in-situ run and the digital baseline), and the lifetime campaign through
+# `faulttolerance --lifetime` and `trident train -lifetime` (its only
+# non-test callers, about a second each); a non-zero exit fails the target.
 # The examples have no tests of their own, and they call public entry points
 # (PE.Infer, train.RunInSitu, ...) that the tests reach only indirectly.
 examples:
 	@set -e; for d in examples/*/; do echo "go run ./$$d"; $(GO) run ./$$d > /dev/null; done
 	@echo "go run ./cmd/papertables -extended"; $(GO) run ./cmd/papertables -extended > /dev/null
 	@echo "go run ./cmd/trident train -samples 1 -epochs 1"; $(GO) run ./cmd/trident train -samples 1 -epochs 1 > /dev/null
+	@echo "go run ./examples/faulttolerance --lifetime"; $(GO) run ./examples/faulttolerance --lifetime > /dev/null
+	@echo "go run ./cmd/trident train -lifetime"; $(GO) run ./cmd/trident train -lifetime > /dev/null
 
 # Tier 2: static analysis + race-detector run over the whole repo.
 tier2:

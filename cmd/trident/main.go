@@ -36,6 +36,7 @@ import (
 	"trident/internal/device"
 	"trident/internal/experiments"
 	"trident/internal/models"
+	"trident/internal/reliability"
 	"trident/internal/report"
 	"trident/internal/trace"
 	"trident/internal/train"
@@ -226,7 +227,7 @@ func cmdLifetime(seed int64) {
 	fmt.Println("lifetime campaign: compressed wear-out with BIST, wear-leveling and self-healing")
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
-	res, err := experiments.LifetimeCtx(ctx, seed)
+	res, err := reliability.RunCampaignCtx(ctx, seed)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -19,6 +19,7 @@ import (
 
 	"trident/internal/core"
 	"trident/internal/experiments"
+	"trident/internal/reliability"
 )
 
 func main() {
@@ -73,7 +74,7 @@ func main() {
 // fault count alongside the scheduler's own (oracle-blind) suspect count.
 func runLifetime(seed int64) {
 	fmt.Println("== Lifetime wear-out campaign ==")
-	res, err := experiments.Lifetime(seed)
+	res, err := reliability.RunCampaign(seed)
 	if err != nil {
 		log.Fatal(err)
 	}

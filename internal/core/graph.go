@@ -144,9 +144,6 @@ func NewGraph(cfg NetworkConfig, inputShape ...int) (*Graph, error) {
 	if cfg.LearningRate < 0 {
 		return nil, fmt.Errorf("core: learning rate %v must be positive", cfg.LearningRate)
 	}
-	if cfg.Momentum < 0 || cfg.Momentum >= 1 {
-		return nil, fmt.Errorf("core: momentum %v outside [0,1)", cfg.Momentum)
-	}
 	in := &graphNode{kind: nodeInput}
 	switch len(inputShape) {
 	case 1:
@@ -263,7 +260,7 @@ func (g *Graph) Conv(in NodeID, spec tensor.Conv2DSpec, seed int64) NodeID {
 	if err != nil {
 		return g.failErr(err)
 	}
-	act := nn.NewGSTActivation("gst", g.cfg.PE.ActivationThreshold)
+	act := nn.NewGSTActivation("gst", 0)
 	act.MaxOut = 1.0 // the physical cell saturates at full transmission
 	g.layers = append(g.layers, l)
 	return g.push(&graphNode{

@@ -87,7 +87,7 @@ func equivGraphs(t *testing.T, lr float64) (*Graph, *nn.Graph, []*nn.Param) {
 	copyWeights(conv2.K.Value, g.layers[1].Weights())
 	copyWeights(head.W.Value, g.layers[2].Weights())
 	act := func(label string) *nn.GSTActivation {
-		a := nn.NewGSTActivation(label, cfg.PE.ActivationThreshold)
+		a := nn.NewGSTActivation(label, 0)
 		a.MaxOut = 1.0 // the physical cell saturates at full transmission
 		return a
 	}

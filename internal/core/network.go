@@ -24,10 +24,6 @@ type NetworkConfig struct {
 	PE PEConfig
 	// LearningRate is β in equation (1).
 	LearningRate float64
-	// Momentum is the heavy-ball coefficient µ applied by the control
-	// unit's update stage (0 = the paper's plain equation (1)). The
-	// velocity buffer lives in the PE caches / L2, not in photonics.
-	Momentum float64
 }
 
 // DenseLayer is one network layer spread over a grid of PE tiles in the
@@ -41,8 +37,6 @@ type DenseLayer struct {
 	cols     int         // N per tile
 	state    bankState   // whether the banks hold the current master weights
 	actCells *nn.GSTActivation
-	momentum float64
-	velocity [][]float64 // heavy-ball state, allocated on first update
 
 	// Execution-engine scratch, reused across passes. The stream slabs hold
 	// one region per tile so concurrent tile passes never write shared
@@ -130,12 +124,11 @@ func newDenseLayer(cfg NetworkConfig, spec LayerSpec, seed int64) (*DenseLayer, 
 		peCfg.Cols = device.WeightBankCols
 	}
 	l := &DenseLayer{
-		spec:     spec,
-		rows:     peCfg.Rows,
-		cols:     peCfg.Cols,
-		momentum: cfg.Momentum,
+		spec: spec,
+		rows: peCfg.Rows,
+		cols: peCfg.Cols,
 	}
-	l.actCells = nn.NewGSTActivation("gst", peCfg.ActivationThreshold)
+	l.actCells = nn.NewGSTActivation("gst", 0)
 	l.actCells.MaxOut = 1.0 // the physical cell saturates at full transmission
 	// Master weights: Kaiming uniform, like the digital reference.
 	ref := nn.NewDense("init", spec.In, spec.Out, seed+1000)
@@ -196,25 +189,13 @@ func (l *DenseLayer) programForward() error {
 	return nil
 }
 
-// ApplyUpdate performs the equation (1) update W ← W − β·v on the
-// control-unit master copy, where v is the plain gradient at µ = 0 and the
-// heavy-ball velocity v ← µ·v + δW otherwise. Banks are reprogrammed
-// lazily on the next forward pass.
+// ApplyUpdate performs the equation (1) update W ← W − β·δW on the
+// control-unit master copy. Banks are reprogrammed lazily on the next
+// forward pass.
 func (l *DenseLayer) ApplyUpdate(beta float64, grad [][]float64) {
-	if l.momentum > 0 && l.velocity == nil {
-		l.velocity = make([][]float64, l.spec.Out)
-		for j := range l.velocity {
-			l.velocity[j] = make([]float64, l.spec.In)
-		}
-	}
 	for j := range l.w {
 		for i := range l.w[j] {
-			step := grad[j][i]
-			if l.momentum > 0 {
-				l.velocity[j][i] = l.momentum*l.velocity[j][i] + grad[j][i]
-				step = l.velocity[j][i]
-			}
-			l.w[j][i] = clamp1(l.w[j][i] - beta*step)
+			l.w[j][i] = clamp1(l.w[j][i] - beta*grad[j][i])
 		}
 	}
 	l.state = bankStale

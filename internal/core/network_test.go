@@ -363,55 +363,3 @@ func TestLedgerAggregation(t *testing.T) {
 		t.Error("network elapsed time missing")
 	}
 }
-
-// TestMomentumInSitu: the heavy-ball option converges at least as well as
-// plain equation (1) on the standard blobs task, and invalid µ is rejected.
-func TestMomentumInSitu(t *testing.T) {
-	if _, err := NewNetwork(NetworkConfig{Momentum: 1.0}, LayerSpec{In: 2, Out: 2}); err == nil {
-		t.Error("µ=1: want error")
-	}
-	if _, err := NewNetwork(NetworkConfig{Momentum: -0.1}, LayerSpec{In: 2, Out: 2}); err == nil {
-		t.Error("negative µ: want error")
-	}
-	data := dataset.Blobs(120, 3, 6, 0.08, 42)
-	train, test := data.Split(0.75)
-	run := func(mu float64) float64 {
-		net, err := NewNetwork(NetworkConfig{
-			PE:           PEConfig{Rows: 8, Cols: 8, DisableNoise: true},
-			LearningRate: 0.05,
-			Momentum:     mu,
-		},
-			LayerSpec{In: 6, Out: 16, Activate: true},
-			LayerSpec{In: 16, Out: 3},
-		)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for e := 0; e < 6; e++ {
-			for i := range train.Inputs {
-				if _, err := net.TrainSample(train.Inputs[i].Data(), train.Labels[i]); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		correct := 0
-		for i := range test.Inputs {
-			cls, err := net.Predict(test.Inputs[i].Data())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if cls == test.Labels[i] {
-				correct++
-			}
-		}
-		return float64(correct) / float64(test.Len())
-	}
-	plain := run(0)
-	heavy := run(0.9)
-	if heavy < plain-0.05 {
-		t.Errorf("momentum accuracy %.2f fell more than 5 points below plain %.2f", heavy, plain)
-	}
-	if heavy < 0.85 {
-		t.Errorf("momentum accuracy %.2f too low", heavy)
-	}
-}

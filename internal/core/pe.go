@@ -23,11 +23,6 @@ type PEConfig struct {
 	NoiseSeed int64
 	// DisableNoise turns off BPD noise (for bit-exactness tests).
 	DisableNoise bool
-	// ActivationThreshold is the normalized pre-activation level at which
-	// the GST activation cell fires. The control unit sets it by scaling
-	// the E/O drive so that the 430 pJ physical threshold corresponds to
-	// this numeric value.
-	ActivationThreshold float64
 	// Ideal swaps the PCM weight bank for an exact-arithmetic bank (no
 	// quantization, no crosstalk, free writes). Used by the equivalence
 	// tests that pin the hardware execution path against the digital
@@ -294,17 +289,19 @@ func (p *PE) ActivateInto(dst, h []float64) ([]float64, error) {
 		return nil, fmt.Errorf("core: %d pre-activations exceed bank rows %d", len(h), p.cfg.Rows)
 	}
 	// LDSU latches the comparator result relative to the activation
-	// threshold (normalized so the threshold sits at 1).
+	// threshold. The control unit scales the E/O drive so the 430 pJ
+	// physical threshold sits at numeric pre-activation 0, which lands at 1
+	// in threshold units.
 	norm := p.normBuf[:len(h)]
 	for j, v := range h {
-		norm[j] = p.normalizeToThreshold(v)
+		norm[j] = v + 1
 	}
 	p.ldsu.Latch(norm)
 	p.ledger.add(catLDSU, p.latchEnergy)
 	y := growFloats(dst, len(h))
 	fired := false
 	for j, v := range norm {
-		y[j] = p.acts[j].ApplyNormalized(v) * p.thresholdScale()
+		y[j] = p.acts[j].ApplyNormalized(v)
 		if v >= 1 {
 			fired = true
 		}
@@ -333,17 +330,6 @@ func (p *PE) Infer(x []float64) (y, h []float64, err error) {
 	}
 	return y, h, nil
 }
-
-// normalizeToThreshold maps a numeric pre-activation onto threshold units
-// (threshold at 1). With threshold θ ≤ 0 the mapping shifts so that h = θ
-// lands at 1.
-func (p *PE) normalizeToThreshold(h float64) float64 {
-	return h - p.cfg.ActivationThreshold + 1
-}
-
-// thresholdScale converts activation-cell output (threshold units) back to
-// numeric units; with the shift mapping this is 1.
-func (p *PE) thresholdScale() float64 { return 1 }
 
 // Derivatives exposes the LDSU bank contents (for tests and the trainer).
 func (p *PE) Derivatives() []float64 { return p.ldsu.Derivatives(nil) }

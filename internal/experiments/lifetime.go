@@ -1,48 +1,11 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"trident/internal/reliability"
 	"trident/internal/report"
-	"trident/internal/units"
 )
-
-// LifetimeConfig returns the calibrated lifetime-campaign configuration the
-// repo's studies and CLI share: ~10⁴ supervised steps over a compressed
-// deployed life, Weibull endurance budgets sized so roughly a fifth of the
-// cells die inside the horizon, 30 simulated seconds of drift per step, and
-// wear-leveling rotation every fourth health check.
-func LifetimeConfig(seed int64) reliability.CampaignConfig {
-	return reliability.CampaignConfig{
-		Seed: seed,
-		// The wear seed stays pinned: the Weibull realization is part of the
-		// calibration (≈44 of 256 cells dying inside the horizon), while the
-		// campaign seed varies dataset and noise.
-		Wear: reliability.WearConfig{Seed: 7, MeanEndurance: 42000, Shape: 6},
-		Policy: reliability.Policy{
-			TimePerStep:    30 * units.Second,
-			WearLevelEvery: 4,
-		},
-	}
-}
-
-// Lifetime runs the calibrated lifetime campaign and returns its result: a
-// network trains in situ while GST cells exhaust their endurance budgets,
-// the built-in self-test localizes the deaths without oracle access, and
-// the remediation scheduler refreshes, rotates, heals and masks to hold
-// accuracy. See internal/reliability for the machinery.
-func Lifetime(seed int64) (*reliability.CampaignResult, error) {
-	return reliability.RunCampaign(LifetimeConfig(seed))
-}
-
-// LifetimeCtx is Lifetime with cooperative cancellation: an interrupted
-// campaign stops at a sample boundary and returns a partial result with
-// Interrupted set (see reliability.RunCampaignCtx).
-func LifetimeCtx(ctx context.Context, seed int64) (*reliability.CampaignResult, error) {
-	return reliability.RunCampaignCtx(ctx, LifetimeConfig(seed))
-}
 
 // LifetimeTable renders a campaign's health-check timeline as the
 // wear/accuracy table the CLI and the fault-tolerance example print.

@@ -3,10 +3,12 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"trident/internal/reliability"
 )
 
 func TestLifetimeCampaignAndTable(t *testing.T) {
-	res, err := Lifetime(42)
+	res, err := reliability.RunCampaign(42)
 	if err != nil {
 		t.Fatal(err)
 	}

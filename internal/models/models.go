@@ -75,11 +75,6 @@ type LayerSpec struct {
 type Model struct {
 	Name   string
 	Layers []LayerSpec
-	// Sequential marks models whose layer list is a straight chain
-	// (AlexNet, VGG-16); branched models (inception, residual) flatten
-	// their branches for cost accounting and cannot be replayed as a
-	// chain.
-	Sequential bool
 }
 
 // TotalMACs returns the MAC count of one inference.

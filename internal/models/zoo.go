@@ -8,7 +8,6 @@ package models
 // parameters, ≈0.71 GMAC.
 func AlexNet() *Model {
 	b := newBuilder("AlexNet", 3, 224, 224)
-	b.m.Sequential = true
 	b.conv("conv1", 64, 11, 4, 2).relu("relu1").maxpool("pool1", 3, 2, false)
 	b.conv("conv2", 192, 5, 1, 2).relu("relu2").maxpool("pool2", 3, 2, false)
 	b.conv("conv3", 384, 3, 1, 1).relu("relu3")
@@ -24,7 +23,6 @@ func AlexNet() *Model {
 // the paper's largest workload ("138 million for VGG-16").
 func VGG16() *Model {
 	b := newBuilder("VGG-16", 3, 224, 224)
-	b.m.Sequential = true
 	block := func(n int, c int, idx int) {
 		for i := 0; i < n; i++ {
 			name := fmtName("conv", idx, i+1)

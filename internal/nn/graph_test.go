@@ -121,7 +121,7 @@ func TestConcatShapeMismatchPanics(t *testing.T) {
 	in := g.Input()
 	a := g.Layer(NewConv2D("a", tensor.Conv2DSpec{InC: 1, InH: 4, InW: 4, OutC: 1,
 		KH: 1, KW: 1, StrideH: 1, StrideW: 1, Groups: 1}, 1), in)
-	b := g.Layer(NewMaxPool("p", tensor.PoolSpec{C: 1, H: 4, W: 4, K: 2, Stride: 2}), in)
+	b := g.Layer(NewAvgPool("p", tensor.PoolSpec{C: 1, H: 4, W: 4, K: 2, Stride: 2}), in)
 	cat := g.Concat(a, b)
 	g.SetOutput(cat)
 	defer func() {

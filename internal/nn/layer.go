@@ -206,44 +206,6 @@ func (c *Conv2D) col2imAdd(dx, dp *tensor.Tensor, g int) {
 	}
 }
 
-// MaxPool is a max-pooling layer.
-type MaxPool struct {
-	label   string
-	Spec    tensor.PoolSpec
-	lastArg []int
-}
-
-// NewMaxPool returns a max-pooling layer.
-func NewMaxPool(label string, spec tensor.PoolSpec) *MaxPool {
-	if err := spec.Validate(); err != nil {
-		panic(err)
-	}
-	return &MaxPool{label: label, Spec: spec}
-}
-
-// Name implements Layer.
-func (m *MaxPool) Name() string { return m.label }
-
-// Params implements Layer.
-func (m *MaxPool) Params() []*Param { return nil }
-
-// Forward implements Layer.
-func (m *MaxPool) Forward(in *tensor.Tensor) *tensor.Tensor {
-	out, arg := tensor.MaxPool2D(in, m.Spec)
-	m.lastArg = arg
-	return out
-}
-
-// Backward implements Layer: gradients route to each window's argmax.
-func (m *MaxPool) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	dx := tensor.New(m.Spec.C, m.Spec.H, m.Spec.W)
-	dd := dx.Data()
-	for i, src := range m.lastArg {
-		dd[src] += grad.Data()[i]
-	}
-	return dx
-}
-
 // AvgPool is an average-pooling layer.
 type AvgPool struct {
 	label string
@@ -436,7 +398,6 @@ func (g *GSTActivation) Backward(grad *tensor.Tensor) *tensor.Tensor {
 var (
 	_ Layer = (*Dense)(nil)
 	_ Layer = (*Conv2D)(nil)
-	_ Layer = (*MaxPool)(nil)
 	_ Layer = (*AvgPool)(nil)
 	_ Layer = (*Flatten)(nil)
 	_ Layer = (*ReLU)(nil)

@@ -109,7 +109,7 @@ func TestPoolingGradients(t *testing.T) {
 	net := NewNetwork(
 		NewConv2D("conv", tensor.Conv2DSpec{InC: 1, InH: 6, InW: 6, OutC: 2,
 			KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, Groups: 1}, 9),
-		NewMaxPool("pool", tensor.PoolSpec{C: 2, H: 6, W: 6, K: 2, Stride: 2}),
+		NewAvgPool("pool", tensor.PoolSpec{C: 2, H: 6, W: 6, K: 2, Stride: 2}),
 		NewAvgPool("gap", tensor.PoolSpec{C: 2, H: 3, W: 3, K: 3, Stride: 3}),
 		NewFlatten("flat"),
 		NewDense("fc", 2, 2, 10),

@@ -11,32 +11,13 @@ import (
 	"trident/internal/units"
 )
 
-// campaignConfig is the calibrated lifetime study the acceptance criteria
-// run against: ~10⁴ supervised steps, Weibull budgets sized so roughly a
-// fifth of the cells die inside the horizon, drift aging and wear-leveling
-// on. The endurance budget is calibrated to the reprogram-free backward
-// path: with transpose reprogramming and broadcast outer products gone,
-// the only per-step GST writes are the post-update forward recompiles
-// (~600 mean / ~2000 max cell writes over the horizon), so the Weibull
-// mean sits at 1600 rather than the 42000 the write-heavy backward needed.
-func campaignConfig() CampaignConfig {
-	return CampaignConfig{
-		Seed: 42,
-		Wear: WearConfig{Seed: 7, MeanEndurance: 1600, Shape: 6},
-		Policy: Policy{
-			TimePerStep:    30 * units.Second,
-			WearLevelEvery: 4,
-		},
-	}
-}
-
 // TestLifetimeCampaignAcceptance is the PR's acceptance gate: a ≥10⁴-step
 // training campaign with stochastic wear in which the self-test — with zero
 // oracle access to the fault ledger — flags at least 90% of the cells that
 // died of endurance exhaustion, while the remediation scheduler holds final
 // validation accuracy within two points of the pre-fault baseline.
 func TestLifetimeCampaignAcceptance(t *testing.T) {
-	res, err := RunCampaign(campaignConfig())
+	res, err := RunCampaign(42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,9 +49,9 @@ func TestLifetimeCampaignAcceptance(t *testing.T) {
 // remediation all obey the single-writer-per-PE contract.
 func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
 	prev := core.SetMaxWorkers(1)
-	serial, errS := RunCampaign(campaignConfig())
+	serial, errS := RunCampaign(42)
 	core.SetMaxWorkers(8)
-	parallel, errP := RunCampaign(campaignConfig())
+	parallel, errP := RunCampaign(42)
 	core.SetMaxWorkers(prev)
 	if errS != nil || errP != nil {
 		t.Fatalf("serial err=%v parallel err=%v", errS, errP)

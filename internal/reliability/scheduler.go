@@ -17,60 +17,36 @@ import (
 // endpoint. It never reads simulator fault state: every decision comes from
 // BIST reports and the validation probe.
 
+// CheckEvery is the number of training (or serving) steps between health
+// checks: the campaign driver calls Check at this cadence and the serving
+// maintainer advances its simulated step by it per maintenance window.
+const CheckEvery = 500
+
+// The scheduler's fixed remediation rules. Every check runs the drift
+// refresh pass; one healing intervention is healEpochs in-situ epochs
+// (training re-routes gradient flow around pinned cells); healing triggers
+// when validation accuracy falls more than accuracyDrop below baseline; and
+// masking retires a physical row once a post-refresh self-test still finds
+// at least half its cells stuck.
+const (
+	healEpochs   = 2
+	accuracyDrop = 0.02
+)
+
 // Policy sets the scheduler's knobs. Zero values select the documented
 // defaults.
 type Policy struct {
-	// CheckEvery is the number of training steps between health checks
-	// (default 500). The campaign driver calls Check at this cadence; the
-	// scheduler itself only needs it to convert steps to simulated time.
-	CheckEvery int
-	// Tolerance is the BIST deviation threshold (default DefaultTolerance,
-	// three 8-bit levels).
-	Tolerance float64
 	// BISTRepeats is the number of averaged probe passes per basis vector
-	// (default 2) — averaging suppresses read noise.
+	// (RunBIST's default 2 when zero) — averaging suppresses read noise.
 	BISTRepeats int
 	// TimePerStep is the simulated deployment time one training step
 	// represents. Each check ages the banks by TimePerStep × steps-since-
 	// last-check before self-testing, so drift accrues with the campaign
 	// horizon. Zero disables drift aging.
 	TimePerStep units.Duration
-	// NoRefresh disables the drift-refresh pass (re-pulsing every cell
-	// whose readout left its programmed state); by default refresh runs at
-	// every check.
-	NoRefresh bool
 	// WearLevelEvery rotates every bank's logical→physical row map by one
 	// row after every k-th check (0 disables wear-leveling).
 	WearLevelEvery int
-	// HealEpochs bounds one in-situ healing intervention (default 2
-	// epochs): training re-routes gradient flow around pinned cells.
-	HealEpochs int
-	// AccuracyDrop is the validation-accuracy slack below baseline that
-	// triggers healing (default 0.02, i.e. two points).
-	AccuracyDrop float64
-	// MaskRowAfter masks a physical row once a post-refresh self-test
-	// still finds at least this many stuck suspects in it and healing
-	// alone did not recover accuracy. 0 defaults to half the row's cells.
-	MaskRowAfter int
-}
-
-func (p Policy) withDefaults() Policy {
-	if p.CheckEvery <= 0 {
-		p.CheckEvery = 500
-	}
-	if p.Tolerance <= 0 {
-		p.Tolerance = DefaultTolerance()
-	}
-	if p.BISTRepeats <= 0 {
-		p.BISTRepeats = 2
-	}
-	if p.HealEpochs <= 0 {
-		p.HealEpochs = 2
-	}
-	if p.AccuracyDrop <= 0 {
-		p.AccuracyDrop = 0.02
-	}
-	return p
 }
 
 // CheckResult reports one scheduler health check.
@@ -136,7 +112,7 @@ func NewScheduler(net *core.Graph, policy Policy, baseline float64,
 	}
 	return &Scheduler{
 		net:      net,
-		policy:   policy.withDefaults(),
+		policy:   policy,
 		baseline: baseline,
 		eval:     eval,
 		heal:     heal,
@@ -241,7 +217,7 @@ func (s *Scheduler) writes() uint64 {
 
 // belowTarget reports whether acc violates the baseline slack.
 func (s *Scheduler) belowTarget(acc float64) bool {
-	return acc < s.baseline-s.policy.AccuracyDrop
+	return acc < s.baseline-accuracyDrop
 }
 
 // Check runs one full health check at the given training step: drift aging,
@@ -265,14 +241,12 @@ func (s *Scheduler) Check(step int) (CheckResult, error) {
 		hold := units.Duration(float64(step-s.lastStep)) * p.TimePerStep
 		s.net.ApplyDrift(hold)
 	}
-	rep, err := RunBIST(s.net, p.Tolerance, p.BISTRepeats)
+	rep, err := RunBIST(s.net, DefaultTolerance(), p.BISTRepeats)
 	if err != nil {
 		return res, err
 	}
 	res.NewSuspects = s.absorb(rep)
-	if !p.NoRefresh {
-		res.Refreshed = s.refreshAll()
-	}
+	res.Refreshed = s.refreshAll()
 	s.checks++
 	if p.WearLevelEvery > 0 && s.checks%p.WearLevelEvery == 0 {
 		s.net.RotateWearLeveling(1)
@@ -284,7 +258,7 @@ func (s *Scheduler) Check(step int) (CheckResult, error) {
 	}
 	if s.belowTarget(acc) {
 		if s.heal != nil {
-			if err := s.heal(p.HealEpochs); err != nil {
+			if err := s.heal(healEpochs); err != nil {
 				return res, err
 			}
 			s.heals++
@@ -303,7 +277,7 @@ func (s *Scheduler) Check(step int) (CheckResult, error) {
 			}
 			if masked > 0 {
 				if s.heal != nil {
-					if err := s.heal(p.HealEpochs); err != nil {
+					if err := s.heal(healEpochs); err != nil {
 						return res, err
 					}
 					s.heals++
@@ -328,10 +302,10 @@ func (s *Scheduler) Check(step int) (CheckResult, error) {
 
 // maskDeadRows runs a fresh post-refresh self-test — cells still out of
 // tolerance now are stuck, not drifted — and retires every physical row
-// whose stuck-suspect count reaches the policy threshold. It returns how
-// many rows were newly masked.
+// whose stuck-suspect count reaches half its cells (at least one). It
+// returns how many rows were newly masked.
 func (s *Scheduler) maskDeadRows() (int, error) {
-	rep, err := RunBIST(s.net, s.policy.Tolerance, s.policy.BISTRepeats)
+	rep, err := RunBIST(s.net, DefaultTolerance(), s.policy.BISTRepeats)
 	if err != nil {
 		return 0, err
 	}
@@ -352,13 +326,7 @@ func (s *Scheduler) maskDeadRows() (int, error) {
 		}
 		done[rk] = true
 		pe := layers[su.Layer].Tiles()[su.TileRow][su.TileCol]
-		threshold := s.policy.MaskRowAfter
-		if threshold <= 0 {
-			threshold = pe.Cols() / 2
-			if threshold < 1 {
-				threshold = 1
-			}
-		}
+		threshold := max(pe.Cols()/2, 1)
 		if counts[rk] < threshold || pe.Bank().RowMasked(su.PhysRow) {
 			continue
 		}

@@ -27,28 +27,24 @@ type ChaosConfig struct {
 	// FaultFraction is the bank fraction hit per wear burst (default
 	// 0.005 — a handful of cells on small graphs).
 	FaultFraction float64
-	// DriftHold is the simulated time one drift spike ages the banks
-	// (default 600 simulated seconds).
-	DriftHold units.Duration
 	// Stall is how long a stall strike holds the execute token (default
 	// 3ms — long enough to pile up a queue at serving rates).
 	Stall time.Duration
-	// Interval is the mean pause between strikes in Run (default 10ms).
-	Interval time.Duration
 }
+
+// A drift spike ages the banks by chaosDriftHold of simulated time, and Run
+// strikes every chaosInterval.
+const (
+	chaosDriftHold = 600 * units.Second
+	chaosInterval  = 10 * time.Millisecond
+)
 
 func (c ChaosConfig) withDefaults() ChaosConfig {
 	if c.FaultFraction <= 0 {
 		c.FaultFraction = 0.005
 	}
-	if c.DriftHold <= 0 {
-		c.DriftHold = 600 * units.Second
-	}
 	if c.Stall <= 0 {
 		c.Stall = 3 * time.Millisecond
-	}
-	if c.Interval <= 0 {
-		c.Interval = 10 * time.Millisecond
 	}
 	return c
 }
@@ -83,8 +79,8 @@ func (c *Chaos) Strike(ctx context.Context, i int) error {
 		case <-ctx.Done():
 		}
 	case 1: // drift spike
-		c.g.ApplyDrift(c.cfg.DriftHold)
-		c.j.Record(Op{Kind: OpDrift, Hold: c.cfg.DriftHold})
+		c.g.ApplyDrift(chaosDriftHold)
+		c.j.Record(Op{Kind: OpDrift, Hold: chaosDriftHold})
 	case 2: // wear-fault burst
 		seed := c.cfg.Seed + int64(i)*1000003
 		if _, err := c.g.InjectRandomFaults(c.cfg.FaultFraction, core.StuckCrystalline, seed); err != nil {
@@ -98,11 +94,11 @@ func (c *Chaos) Strike(ctx context.Context, i int) error {
 	return nil
 }
 
-// Run strikes every Interval until ctx cancels or the batcher shuts down.
+// Run strikes every chaosInterval until ctx cancels or the batcher shuts down.
 // It returns the number of strikes executed.
 func (c *Chaos) Run(ctx context.Context) int {
 	strikes := 0
-	t := time.NewTicker(c.cfg.Interval)
+	t := time.NewTicker(chaosInterval)
 	defer t.Stop()
 	for {
 		select {

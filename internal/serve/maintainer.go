@@ -43,15 +43,16 @@ func GraphHealth(g *core.Graph) func() Health {
 
 // MaintainerConfig parameterizes the serving-mode remediation loop.
 type MaintainerConfig struct {
-	// Policy drives the underlying reliability scheduler. CheckEvery
-	// doubles as the simulated-step stride per maintenance window (so
-	// TimePerStep×CheckEvery of drift accrues between checks).
+	// Policy drives the underlying reliability scheduler. Each maintenance
+	// window advances the simulated step by reliability.CheckEvery, so
+	// TimePerStep×CheckEvery of drift accrues between checks.
 	Policy reliability.Policy
-	// ProbeSamples is the self-probe batch size (default 64).
-	ProbeSamples int
 	// Seed drives the deterministic probe inputs.
 	Seed int64
 }
+
+// probeSamples is the self-probe batch size.
+const probeSamples = 64
 
 // Maintainer runs the remediation scheduler against a live serving
 // batcher. It is the serving-mode counterpart of the lifetime campaign
@@ -67,10 +68,9 @@ type MaintainerConfig struct {
 // (heal=nil) because there is nothing to train on; masking is the
 // graceful-degradation path and the batcher surfaces it as degraded mode.
 type Maintainer struct {
-	sched      *reliability.Scheduler
-	b          *Batcher
-	gate       *schedGate
-	stepStride int
+	sched *reliability.Scheduler
+	b     *Batcher
+	gate  *schedGate
 
 	mu     sync.Mutex
 	step   int
@@ -103,25 +103,34 @@ func NewMaintainer(g *core.Graph, b *Batcher, j *Journal, cfg MaintainerConfig) 
 	if g == nil || b == nil {
 		return nil, fmt.Errorf("serve: maintainer needs a graph and a batcher")
 	}
-	if cfg.ProbeSamples <= 0 {
-		cfg.ProbeSamples = 64
-	}
-	if cfg.Policy.CheckEvery <= 0 {
-		cfg.Policy.CheckEvery = 500
-	}
-	probe := makeProbe(g.InputSize(), cfg.ProbeSamples, cfg.Seed)
 	release, err := b.Acquire(context.Background())
 	if err != nil {
 		return nil, err
 	}
-	reference, err := g.PredictBatch(nil, probe, cfg.ProbeSamples)
+	sched, err := probeScheduler(g, cfg)
 	release()
+	if err != nil {
+		return nil, err
+	}
+	gate := &schedGate{b: b, j: j}
+	sched.SetGate(gate)
+	return &Maintainer{sched: sched, b: b, gate: gate}, nil
+}
+
+// probeScheduler builds the serving-mode reliability scheduler over g.
+// Serving has no labelled data, so its accuracy probe is the agreement of a
+// deterministic probe batch with the classes g gives that batch now, at
+// construction (the healthy reference). It reads g's banks: the caller must
+// hold the execute token, or own g outright.
+func probeScheduler(g *core.Graph, cfg MaintainerConfig) (*reliability.Scheduler, error) {
+	probe := makeProbe(g.InputSize(), probeSamples, cfg.Seed)
+	reference, err := g.PredictBatch(nil, probe, probeSamples)
 	if err != nil {
 		return nil, fmt.Errorf("serve: probe reference: %w", err)
 	}
 	reference = append([]int(nil), reference...)
 	eval := func() (float64, error) {
-		classes, err := g.PredictBatch(nil, probe, cfg.ProbeSamples)
+		classes, err := g.PredictBatch(nil, probe, probeSamples)
 		if err != nil {
 			return 0, err
 		}
@@ -135,13 +144,7 @@ func NewMaintainer(g *core.Graph, b *Batcher, j *Journal, cfg MaintainerConfig) 
 	}
 	// heal=nil: no training data in serving mode; the scheduler escalates
 	// straight from refresh to row masking (graceful degradation).
-	sched, err := reliability.NewScheduler(g, cfg.Policy, 1.0, eval, nil)
-	if err != nil {
-		return nil, err
-	}
-	gate := &schedGate{b: b, j: j}
-	sched.SetGate(gate)
-	return &Maintainer{sched: sched, b: b, gate: gate, stepStride: cfg.Policy.CheckEvery}, nil
+	return reliability.NewScheduler(g, cfg.Policy, 1.0, eval, nil)
 }
 
 // makeProbe builds the deterministic probe batch.
@@ -161,7 +164,7 @@ func makeProbe(width, samples int, seed int64) []float64 {
 func (m *Maintainer) CheckNow(ctx context.Context) (reliability.CheckResult, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.step += m.stepStride
+	m.step += reliability.CheckEvery
 	m.gate.pending.Store(int64(m.step))
 	res, err := m.sched.Check(m.step)
 	if err != nil {
@@ -201,32 +204,7 @@ func TwinChecker(g *core.Graph, cfg MaintainerConfig) (func(step int) error, err
 	if g == nil {
 		return nil, fmt.Errorf("serve: twin checker needs a graph")
 	}
-	if cfg.ProbeSamples <= 0 {
-		cfg.ProbeSamples = 64
-	}
-	if cfg.Policy.CheckEvery <= 0 {
-		cfg.Policy.CheckEvery = 500
-	}
-	probe := makeProbe(g.InputSize(), cfg.ProbeSamples, cfg.Seed)
-	reference, err := g.PredictBatch(nil, probe, cfg.ProbeSamples)
-	if err != nil {
-		return nil, fmt.Errorf("serve: twin probe reference: %w", err)
-	}
-	reference = append([]int(nil), reference...)
-	eval := func() (float64, error) {
-		classes, err := g.PredictBatch(nil, probe, cfg.ProbeSamples)
-		if err != nil {
-			return 0, err
-		}
-		agree := 0
-		for i := range classes {
-			if classes[i] == reference[i] {
-				agree++
-			}
-		}
-		return float64(agree) / float64(len(classes)), nil
-	}
-	sched, err := reliability.NewScheduler(g, cfg.Policy, 1.0, eval, nil)
+	sched, err := probeScheduler(g, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -12,8 +12,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"trident/internal/reliability"
 )
 
 // TestGraphInstancePipelineWiring pins the Instance option: PipelineStages
@@ -194,33 +192,11 @@ func TestServeSoakPipelined(t *testing.T) {
 	// Bit-identity across the execution models: the journal was recorded
 	// against the pipelined engine, the twin replays sequentially.
 	twin := buildServeNet(t)
-	probe := makeProbe(twin.InputSize(), 64, 21)
-	reference, err := twin.PredictBatch(nil, probe, 64)
+	check, err := TwinChecker(twin.Graph, mcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reference = append([]int(nil), reference...)
-	eval := func() (float64, error) {
-		classes, err := twin.PredictBatch(nil, probe, 64)
-		if err != nil {
-			return 0, err
-		}
-		agree := 0
-		for i := range classes {
-			if classes[i] == reference[i] {
-				agree++
-			}
-		}
-		return float64(agree) / float64(len(classes)), nil
-	}
-	sched, err := reliability.NewScheduler(twin.Graph, servePolicy(), 1.0, eval, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batches, mismatches, err := j.Replay(twin.Graph, func(step int) error {
-		_, cerr := sched.Check(step)
-		return cerr
-	})
+	batches, mismatches, err := j.Replay(twin.Graph, check)
 	if err != nil {
 		t.Fatalf("journal replay: %v", err)
 	}

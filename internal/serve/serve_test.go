@@ -15,6 +15,7 @@ import (
 
 	"trident/internal/core"
 	"trident/internal/reliability"
+	"trident/internal/train"
 	"trident/internal/units"
 )
 
@@ -427,6 +428,61 @@ func TestHTTPBackpressure429(t *testing.T) {
 	mustShutdown(t, b)
 }
 
+// TestFailingEngineSettlesEveryLayer: an engine error is an outcome, not a
+// lost request. The same failing replica is driven through its batcher,
+// through the router and through the HTTP handler; at every layer Failed
+// counts each failed request and the ledger identity Lost() == 0 holds,
+// and HTTP answers a typed 500.
+func TestFailingEngineSettlesEveryLayer(t *testing.T) {
+	boom := errors.New("engine on fire")
+	inst := NewInstance("m/0", &fakeEngine{width: 2, fail: boom}, Config{MaxBatch: 4, MaxWait: 100 * time.Microsecond})
+	defer mustShutdown(t, inst.b)
+	rt := NewRouter()
+	if err := rt.AddModel("m", inst); err != nil {
+		t.Fatal(err)
+	}
+	h := NewServer(rt).Handler()
+	x := []float64{1, 0}
+	check := func(layer string, replicaFailed, routerFailed uint64) {
+		t.Helper()
+		if sn := inst.Stats(); sn.Failed != replicaFailed || sn.Lost() != 0 {
+			t.Fatalf("after %s: replica failed %d lost %d, want %d/0", layer, sn.Failed, sn.Lost(), replicaFailed)
+		}
+		if sn := rt.Snapshot(); sn.Failed != routerFailed || sn.Lost() != 0 {
+			t.Fatalf("after %s: router failed %d lost %d, want %d/0", layer, sn.Failed, sn.Lost(), routerFailed)
+		}
+	}
+
+	for i := 0; i < 3; i++ {
+		if _, err := inst.Batcher().Submit(context.Background(), x); !errors.Is(err, boom) {
+			t.Fatalf("batcher submit %d: got %v, want the engine's error", i, err)
+		}
+	}
+	check("batcher", 3, 0)
+
+	for i := 0; i < 3; i++ {
+		if _, err := rt.Submit(context.Background(), "m", x); !errors.Is(err, boom) {
+			t.Fatalf("router submit %d: got %v, want the engine's error", i, err)
+		}
+	}
+	check("router", 6, 3)
+
+	for i := 0; i < 2; i++ {
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodPost, "/predict", strings.NewReader(`{"model":"m","input":[1,0]}`))
+		req.Header.Set("Content-Type", "application/json")
+		h.ServeHTTP(rec, req)
+		var body errorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+			t.Fatalf("HTTP %d: body %q: %v", i, rec.Body.String(), err)
+		}
+		if rec.Code != http.StatusInternalServerError || body.Code != codeInternal {
+			t.Fatalf("HTTP %d: status %d code %q, want 500 %q", i, rec.Code, body.Code, codeInternal)
+		}
+	}
+	check("HTTP", 8, 5)
+}
+
 func TestHTTPMethodAndContentTypeRejections(t *testing.T) {
 	b := NewBatcher(&fakeEngine{width: 1}, Config{MaxBatch: 1, MaxWait: 100 * time.Microsecond})
 	srv := httptest.NewServer(NewSingleServer(b).Handler())
@@ -627,33 +683,11 @@ func TestJournalReplayBitIdentical(t *testing.T) {
 	mustShutdown(t, b)
 
 	twin := buildServeNet(t)
-	probe := makeProbe(twin.InputSize(), 64, 11)
-	reference, err := twin.PredictBatch(nil, probe, 64)
+	check, err := TwinChecker(twin.Graph, MaintainerConfig{Seed: 11, Policy: servePolicy()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reference = append([]int(nil), reference...)
-	eval := func() (float64, error) {
-		classes, err := twin.PredictBatch(nil, probe, 64)
-		if err != nil {
-			return 0, err
-		}
-		agree := 0
-		for i := range classes {
-			if classes[i] == reference[i] {
-				agree++
-			}
-		}
-		return float64(agree) / float64(len(classes)), nil
-	}
-	sched, err := reliability.NewScheduler(twin.Graph, servePolicy(), 1.0, eval, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batches, mismatches, err := j.Replay(twin.Graph, func(step int) error {
-		_, err := sched.Check(step)
-		return err
-	})
+	batches, mismatches, err := j.Replay(twin.Graph, check)
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
@@ -666,6 +700,53 @@ func TestJournalReplayBitIdentical(t *testing.T) {
 	if j.CountKind(OpCheck) != 2 || j.CountKind(OpFaults) == 0 || j.CountKind(OpDrift) == 0 {
 		t.Fatalf("journal op mix: checks %d faults %d drift %d",
 			j.CountKind(OpCheck), j.CountKind(OpFaults), j.CountKind(OpDrift))
+	}
+}
+
+// TestJournalReplayCatchesDivergedTwin is the negative half of the replay
+// contract: a journal served by one trained model, replayed on a model
+// trained from another seed, must report mismatches — otherwise the zero
+// mismatches every bit-identity test asserts would prove nothing. The same
+// journal on a true twin (same seed) still replays clean.
+func TestJournalReplayCatchesDivergedTwin(t *testing.T) {
+	served, err := train.NewServeModel(train.ServeBlobs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := NewJournal()
+	b := NewBatcher(served.Graph, Config{MaxBatch: 4, MaxWait: 100 * time.Microsecond, Journal: j})
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 32; i++ {
+		x := make([]float64, served.InputSize())
+		for k := range x {
+			x[k] = rng.Float64()*2 - 1
+		}
+		if _, err := b.Submit(context.Background(), x); err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+	}
+	mustShutdown(t, b)
+	for _, tc := range []struct {
+		seed     int64
+		diverged bool
+	}{{1, false}, {2, true}} {
+		twin, err := train.NewServeModel(train.ServeBlobs, tc.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batches, mismatches, err := j.Replay(twin.Graph, nil)
+		if err != nil {
+			t.Fatalf("seed %d: replay: %v", tc.seed, err)
+		}
+		if batches != j.CountKind(OpBatch) || batches == 0 {
+			t.Fatalf("seed %d: replayed %d batches, journal has %d", tc.seed, batches, j.CountKind(OpBatch))
+		}
+		if tc.diverged && mismatches == 0 {
+			t.Fatalf("twin trained from seed %d replayed %d batches with no mismatch", tc.seed, batches)
+		}
+		if !tc.diverged && mismatches != 0 {
+			t.Fatalf("true twin replayed %d of %d batches with mismatches", mismatches, batches)
+		}
 	}
 }
 

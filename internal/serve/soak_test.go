@@ -8,8 +8,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"trident/internal/reliability"
 )
 
 // TestServeSoak is the acceptance soak: ten concurrent clients with mixed
@@ -155,33 +153,11 @@ func TestServeSoak(t *testing.T) {
 	// Bit-identity: replay the journal on a twin graph with a twin
 	// scheduler; every served batch must reproduce exactly.
 	twin := buildServeNet(t)
-	probe := makeProbe(twin.InputSize(), 64, 21)
-	reference, err := twin.PredictBatch(nil, probe, 64)
+	check, err := TwinChecker(twin.Graph, MaintainerConfig{Seed: 21, Policy: servePolicy()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reference = append([]int(nil), reference...)
-	eval := func() (float64, error) {
-		classes, err := twin.PredictBatch(nil, probe, 64)
-		if err != nil {
-			return 0, err
-		}
-		agree := 0
-		for i := range classes {
-			if classes[i] == reference[i] {
-				agree++
-			}
-		}
-		return float64(agree) / float64(len(classes)), nil
-	}
-	sched, err := reliability.NewScheduler(twin.Graph, servePolicy(), 1.0, eval, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batches, mismatches, err := j.Replay(twin.Graph, func(step int) error {
-		_, cerr := sched.Check(step)
-		return cerr
-	})
+	batches, mismatches, err := j.Replay(twin.Graph, check)
 	if err != nil {
 		t.Fatalf("journal replay: %v", err)
 	}

@@ -206,41 +206,6 @@ func (p PoolSpec) OutH() int { return (p.H-p.K)/p.Stride + 1 }
 // OutW returns the pooled width.
 func (p PoolSpec) OutW() int { return (p.W-p.K)/p.Stride + 1 }
 
-// MaxPool2D computes max pooling and returns the output plus the flat argmax
-// index of each window (for backprop routing).
-func MaxPool2D(in *Tensor, p PoolSpec) (*Tensor, []int) {
-	if err := p.Validate(); err != nil {
-		panic(err)
-	}
-	outH, outW := p.OutH(), p.OutW()
-	out := New(p.C, outH, outW)
-	arg := make([]int, p.C*outH*outW)
-	id := in.Data()
-	parallelFor(p.C, func(lo, hi int) {
-		for c := lo; c < hi; c++ {
-			for oy := 0; oy < outH; oy++ {
-				for ox := 0; ox < outW; ox++ {
-					best, bi := -1e308, -1
-					for ky := 0; ky < p.K; ky++ {
-						iy := oy*p.Stride + ky
-						rowBase := c*p.H*p.W + iy*p.W
-						for kx := 0; kx < p.K; kx++ {
-							ix := ox*p.Stride + kx
-							if v := id[rowBase+ix]; v > best {
-								best, bi = v, rowBase+ix
-							}
-						}
-					}
-					oidx := c*outH*outW + oy*outW + ox
-					out.Data()[oidx] = best
-					arg[oidx] = bi
-				}
-			}
-		}
-	})
-	return out, arg
-}
-
 // AvgPool2D computes average pooling.
 func AvgPool2D(in *Tensor, p PoolSpec) *Tensor {
 	if err := p.Validate(); err != nil {
