@@ -570,6 +570,39 @@ func BenchmarkBankMVMBatch(b *testing.B) {
 	}
 }
 
+// BenchmarkPENoisyPass times one noisy forward pass of an 8×8 PE at batch
+// 256 — the shape of one conv chunk on a small bank — through
+// PE.MVMPassBatchInto: the compiled batch GEMM, one detection-noise draw per
+// output and the per-symbol ledger booking.
+func BenchmarkPENoisyPass(b *testing.B) {
+	const size, batch = 8, 256
+	pe, err := core.NewPE(core.PEConfig{Rows: size, Cols: size, NoiseSeed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(size))
+	w := make([][]float64, size)
+	for j := range w {
+		w[j] = make([]float64, size)
+		for i := range w[j] {
+			w[j][i] = rng.Float64()*2 - 1
+		}
+	}
+	if err := pe.Program(w); err != nil {
+		b.Fatal(err)
+	}
+	xs := benchInput(batch*size, 13)
+	dst := make([]float64, batch*size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if dst, err = pe.MVMPassBatchInto(dst, xs, batch, size); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.N)*batch/b.Elapsed().Seconds(), "samples/sec")
+}
+
 // BenchmarkBankRecompileFull times a whole-snapshot rebuild: RotateRows(0)
 // is a pure whole-bank invalidation (the row map is unchanged, so every
 // iteration recompiles an identical bank), and EnsureCompiled pays the full

@@ -38,13 +38,27 @@ type BPD struct {
 // NewBPD returns a BPD with the paper-consistent defaults: 1 A/W
 // responsivity, bandwidth matching the 1.37 GHz symbol clock.
 func NewBPD(seed int64) *BPD {
-	return &BPD{
+	b := defaultBPD()
+	b.rng = rand.New(rand.NewSource(seed))
+	return &b
+}
+
+// defaultBPD is NewBPD without a noise source: enough for the noise model's
+// closed forms, not for Detect.
+func defaultBPD() BPD {
+	return BPD{
 		Responsivity: device.BPDResponsivity,
 		Bandwidth:    units.Frequency(device.ClockRate),
 		DarkCurrent:  10e-9,
 		LoadOhms:     50,
-		rng:          rand.New(rand.NewSource(seed)),
 	}
+}
+
+// NoiseSigma returns a default BPD's RMS current noise for a given total
+// incident power, without seeding a noise source the caller would not read.
+func NoiseSigma(total units.Power) float64 {
+	b := defaultBPD()
+	return b.NoiseSigma(total)
 }
 
 // Detect converts a differential optical power (plus − minus) into a

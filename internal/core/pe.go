@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"trident/internal/analog"
 	"trident/internal/device"
@@ -40,14 +39,14 @@ type PE struct {
 	ldsu   *pcm.LDSUBank
 	acts   []*pcm.ActivationCell
 	ledger *Ledger
-	rng    *rand.Rand
+	noise  *gaussStream // nil when noise is off
 	faults []fault      // stuck cells (see faults.go)
 	events []FaultEvent // fault history in occurrence order
 	// noiseRel is the relative RMS analog noise at full scale, derived
 	// from the BPD noise model.
 	noiseRel float64
 
-	// Per-symbol pipeline costs booked by stepEncoded, fixed by the geometry.
+	// Per-symbol pipeline costs booked by bookSymbols, fixed by the geometry.
 	period      units.Duration
 	readEnergy  units.Energy // GST read bias, one clock
 	feEnergy    units.Energy // BPD+TIA front ends, one clock
@@ -105,7 +104,6 @@ func NewPE(cfg PEConfig) (*PE, error) {
 		lasers:    lasers,
 		ldsu:      pcm.NewLDSUBank(cfg.Rows),
 		ledger:    NewLedger(),
-		rng:       rand.New(rand.NewSource(cfg.NoiseSeed)),
 		normBuf:   make([]float64, cfg.Rows),
 		blockBuf:  make([][]float64, cfg.Rows),
 		blockData: make([]float64, cfg.Rows*cfg.Cols),
@@ -128,9 +126,11 @@ func NewPE(cfg PEConfig) (*PE, error) {
 		pe.acts = append(pe.acts, act)
 	}
 	if !cfg.DisableNoise {
-		bpd := analog.NewBPD(cfg.NoiseSeed + 1)
 		full := cfg.LaserPower
-		pe.noiseRel = bpd.NoiseSigma(full) / (bpd.Responsivity * full.Watts())
+		pe.noiseRel = analog.NoiseSigma(full) / (device.BPDResponsivity * full.Watts())
+		if pe.noiseRel != 0 {
+			pe.noise = newGaussStream(cfg.NoiseSeed)
+		}
 	}
 	return pe, nil
 }
@@ -191,37 +191,40 @@ func (p *PE) RefreshWeights() {
 	p.applyFaults()
 }
 
-// stepEncoded books the per-symbol energies common to every optical pass:
-// the E/O encoding of the pass's inputs (computed once per batch by the
-// caller), the GST read pulses that bias the bank, the BPD+TIA front ends,
-// and the per-PE cache activity, then advances one clock.
-func (p *PE) stepEncoded(encode units.Energy) {
-	p.ledger.add(catEOLaser, encode)
-	p.ledger.add(catGSTRead, p.readEnergy)
-	p.ledger.add(catBPDTIA, p.feEnergy)
-	p.ledger.add(catCache, p.cacheEnergy)
-	p.ledger.elapsed += p.period
-}
-
-// noiseSigma returns the BPD noise sigma of an n-channel vector sum, which
-// carries √n of the single-channel noise; ok is false when noise is off.
-func (p *PE) noiseSigma(n int) (sigma float64, ok bool) {
-	if p.cfg.DisableNoise || p.noiseRel == 0 {
-		return 0, false
-	}
-	return p.noiseRel * math.Sqrt(float64(n)), true
-}
-
-// addNoise perturbs every value of one pass in place with the noise of an
-// n-channel sum, drawing in index order.
-func (p *PE) addNoise(vs []float64, n int) {
-	sigma, ok := p.noiseSigma(n)
-	if !ok {
+// bookSymbols books n clocks of the per-symbol energies common to every
+// optical pass: the E/O encoding of the pass's inputs (computed once per
+// batch by the caller), the GST read pulses that bias the bank, the BPD+TIA
+// front ends, and the per-PE cache activity. The sums run in locals but see
+// the same additions in the same order as n single-clock bookings, so the
+// ledger bits do not depend on how a pass is batched.
+func (p *PE) bookSymbols(encode units.Energy, n int) {
+	if n <= 0 {
 		return
 	}
-	for j, v := range vs {
-		vs[j] = v + p.rng.NormFloat64()*sigma
+	l := p.ledger
+	eo, rd, fe, ca := l.energy[catEOLaser], l.energy[catGSTRead], l.energy[catBPDTIA], l.energy[catCache]
+	t := l.elapsed
+	read, front, cache, period := p.readEnergy, p.feEnergy, p.cacheEnergy, p.period
+	for s := 0; s < n; s++ {
+		eo += encode
+		rd += read
+		fe += front
+		ca += cache
+		t += period
 	}
+	l.energy[catEOLaser], l.energy[catGSTRead], l.energy[catBPDTIA], l.energy[catCache] = eo, rd, fe, ca
+	l.elapsed = t
+	l.booked |= 1<<catEOLaser | 1<<catGSTRead | 1<<catBPDTIA | 1<<catCache
+}
+
+// addNoise perturbs every value of one pass in place with the BPD noise of
+// an n-channel vector sum, which carries √n of the single-channel noise,
+// drawing in index order.
+func (p *PE) addNoise(vs []float64, n int) {
+	if p.noise == nil {
+		return
+	}
+	p.noise.addNoise(vs, p.noiseRel*math.Sqrt(float64(n)))
 }
 
 // MVMPassBatchInto streams a batch of input vectors through the weight-
@@ -243,10 +246,7 @@ func (p *PE) MVMPassBatchInto(dst, xs []float64, batch, n int) ([]float64, error
 	dst = growFloats(dst, batch*p.cfg.Rows)
 	dst = p.bank.MVMBatchInto(dst, xs, batch, n)
 	p.addNoise(dst[:batch*p.cfg.Rows], n)
-	encode := p.lasers.EncodeEnergy(n)
-	for s := 0; s < batch; s++ {
-		p.stepEncoded(encode)
-	}
+	p.bookSymbols(p.lasers.EncodeEnergy(n), batch)
 	return dst, nil
 }
 
@@ -273,10 +273,7 @@ func (p *PE) TransposePassBatchInto(dst, ds []float64, batch, m int) ([]float64,
 	dst = growFloats(dst, batch*p.cfg.Cols)
 	dst = p.bank.TransposeMVMBatchInto(dst, ds, batch, m)
 	p.addNoise(dst[:batch*p.cfg.Cols], m)
-	encode := p.lasers.EncodeEnergy(m)
-	for s := 0; s < batch; s++ {
-		p.stepEncoded(encode)
-	}
+	p.bookSymbols(p.lasers.EncodeEnergy(m), batch)
 	return dst, nil
 }
 

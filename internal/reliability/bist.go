@@ -105,17 +105,15 @@ type bistSlot struct {
 // campaign — each basis vector `repeats` times, n-major/rep-minor — through
 // the tile's batched MVM path in one call, averages the readouts, and
 // compares them against the prediction from the quantized master weights
-// plus the band-radius-bounded crosstalk calibration. tolerance ≤ 0 selects DefaultTolerance;
-// repeats ≤ 0 selects 2. Tiles are swept in parallel under the
-// single-writer-per-PE contract; the report is deterministic for a fixed
-// network state regardless of worker count.
-func RunBIST(net *core.Graph, tolerance float64, repeats int) (*BISTReport, error) {
+// plus the band-radius-bounded crosstalk calibration, flagging deviations
+// beyond DefaultTolerance. repeats ≤ 0 selects 2. Tiles are swept in
+// parallel under the single-writer-per-PE contract; the report is
+// deterministic for a fixed network state regardless of worker count.
+func RunBIST(net *core.Graph, repeats int) (*BISTReport, error) {
 	if net == nil {
 		return nil, fmt.Errorf("reliability: nil network")
 	}
-	if tolerance <= 0 || math.IsNaN(tolerance) {
-		tolerance = DefaultTolerance()
-	}
+	tolerance := DefaultTolerance()
 	if repeats <= 0 {
 		repeats = 2
 	}

@@ -125,7 +125,7 @@ func TestAttachWearDeterministic(t *testing.T) {
 
 func TestBISTCleanNetworkHasNoSuspects(t *testing.T) {
 	net := newTestNetwork(t)
-	rep, err := RunBIST(net.Graph, 0, 0)
+	rep, err := RunBIST(net.Graph, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestBISTLocalizesInjectedFaults(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rep, err := RunBIST(net.Graph, 0, 0)
+	rep, err := RunBIST(net.Graph, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestSchedulerWearLevelingPreservesAccuracy(t *testing.T) {
 	net := newTestNetwork(t)
 	// Park the edge cells first so the baseline output already includes the
 	// self-test's park-pass crosstalk; the rotation check is then exact.
-	if _, err := RunBIST(net.Graph, 0, 0); err != nil {
+	if _, err := RunBIST(net.Graph, 0); err != nil {
 		t.Fatal(err)
 	}
 	x := []float64{0.3, -0.2, 0.5, 0.1, -0.4, 0.25}

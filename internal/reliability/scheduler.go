@@ -241,7 +241,7 @@ func (s *Scheduler) Check(step int) (CheckResult, error) {
 		hold := units.Duration(float64(step-s.lastStep)) * p.TimePerStep
 		s.net.ApplyDrift(hold)
 	}
-	rep, err := RunBIST(s.net, DefaultTolerance(), p.BISTRepeats)
+	rep, err := RunBIST(s.net, p.BISTRepeats)
 	if err != nil {
 		return res, err
 	}
@@ -305,7 +305,7 @@ func (s *Scheduler) Check(step int) (CheckResult, error) {
 // whose stuck-suspect count reaches half its cells (at least one). It
 // returns how many rows were newly masked.
 func (s *Scheduler) maskDeadRows() (int, error) {
-	rep, err := RunBIST(s.net, DefaultTolerance(), s.policy.BISTRepeats)
+	rep, err := RunBIST(s.net, s.policy.BISTRepeats)
 	if err != nil {
 		return 0, err
 	}

@@ -627,6 +627,69 @@ func TestGraphInstanceJournalOptIn(t *testing.T) {
 	}
 }
 
+// TestHealthFreshAfterChaosStrike: a wear burst struck between two batches
+// must show in the next Health() and on /readyz without any maintenance
+// check — the batcher re-probes the graph after every batch, so the second
+// request is what surfaces the damage.
+func TestHealthFreshAfterChaosStrike(t *testing.T) {
+	net := buildServeNet(t)
+	inst, err := NewGraphInstance("m/replica-0", net.Graph,
+		Config{MaxBatch: 1, MaxWait: time.Millisecond}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mustShutdown(t, inst.Batcher())
+	rt := NewRouter()
+	if err := rt.AddModel("m", inst); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewServer(rt).Handler())
+	defer srv.Close()
+	readyz := func() string {
+		t.Helper()
+		resp, err := http.Get(srv.URL + "/readyz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var body map[string]string
+		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+			t.Fatal(err)
+		}
+		return body["status"]
+	}
+
+	ctx := context.Background()
+	x := []float64{0.1, -0.2, 0.3, 0.4, -0.5, 0.6}
+	if _, err := inst.Submit(ctx, x); err != nil {
+		t.Fatal(err)
+	}
+	if h := inst.Health(); h.Faults != 0 || h.Degraded {
+		t.Fatalf("before the strike: health %+v, want no faults", h)
+	}
+	if got := readyz(); got != "ready" {
+		t.Fatalf("before the strike: /readyz %q, want ready", got)
+	}
+
+	chaos := NewChaos(net.Graph, inst.Batcher(), nil, ChaosConfig{Seed: 13, FaultFraction: 0.02})
+	const wearBurst = 2 // Strike cycles stall, drift, wear by i%3
+	if err := chaos.Strike(ctx, wearBurst); err != nil {
+		t.Fatal(err)
+	}
+	if net.Graph.FaultCount() == 0 {
+		t.Fatal("the wear burst hit no cell")
+	}
+	if _, err := inst.Submit(ctx, x); err != nil {
+		t.Fatal(err)
+	}
+	if h := inst.Health(); h.Faults == 0 || !h.Degraded {
+		t.Errorf("after the strike and one batch: health %+v, want faults and degraded", h)
+	}
+	if got := readyz(); got != "degraded" {
+		t.Errorf("after the strike and one batch: /readyz %q, want degraded", got)
+	}
+}
+
 // TestJournalReplayBitIdentical drives a serving stack sequentially —
 // batches, chaos mutations, forced maintenance windows — then replays the
 // journal on a twin graph and demands bitwise-identical classes for every
