@@ -315,6 +315,32 @@ func BenchmarkTrainBatch(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.N)*trainBenchBatch/b.Elapsed().Seconds(), "samples/sec")
 	})
+	// The in-situ training benchmark's shape: 35→128→10 on 8×8 banks (16×5
+	// and 2×16 tile grids), noise on, batch 32 — every step reprograms the
+	// changed cells inside the forward stripes.
+	b.Run("35x128x10", func(b *testing.B) {
+		g, err := core.NewGraph(core.NetworkConfig{PE: core.PEConfig{Rows: 8, Cols: 8}, LearningRate: 0.1}, 35)
+		if err != nil {
+			b.Fatal(err)
+		}
+		h := g.Dense(g.Input(), core.LayerSpec{In: 35, Out: 128, Activate: true}, 0)
+		if err := g.SetOutput(g.Dense(h, core.LayerSpec{In: 128, Out: 10}, 1)); err != nil {
+			b.Fatal(err)
+		}
+		xs := benchInput(trainBenchBatch*35, 5)
+		labels := make([]int, trainBenchBatch)
+		for s := range labels {
+			labels[s] = s % 10
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := g.TrainBatch(xs, labels); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.N)*trainBenchBatch/b.Elapsed().Seconds(), "samples/sec")
+	})
 }
 
 // BenchmarkTransposeCompiled times one compiled transpose pass — the Wᵀ·δ

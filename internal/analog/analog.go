@@ -61,6 +61,13 @@ func NoiseSigma(total units.Power) float64 {
 	return b.NoiseSigma(total)
 }
 
+// SNRBits returns a default BPD's effective bits at a full-scale optical
+// signal, without seeding a noise source the caller would not read.
+func SNRBits(fullScale units.Power) float64 {
+	b := defaultBPD()
+	return b.SNRBits(fullScale)
+}
+
 // Detect converts a differential optical power (plus − minus) into a
 // photocurrent including shot and thermal noise. Noise makes the analog MAC
 // inexact; its magnitude relative to the signal bounds the usable bit

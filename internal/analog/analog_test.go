@@ -74,6 +74,20 @@ func TestSNRSupportsEightBits(t *testing.T) {
 	}
 }
 
+// TestSeedlessNoiseModelMatchesBPD: the seedless closed forms must equal a
+// seeded default detector's bit for bit.
+func TestSeedlessNoiseModelMatchesBPD(t *testing.T) {
+	b := NewBPD(7)
+	for _, pw := range []units.Power{0, 40 * units.Nanowatt, 10 * units.Microwatt, 1 * units.Milliwatt} {
+		if got, want := SNRBits(pw), b.SNRBits(pw); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("SNRBits(%v) = %v, seeded BPD %v", pw, got, want)
+		}
+		if got, want := NoiseSigma(pw), b.NoiseSigma(pw); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("NoiseSigma(%v) = %v, seeded BPD %v", pw, got, want)
+		}
+	}
+}
+
 func TestTIA(t *testing.T) {
 	if _, err := NewTIA(0); err == nil {
 		t.Error("zero gain: want error")

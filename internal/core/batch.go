@@ -4,7 +4,7 @@ package core
 // stationary: once a layer's W is resident in the PCM banks, any number of
 // input vectors can stream through without reprogramming. Every forward
 // pass — serving, training and the batch-of-one Forward — streams its B
-// samples through each tile back-to-back, so the per-batch cost is one tile
+// samples through each tile back-to-back, so the per-batch cost is one
 // fan-out plus B optical passes per tile, with every scratch buffer reused
 // across samples and across calls.
 //
@@ -13,121 +13,128 @@ package core
 // noise stream and bookings are the same whether it runs alone or inside
 // a batch.
 //
-// Parallelism is two-level: tiles fan out across the worker pool here, and
-// inside each tile the bank's compiled batch GEMM fans its row blocks out
-// across the same pool (PEs install core.RunIndexed as the bank's
-// ParallelFor hook). When the outer fan-out saturates the pool the inner
-// one degrades to in-line execution, so a single-tile network still uses
-// every worker on the bank GEMM while a many-tile network parallelizes
-// across tiles — without oversubscription in either case.
+// Parallelism is two-level: the layer's row-tile stripes fan out across the
+// worker pool here — one job per stripe, which reprograms its stale banks,
+// runs its column tiles' passes, merges their partial sums and fires the
+// activation, so a layer pass is a single fan-out of rt jobs — and inside
+// each tile the bank's compiled batch GEMM fans its row blocks out across
+// the same pool (PEs install core.RunIndexed as the bank's ParallelFor
+// hook). When the outer fan-out saturates the pool the inner one degrades
+// to in-line execution, so a single-tile network still uses every worker
+// on the bank GEMM while a many-tile network parallelizes across stripes —
+// without oversubscription in either case.
 
 import (
 	"fmt"
 	"math"
 )
 
-// MVMBatchInto runs forward-layout optical passes for a whole batch: sample
-// s occupies xs[s*In : (s+1)*In] and its pre-activations land in
-// dst[s*Out : (s+1)*Out], both sample-major. Tiles fan out across the worker
-// pool; each tile streams every sample through its bank in batch order, and
-// the per-tile partial sums are merged afterwards per sample in fixed
-// (rowTile, colTile) order, so results are bit-identical to B calls with a
-// batch of one.
-func (l *DenseLayer) MVMBatchInto(dst, xs []float64, batch int) ([]float64, error) {
+// ForwardBatchInto runs the layer on a batch: sample s occupies
+// xs[s*In : (s+1)*In] and its activated outputs land in
+// dst[s*Out : (s+1)*Out], both sample-major (dst grown only when nil or
+// short). The pre-activations stay in the layer's batchH scratch, from which
+// the training walk reads the latched derivatives.
+//
+// The pass is one fan-out over row tiles (see forwardStripe): each job owns
+// one stripe of the tile grid, reprograms a stale bank in place, streams the
+// batch through its column tiles in ascending order, merges their partial
+// sums into its own output rows and fires the GST activation on the
+// stripe's first tile. Every output element therefore sees the same
+// additions in the same order, and every PE the same program → pass →
+// activate sequence, at any worker count. The banks count as holding W
+// only once every stripe has programmed.
+func (l *DenseLayer) ForwardBatchInto(dst, xs []float64, batch int) ([]float64, error) {
 	in, out := l.spec.In, l.spec.Out
 	if batch < 0 || len(xs) < batch*in {
 		return nil, fmt.Errorf("core: batch %d×%d needs %d inputs, have %d", batch, in, batch*in, len(xs))
 	}
-	if l.state != bankForward {
-		if err := l.programForward(); err != nil {
-			return nil, err
-		}
-	}
 	rt, ct := len(l.tiles), len(l.tiles[0])
-	rows := l.rows
-	l.stream = growFloats(l.stream, rt*ct*rows*batch)
-	slab := l.stream
 	if ct > 1 {
-		// Column tiles see a strided slice of each sample; gather them into
-		// per-tile sample-major slabs so the whole batch can stream through
-		// the bank's register-blocked kernel in one call. The O(batch·In)
-		// copy is negligible next to the O(batch·Out·In) optical passes.
-		l.streamX = growFloats(l.streamX, rt*ct*l.cols*batch)
-	}
-	inSlab := l.streamX
-	if err := runTiles(rt, ct, func(r, c int) error {
-		pe := l.tiles[r][c]
-		i0 := c * l.cols
-		i1 := min(i0+l.cols, in)
-		n := i1 - i0
-		tileOut := slab[(r*ct+c)*rows*batch:][: rows*batch : rows*batch]
-		xt := xs[:batch*in]
-		if ct > 1 {
-			buf := inSlab[(r*ct+c)*l.cols*batch:][: n*batch : n*batch]
+		// Column tiles see a strided slice of each sample; gather each
+		// column tile's sample-major slab once, before the fan-out, so every
+		// stripe streams it through its bank's register-blocked kernel.
+		l.streamX = growFloats(l.streamX, batch*in)
+		for c := 0; c < ct; c++ {
+			i0 := c * l.cols
+			i1 := min(i0+l.cols, in)
+			n := i1 - i0
+			buf := l.streamX[i0*batch : i1*batch]
 			for s := 0; s < batch; s++ {
 				copy(buf[s*n:(s+1)*n], xs[s*in+i0:s*in+i1])
 			}
-			xt = buf
 		}
-		// With a single column tile, i0 = 0 and n = In: xs itself is the
-		// tile's sample-major input stream.
-		_, err := pe.MVMPassBatchInto(tileOut, xt, batch, n)
-		return err
-	}); err != nil {
+	}
+	l.stream = growFloats(l.stream, rt*l.rows*batch)
+	l.batchH = growFloats(l.batchH, batch*out)
+	dst = growFloats(dst, batch*out)
+	stale := l.state != bankForward
+	if err := runStripes(rt, stripeArgs{l, dst, xs, batch, stale}, forwardStripe); err != nil {
 		return nil, err
 	}
-	dst = growFloats(dst, batch*out)
-	for i := range dst {
-		dst[i] = 0
-	}
-	for s := 0; s < batch; s++ {
-		h := dst[s*out : (s+1)*out]
-		for r := 0; r < rt; r++ {
-			j0 := r * rows
-			j1 := min(j0+rows, out)
-			for c := 0; c < ct; c++ {
-				part := slab[((r*ct+c)*batch+s)*rows:]
-				for j := j0; j < j1; j++ {
-					h[j] += part[j-j0]
-				}
-			}
-		}
-	}
+	l.state = bankForward
 	return dst, nil
 }
 
-// ForwardBatchInto runs the layer on a batch: tile MVM passes, electronic
-// partial-sum merge, then the GST activation (when enabled) on the row-tile
-// PEs, each row tile walking its samples in batch order. dst receives the
-// activated outputs sample-major (grown only when nil or short); the
-// pre-activations stay in the layer's batchH scratch, from which the
-// training walk reads the latched derivatives.
-func (l *DenseLayer) ForwardBatchInto(dst, xs []float64, batch int) ([]float64, error) {
-	out := l.spec.Out
-	h, err := l.MVMBatchInto(l.batchH, xs, batch)
-	if err != nil {
-		return nil, err
+// stripeArgs is one layer pass's input, handed to every stripe job.
+type stripeArgs struct {
+	l        *DenseLayer
+	dst, src []float64
+	batch    int
+	stale    bool // the banks do not hold W: program each tile first
+}
+
+// forwardStripe is ForwardBatchInto's job for row tile r. It returns the
+// flattened (r, c) index of the tile that failed with its error.
+func forwardStripe(a stripeArgs, r int) (int, error) {
+	l, batch := a.l, a.batch
+	in, out := l.spec.In, l.spec.Out
+	ct := len(l.tiles[0])
+	j0 := r * l.rows
+	j1 := min(j0+l.rows, out)
+	m := j1 - j0
+	h := l.batchH
+	for s := 0; s < batch; s++ {
+		clear(h[s*out+j0 : s*out+j1])
 	}
-	l.batchH = h
-	dst = growFloats(dst, batch*out)
-	if !l.spec.Activate {
-		copy(dst, h[:batch*out])
-		return dst, nil
-	}
-	if err := runTiles(len(l.tiles), 1, func(r, _ int) error {
-		j0 := r * l.rows
-		j1 := min(j0+l.rows, out)
-		pe := l.tiles[r][0]
-		for s := 0; s < batch; s++ {
-			if _, err := pe.ActivateInto(dst[s*out+j0:s*out+j1], h[s*out+j0:s*out+j1]); err != nil {
-				return err
+	part := l.stream[r*l.rows*batch:][: l.rows*batch : l.rows*batch]
+	for c := 0; c < ct; c++ {
+		pe := l.tiles[r][c]
+		if a.stale {
+			if err := pe.Program(l.tileBlock(pe, r, c)); err != nil {
+				return r*ct + c, err
 			}
 		}
-		return nil
-	}); err != nil {
-		return nil, err
+		i0 := c * l.cols
+		i1 := min(i0+l.cols, in)
+		// A single column tile spans the whole input, which then is the
+		// tile's sample-major stream as it stands.
+		xt := a.src[:batch*in]
+		if ct > 1 {
+			xt = l.streamX[i0*batch : i1*batch]
+		}
+		if _, err := pe.MVMPassBatchInto(part, xt, batch, i1-i0); err != nil {
+			return r*ct + c, err
+		}
+		for s := 0; s < batch; s++ {
+			hs := h[s*out+j0 : s*out+j1]
+			for j, v := range part[s*l.rows : s*l.rows+m] {
+				hs[j] += v
+			}
+		}
 	}
-	return dst, nil
+	if !l.spec.Activate {
+		for s := 0; s < batch; s++ {
+			copy(a.dst[s*out+j0:s*out+j1], h[s*out+j0:s*out+j1])
+		}
+		return 0, nil
+	}
+	pe := l.tiles[r][0]
+	for s := 0; s < batch; s++ {
+		if _, err := pe.ActivateInto(a.dst[s*out+j0:s*out+j1], h[s*out+j0:s*out+j1]); err != nil {
+			return r * ct, err
+		}
+	}
+	return 0, nil
 }
 
 // argmax returns the index of the largest value (first wins on ties).

@@ -188,7 +188,7 @@ func TestBatchGeometryErrors(t *testing.T) {
 		t.Error("negative batch: want error")
 	}
 	l := net.Layers()[0]
-	if _, err := l.MVMBatchInto(nil, make([]float64, 12), 2); err == nil {
+	if _, err := l.ForwardBatchInto(nil, make([]float64, 12), 2); err == nil {
 		t.Error("layer short inputs: want error")
 	}
 	pe := l.Tiles()[0][0]

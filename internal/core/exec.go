@@ -9,8 +9,9 @@ package core
 // and Ledger have exactly one writer at any time, because work is always
 // decomposed so that each tile (and therefore each PE) is driven by exactly
 // one goroutine per pass. Per-tile results land in per-tile buffers and are
-// merged by the caller in a fixed tile order after the fan-out completes, so
-// results — including the analog noise sequences and energy totals — are
+// merged in a fixed tile order — by the caller after the fan-out completes,
+// or inside the job when one job owns a whole stripe of tiles (runStripes)
+// — so results, including the analog noise sequences and energy totals, are
 // bit-identical regardless of how many workers execute the passes.
 
 import (
@@ -176,6 +177,31 @@ func runTilesArg[A any](rt, ct int, arg A, job func(arg A, r, c int) error) erro
 	runIndexed(rt*ct, func(i int) {
 		if err := job(arg, i/ct, i%ct); err != nil {
 			first.keep(i, err)
+		}
+	})
+	return first.err
+}
+
+// runStripes runs job(arg, i) for every i in [0, n) across the worker pool.
+// A job owns a stripe of tiles — a tile row or column walked in fixed order
+// — and reports the flattened (r, c) index of the tile that failed along
+// with its error. When several stripes fail, the error of the lowest tile
+// index is reported, as in runTiles, so it never depends on scheduling. A
+// serial fan-out calls job in-line and allocates nothing.
+func runStripes[A any](n int, arg A, job func(arg A, i int) (at int, err error)) error {
+	if serialFanOut(n) {
+		kept, keptAt := error(nil), 0
+		for i := 0; i < n; i++ {
+			if at, err := job(arg, i); err != nil && (kept == nil || at < keptAt) {
+				kept, keptAt = err, at
+			}
+		}
+		return kept
+	}
+	first := &firstError{at: -1}
+	runIndexed(n, func(i int) {
+		if at, err := job(arg, i); err != nil {
+			first.keep(at, err)
 		}
 	})
 	return first.err

@@ -78,6 +78,32 @@ func TestRunTilesReportsLowestIndexError(t *testing.T) {
 	}
 }
 
+// TestRunStripesReportsLowestIndexError: stripe jobs report the flattened
+// tile index of their failure, and the lowest index wins at any worker
+// count, whichever stripe finishes first.
+func TestRunStripesReportsLowestIndexError(t *testing.T) {
+	failAt := []int{-1, 13, 7, -1, 18} // per stripe; -1 succeeds
+	for _, workers := range []int{1, 8} {
+		withWorkers(t, workers)
+		for trial := 0; trial < 50; trial++ {
+			var ran atomic.Int32
+			err := runStripes(len(failAt), failAt, func(failAt []int, i int) (int, error) {
+				ran.Add(1)
+				if at := failAt[i]; at >= 0 {
+					return at, fmt.Errorf("tile %d failed", at)
+				}
+				return 0, nil
+			})
+			if err == nil || err.Error() != "tile 7 failed" {
+				t.Fatalf("workers=%d trial %d: got %v, want error of tile 7", workers, trial, err)
+			}
+			if ran.Load() != int32(len(failAt)) {
+				t.Fatalf("workers=%d trial %d: %d stripes ran, want %d", workers, trial, ran.Load(), len(failAt))
+			}
+		}
+	}
+}
+
 // noisyCfg enables the full analog noise model: the determinism tests must
 // hold bit-exactly even when every pass draws from the per-PE noise rngs.
 func noisyCfg() NetworkConfig {

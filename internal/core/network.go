@@ -39,12 +39,12 @@ type DenseLayer struct {
 	actCells *nn.GSTActivation
 
 	// Execution-engine scratch, reused across passes. The stream slabs hold
-	// one region per tile so concurrent tile passes never write shared
-	// accumulators; the merge into the layer output happens afterwards in
-	// fixed tile order.
-	gradBuf [][]float64 // outer-product gradient scratch (see gradScratch)
-	stream  []float64   // per-tile sample-stream slabs (conv + batch paths)
-	streamX []float64   // per-tile sample-major input gathers (conv + batch)
+	// one region per tile (conv) or per stripe (dense) so concurrent jobs
+	// never write shared accumulators, and every merge runs in fixed tile
+	// order.
+	gradBuf [][]float64 // conv kernel-gradient scratch (see gradScratch)
+	stream  []float64   // tile/stripe output slabs, or the transpose's delta gathers
+	streamX []float64   // tile/column-tile input gathers, or the transpose's stripe outputs
 	batchH  []float64   // batched pre-activation accumulator (batch×Out)
 }
 

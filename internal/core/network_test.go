@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"trident/internal/dataset"
@@ -243,26 +244,71 @@ func TestTransposeMVM(t *testing.T) {
 	}
 }
 
-// TestOuterProductLayer checks the weight-gradient contraction, as a batch
-// of one, against δh·yᵀ.
+// TestOuterProductLayer checks the fused weight step against its three
+// separate passes — the ΔHᵀ·X contraction with the first sample assigning,
+// the 1/B mean scale (skipped at batch 1) and ApplyUpdate — bit for bit,
+// over odd row counts, input widths off the four-column register tile,
+// signed zeros and a learning rate large enough to clamp. At batch 1 the
+// step is the plain rank-1 update W − β·δh·yᵀ.
 func TestOuterProductLayer(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, shape := range []struct{ in, out, batch int }{
+		{10, 6, 1}, {35, 17, 32}, {7, 33, 5}, {3, 1, 2}, {16, 16, 4}, {130, 9, 3},
+	} {
+		for _, lr := range []float64{0.05, 40} {
+			fused := quietNet(t, lr, LayerSpec{In: shape.in, Out: shape.out})
+			ref := quietNet(t, lr, LayerSpec{In: shape.in, Out: shape.out})
+			lf, lr2 := fused.Layers()[0], ref.Layers()[0]
+			dhs := make([]float64, shape.batch*shape.out)
+			xs := make([]float64, shape.batch*shape.in)
+			for i := range dhs {
+				dhs[i] = rng.Float64()*2 - 1
+				if i%7 == 0 {
+					dhs[i] = math.Copysign(0, -1)
+				}
+			}
+			for i := range xs {
+				xs[i] = rng.Float64()*2 - 1
+			}
+			lf.applyBatchGradient(lr, dhs, xs, shape.batch)
+			grad := make([][]float64, shape.out)
+			for j := range grad {
+				grad[j] = make([]float64, shape.in)
+				for i := range grad[j] {
+					g := dhs[j] * xs[i]
+					for s := 1; s < shape.batch; s++ {
+						g += dhs[s*shape.out+j] * xs[s*shape.in+i]
+					}
+					grad[j][i] = g
+				}
+			}
+			scaleGrad(grad, shape.batch)
+			lr2.ApplyUpdate(lr, grad)
+			for j, row := range lf.Weights() {
+				for i, w := range row {
+					if want := lr2.Weights()[j][i]; math.Float64bits(w) != math.Float64bits(want) {
+						t.Fatalf("%+v lr %v: W[%d][%d] = %v, separate passes %v", shape, lr, j, i, w, want)
+					}
+				}
+			}
+		}
+	}
 	hw := quietNet(t, 0.05, LayerSpec{In: 10, Out: 6})
 	l := hw.Layers()[0]
+	before := make([][]float64, 6)
+	for j, row := range l.Weights() {
+		before[j] = append([]float64(nil), row...)
+	}
 	deltaH := []float64{1, -0.5, 0.25, 0, 0.75, -1}
 	y := make([]float64, 10)
 	for i := range y {
 		y[i] = 0.1*float64(i) - 0.4
 	}
-	grad := make([][]float64, len(deltaH))
-	for j := range grad {
-		grad[j] = make([]float64, len(y))
-	}
-	l.outerProductBatchInto(grad, deltaH, y, 1)
+	l.applyBatchGradient(0.05, deltaH, y, 1)
 	for j := range deltaH {
 		for i := range y {
-			want := deltaH[j] * y[i]
-			if math.Abs(grad[j][i]-want) > 0.02 {
-				t.Errorf("δW[%d][%d] = %v, want ≈%v", j, i, grad[j][i], want)
+			if want := clamp1(before[j][i] - 0.05*(deltaH[j]*y[i])); l.Weights()[j][i] != want {
+				t.Errorf("W[%d][%d] = %v, want %v", j, i, l.Weights()[j][i], want)
 			}
 		}
 	}

@@ -194,9 +194,9 @@ func (g *Graph) backwardNodeBatch(n *graphNode, batch int) error {
 
 // backwardDenseBatch gates the batch's gradient slab by the latched
 // derivatives, runs ONE batched transpose GEMM through the forward-resident
-// banks for the producer's gradient, contracts the weight gradient as one
-// blocked ΔHᵀ·X GEMM over the whole batch, and applies a single
-// mean-gradient update.
+// banks for the producer's gradient, and applies a single mean-gradient
+// update contracted as one blocked ΔHᵀ·X GEMM over the whole batch (see
+// applyBatchGradient).
 func (g *Graph) backwardDenseBatch(n *graphNode, batch int) error {
 	l := n.layer
 	out := l.spec.Out
@@ -214,10 +214,7 @@ func (g *Graph) backwardDenseBatch(n *graphNode, batch int) error {
 		n.batchDIn = raw
 		g.accumulateBatch(n.in[0], raw[:batch*l.spec.In], batch)
 	}
-	grad := l.gradScratch()
-	l.outerProductBatchInto(grad, dh[:batch*out], prod.batchVal, batch)
-	scaleGrad(grad, batch)
-	l.ApplyUpdate(g.cfg.LearningRate, grad)
+	l.applyBatchGradient(g.cfg.LearningRate, dh[:batch*out], prod.batchVal, batch)
 	return nil
 }
 
@@ -299,31 +296,61 @@ func scaleGrad(grad [][]float64, batch int) {
 	}
 }
 
-// outerProductBatchInto contracts the batch's rank-1 weight-gradient
-// updates into one blocked digital GEMM: grad[j][i] = Σ_s δh[s,j]·x[s,i],
-// kernel rows sharded across the worker pool in fixed blocks, samples
-// accumulated in ascending order per cell — bit-identical at any worker
-// count. The first sample assigns rather than adds, so the gradient needs
-// no zeroing and batch 1 is the plain rank-1 product δh·xᵀ.
-func (l *DenseLayer) outerProductBatchInto(grad [][]float64, dhs, xs []float64, batch int) {
-	out, in := l.spec.Out, l.spec.In
+// applyBatchGradient is the dense layer's whole weight step, fused into one
+// pass per row block: the batch's rank-1 weight-gradient updates contract
+// as one digital GEMM, δW[j][i] = Σ_s δh[s,j]·x[s,i], which is scaled to the
+// mean (skipped at batch 1, as in scaleGrad) and applied as the equation (1)
+// update W ← clamp(W − β·δW) while still in registers. Rows shard across
+// the worker pool in fixed blocks of gradRowBlock, each row swept four
+// columns at a time; each cell accumulates its samples in ascending order
+// and the first sample assigns rather than adds (so a −0 product survives
+// as it would in a zeroed-then-assigned buffer), which keeps every weight
+// bit-identical to separate contract, scale and update passes at any
+// worker count.
+func (l *DenseLayer) applyBatchGradient(beta float64, dhs, xs []float64, batch int) {
+	out := l.spec.Out
 	blocks := (out + gradRowBlock - 1) / gradRowBlock
 	RunIndexed(blocks, func(bi int) {
 		j0 := bi * gradRowBlock
-		j1 := min(j0+gradRowBlock, out)
-		for j := j0; j < j1; j++ {
-			row := grad[j][:in]
-			dh := dhs[j]
-			for i, xv := range xs[:in] {
-				row[i] = dh * xv
-			}
-			for s := 1; s < batch; s++ {
-				dh = dhs[s*out+j]
-				x := xs[s*in : (s+1)*in]
-				for i, xv := range x {
-					row[i] += dh * xv
-				}
-			}
+		for j := j0; j < min(j0+gradRowBlock, out); j++ {
+			l.updateRow(beta, dhs, xs, batch, j)
 		}
 	})
+	l.state = bankStale
+}
+
+// updateRow runs applyBatchGradient for row j.
+func (l *DenseLayer) updateRow(beta float64, dhs, xs []float64, batch, j int) {
+	out, in := l.spec.Out, l.spec.In
+	inv := 1 / float64(batch)
+	// step turns a batch-summed gradient cell into the updated weight.
+	step := func(w, g float64) float64 {
+		if batch > 1 {
+			g *= inv
+		}
+		return clamp1(w - beta*g)
+	}
+	w := l.w[j][:in]
+	i := 0
+	for ; i+4 <= in; i += 4 {
+		d := dhs[j]
+		x := xs[i : i+4 : i+4]
+		a0, a1, a2, a3 := d*x[0], d*x[1], d*x[2], d*x[3]
+		for s := 1; s < batch; s++ {
+			d = dhs[s*out+j]
+			x = xs[s*in+i : s*in+i+4 : s*in+i+4]
+			a0 += d * x[0]
+			a1 += d * x[1]
+			a2 += d * x[2]
+			a3 += d * x[3]
+		}
+		w[i], w[i+1], w[i+2], w[i+3] = step(w[i], a0), step(w[i+1], a1), step(w[i+2], a2), step(w[i+3], a3)
+	}
+	for ; i < in; i++ {
+		a := dhs[j] * xs[i]
+		for s := 1; s < batch; s++ {
+			a += dhs[s*out+j] * xs[s*in+i]
+		}
+		w[i] = step(w[i], a)
+	}
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -93,6 +95,85 @@ func TestTrainBatchDeterministicAcrossWorkers(t *testing.T) {
 			if weights[i] != wRef[i] {
 				t.Fatalf("workers=%d weight[%d]: %v, serial %v", workers, i, weights[i], wRef[i])
 			}
+		}
+	}
+}
+
+// TestTrainBatchStripesBitIdenticalAcrossWorkers runs the in-situ training
+// shape — 35→128→10 on 8×8 banks (16×5 and 2×16 tile grids), noise on,
+// batch 32 — for four TrainBatch steps at 1, 2 and 8 workers. The stripe
+// fan-outs reprogram stale banks inside each stripe and merge partial sums
+// there, so the losses, master weights, every PE's ledger breakdown and
+// elapsed time, every cell's write count and the next forward output must
+// match the serial run bit for bit.
+func TestTrainBatchStripesBitIdenticalAcrossWorkers(t *testing.T) {
+	const in, hidden, classes, batch = 35, 128, 10, 32
+	type trace struct {
+		losses, weights, out []float64
+		ledgers              []map[string]float64
+		writes               []uint64
+	}
+	run := func(workers int) *trace {
+		withWorkers(t, workers)
+		g, err := NewGraph(NetworkConfig{PE: PEConfig{Rows: 8, Cols: 8}, LearningRate: 0.1}, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := g.Dense(g.Input(), LayerSpec{In: in, Out: hidden, Activate: true}, 0)
+		if err := g.SetOutput(g.Dense(h, LayerSpec{In: hidden, Out: classes}, 1)); err != nil {
+			t.Fatal(err)
+		}
+		tr := &trace{}
+		labels := make([]int, batch)
+		for step := 0; step < 4; step++ {
+			xs := batchInputs(t, int64(100+step), batch, in)
+			for s := range labels {
+				labels[s] = (s*7 + step) % classes
+			}
+			loss, err := g.TrainBatch(xs, labels)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr.losses = append(tr.losses, loss)
+		}
+		tr.weights = flattenAllWeights(g)
+		if tr.out, err = g.ForwardBatchInto(nil, batchInputs(t, 200, batch, in), batch); err != nil {
+			t.Fatal(err)
+		}
+		g.ForEachPE(func(_, _, _ int, pe *PE) {
+			led := map[string]float64{"elapsed": pe.Ledger().Elapsed().Seconds()}
+			for cat, e := range pe.Ledger().Breakdown() {
+				led[string(cat)] = e.Joules()
+			}
+			tr.ledgers = append(tr.ledgers, led)
+			for r := 0; r < pe.Rows(); r++ {
+				for c := 0; c < pe.Cols(); c++ {
+					tr.writes = append(tr.writes, pe.Bank().PhysicalTuner(r, c).Writes())
+				}
+			}
+		})
+		return tr
+	}
+	ref := run(1)
+	for _, workers := range []int{2, 8} {
+		got := run(workers)
+		if !reflect.DeepEqual(got.losses, ref.losses) {
+			t.Fatalf("workers=%d losses %v, serial %v", workers, got.losses, ref.losses)
+		}
+		for name, pair := range map[string][2][]float64{
+			"weight": {got.weights, ref.weights}, "forward": {got.out, ref.out},
+		} {
+			for i := range pair[1] {
+				if math.Float64bits(pair[0][i]) != math.Float64bits(pair[1][i]) {
+					t.Fatalf("workers=%d %s[%d]: %v, serial %v", workers, name, i, pair[0][i], pair[1][i])
+				}
+			}
+		}
+		if !reflect.DeepEqual(got.ledgers, ref.ledgers) {
+			t.Fatalf("workers=%d: PE ledgers differ from the serial run", workers)
+		}
+		if !reflect.DeepEqual(got.writes, ref.writes) {
+			t.Fatalf("workers=%d: tuner write counts differ from the serial run", workers)
 		}
 	}
 }

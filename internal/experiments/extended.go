@@ -198,15 +198,9 @@ func NoiseSweep(seed int64) ([]NoiseSweepRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, NoiseSweepRow{LaserPower: pw, SNRBits: snrBitsAt(pw), Accuracy: acc})
+		out = append(out, NoiseSweepRow{LaserPower: pw, SNRBits: analog.SNRBits(pw), Accuracy: acc})
 	}
 	return out, nil
-}
-
-// snrBitsAt reports the BPD's effective bits at a line power.
-func snrBitsAt(pw units.Power) float64 {
-	bpd := newProbeBPD()
-	return bpd.SNRBits(pw)
 }
 
 func yesNo(b bool) string {
@@ -215,9 +209,6 @@ func yesNo(b bool) string {
 	}
 	return "no"
 }
-
-// newProbeBPD returns a detector for SNR queries.
-func newProbeBPD() *analog.BPD { return analog.NewBPD(0) }
 
 // FaultRecoveryRow is one operating point of the stuck-cell study.
 type FaultRecoveryRow struct {

@@ -431,6 +431,12 @@ func (b *WeightBank) Program(w [][]float64, now units.Duration) (ProgramResult, 
 		rowWritten := false
 		for n := range w[j] {
 			t := b.tuners[pr][n]
+			if pt, ok := t.(*PCMTuner); ok && pt.holds(w[j][n]) {
+				// Most cells of an in-situ training step keep their level:
+				// settle the compare-first elision here, before the
+				// interface calls below, with the same outcome as Set.
+				continue
+			}
 			before := t.Writes()
 			beforeE := t.EnergyConsumed()
 			actual, done, err := t.Set(w[j][n], now)

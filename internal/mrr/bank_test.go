@@ -1,13 +1,16 @@
 package mrr
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"trident/internal/device"
 	"trident/internal/optics"
+	"trident/internal/pcm"
 	"trident/internal/units"
 )
 
@@ -214,4 +217,166 @@ func TestProgrammingEnergyAccumulates(t *testing.T) {
 	if b.ProgrammingEnergy() <= first {
 		t.Error("reprogramming must accumulate energy")
 	}
+}
+
+// programCellByCell is the twin of WeightBank.Program that drives every
+// cell through PhysicalTuner(r, c).Set, reading the write count and energy
+// around each call: the bank's contract spelled out with no shortcut. It
+// returns the result Program should report and the physical rows it should
+// leave dirty.
+func programCellByCell(t *testing.T, b *WeightBank, w [][]float64, now units.Duration) (ProgramResult, []bool) {
+	t.Helper()
+	var res ProgramResult
+	dirty := make([]bool, b.Rows())
+	for j := range w {
+		pr := b.PhysicalRow(j)
+		if b.RowMasked(pr) {
+			continue
+		}
+		for n, v := range w[j] {
+			tu := b.PhysicalTuner(pr, n)
+			before, beforeE := tu.Writes(), tu.EnergyConsumed()
+			actual, done, err := tu.Set(v, now)
+			if errors.Is(err, pcm.ErrWornOut) {
+				res.Worn = append(res.Worn, [2]int{pr, n})
+				continue
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tu.Writes() != before {
+				b.OverridePhysicalWeight(pr, n, actual)
+				dirty[pr] = true
+				res.CellsWritten++
+				res.Energy += tu.EnergyConsumed() - beforeE
+				if d := done - now; d > res.Elapsed {
+					res.Elapsed = d
+				}
+			}
+		}
+	}
+	return res, dirty
+}
+
+// TestProgramSkipMatchesCellByCellSet pins Program's early skip of cells
+// whose target quantizes to their current level: random matrices, mostly
+// unchanged matrices with one-level moves, a worn cell, a drifted bank, a
+// rotated row map and a masked row all program into a bank and into a twin
+// driven cell by cell through PhysicalTuner.Set. The results, every
+// tuner's writes, energy and weight, the realized weights, the dirty-row
+// count and the recompiled snapshot must match bit for bit.
+func TestProgramSkipMatchesCellByCellSet(t *testing.T) {
+	const rows, cols = 8, 8
+	p := testPlan(t, cols)
+	bank, err := NewPCMWeightBank(rows, cols, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := NewPCMWeightBank(rows, cols, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(11))
+	step := 2.0 / 254
+	// target returns a matrix over the bank's logical rows: fresh random
+	// values with probability fresh, otherwise the current weight moved by
+	// −1, 0 or +1 levels (unchanged most of the time).
+	target := func(fresh float64) [][]float64 {
+		w := make([][]float64, rows)
+		for j := range w {
+			w[j] = make([]float64, cols)
+			for n := range w[j] {
+				cur := bank.Tuner(j, n).Weight()
+				switch u := rng.Float64(); {
+				case u < fresh:
+					w[j][n] = rng.Float64()*2 - 1
+				case u < fresh+0.1:
+					w[j][n] = cur + step*float64(rng.Intn(3)-1)
+				default:
+					w[j][n] = cur
+				}
+			}
+		}
+		return w
+	}
+	now := units.Duration(0)
+	round := func(label string, w [][]float64) ProgramResult {
+		t.Helper()
+		bank.EnsureCompiled()
+		twin.EnsureCompiled()
+		now += 10 * units.Microsecond
+		got, err := bank.Program(w, now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, dirty := programCellByCell(t, twin, w, now)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: Program %+v, cell by cell %+v", label, got, want)
+		}
+		nDirty := 0
+		for _, d := range dirty {
+			if d {
+				nDirty++
+			}
+		}
+		if bank.DirtyRowCount() != nDirty {
+			t.Fatalf("%s: %d dirty rows, cell by cell %d", label, bank.DirtyRowCount(), nDirty)
+		}
+		for r := 0; r < rows; r++ {
+			for c := 0; c < cols; c++ {
+				a, b := bank.PhysicalTuner(r, c), twin.PhysicalTuner(r, c)
+				if a.Writes() != b.Writes() || a.EnergyConsumed() != b.EnergyConsumed() || a.Weight() != b.Weight() {
+					t.Fatalf("%s: tuner (%d,%d) writes/energy/weight %d/%v/%v, cell by cell %d/%v/%v", label, r, c,
+						a.Writes(), a.EnergyConsumed(), a.Weight(), b.Writes(), b.EnergyConsumed(), b.Weight())
+				}
+				if bank.PhysicalWeight(r, c) != twin.PhysicalWeight(r, c) {
+					t.Fatalf("%s: realized (%d,%d) %v, cell by cell %v", label, r, c,
+						bank.PhysicalWeight(r, c), twin.PhysicalWeight(r, c))
+				}
+			}
+		}
+		bank.EnsureCompiled()
+		twin.EnsureCompiled()
+		for k, v := range twin.weff {
+			if math.Float64bits(bank.weff[k]) != math.Float64bits(v) {
+				t.Fatalf("%s: compiled weff[%d] = %v, cell by cell %v", label, k, bank.weff[k], v)
+			}
+		}
+		return got
+	}
+	round("fresh", target(1))
+	for i := 0; i < 4; i++ {
+		round("one-level moves", target(0.05))
+	}
+	// A worn cell: its next level change fails and is reported, not written.
+	for _, b := range []*WeightBank{bank, twin} {
+		cell := b.PhysicalTuner(3, 5).(*PCMTuner).Cell()
+		cell.SetEnduranceLimit(float64(cell.Writes()))
+	}
+	w := target(0.05)
+	w[3][5] = -bank.Tuner(3, 5).Weight()
+	if res := round("worn cell", w); len(res.Worn) != 1 {
+		t.Fatalf("worn cell: Worn = %v, want the one cell", res.Worn)
+	}
+	// Drift displaces the readout; unchanged cells keep the drifted value.
+	for _, b := range []*WeightBank{bank, twin} {
+		b.ApplyDrift(365 * 24 * 3600 * units.Second)
+	}
+	round("drifted", target(0.05))
+	displaced := 0
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			if bank.PhysicalWeight(r, c) != bank.PhysicalTuner(r, c).Weight() {
+				displaced++
+			}
+		}
+	}
+	if displaced == 0 {
+		t.Fatal("drifted: no unchanged cell kept its drifted readout")
+	}
+	for _, b := range []*WeightBank{bank, twin} {
+		b.RotateRows(3)
+		b.MaskPhysicalRow(2)
+	}
+	round("rotated and masked", target(0.3))
 }

@@ -236,6 +236,11 @@ func (t *PCMTuner) Set(w float64, now units.Duration) (float64, units.Duration, 
 // Weight implements Tuner.
 func (t *PCMTuner) Weight() float64 { return t.weight }
 
+// holds reports whether w quantizes to the cell's current level, the case
+// in which Set issues no pulse and changes nothing (the weight is always
+// the value of the cell's level).
+func (t *PCMTuner) holds(w float64) bool { return t.quant.Index(w) == t.cell.Level() }
+
 // DriftedWeight returns the weight the ring realizes after the GST state has
 // been held for the given duration: amorphous-phase structural relaxation
 // shrinks the cell's transmission (pcm.TransmissionAfter), which reads as a

@@ -86,8 +86,6 @@ type BISTReport struct {
 	// CellsTested counts cells actually probed (masked rows and
 	// out-of-matrix edge cells are skipped).
 	CellsTested int
-	// Tolerance is the deviation threshold the sweep used.
-	Tolerance float64
 }
 
 // SuspectCount returns the number of flagged cells.
@@ -118,7 +116,7 @@ func RunBIST(net *core.Graph, repeats int) (*BISTReport, error) {
 		repeats = 2
 	}
 	quant := fixed.MustForBits(device.GSTBits)
-	report := &BISTReport{Tolerance: tolerance}
+	report := &BISTReport{}
 	for li, layer := range net.Layers() {
 		if err := layer.EnsureForward(); err != nil {
 			return nil, fmt.Errorf("reliability: BIST layer %d: %w", li, err)

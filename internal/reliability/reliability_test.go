@@ -171,7 +171,7 @@ func TestBISTLocalizesInjectedFaults(t *testing.T) {
 		// A stuck-amorphous cell reads +1. If the nominal content already
 		// sits within tolerance of +1 the deviation is genuinely invisible.
 		nominal := pe.Bank().Tuner(pe.Bank().LogicalRow(pos[0]), pos[1]).Weight()
-		if math.Abs(1-nominal) <= rep.Tolerance {
+		if math.Abs(1-nominal) <= DefaultTolerance() {
 			continue
 		}
 		if !found[pos] {
