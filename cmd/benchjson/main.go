@@ -7,7 +7,7 @@
 //
 // Usage (as wired by `make bench`):
 //
-//	go test -run='^$' -bench=... -benchmem -count=6 . | benchjson -out BENCH_PR24.json
+//	go test -run='^$' -bench=... -benchmem -count=6 . | benchjson -out BENCH_PR25.json
 package main
 
 import (
@@ -56,8 +56,9 @@ type gateSpec struct {
 //
 // and one allocation gate, allocs/op at most the bound:
 //
-//   - conv walk: one 64-sample sequential DeepCNN batch ≤256 allocations,
-//     i.e. no per-sample allocation on the batched conv read path.
+//   - conv walk: one 64-sample sequential DeepCNN batch ≤4 allocations,
+//     i.e. no per-sample, per-chunk or per-fan-out allocation on the
+//     batched conv read path (it measures 0).
 var defaultGates = []gateSpec{
 	{fast: "BenchmarkBankMVM/64x64", ref: "BenchmarkBankMVMReference/64x64", min: 3},
 	{fast: "BenchmarkBankRecompileIncremental/256x256", ref: "BenchmarkBankRecompileFull/256x256", min: 5},
@@ -66,13 +67,13 @@ var defaultGates = []gateSpec{
 	{fast: "BenchmarkTrainBatch/256x256", ref: "BenchmarkTrainStep/256x256", min: 2},
 	{fast: "BenchmarkRouterTwoReplicas", ref: "BenchmarkRouterOneReplica", min: 1.3, minProcs: 2},
 	{fast: "BenchmarkDeepCNNBatchPipelined", ref: "BenchmarkDeepCNNBatchSequential", min: 1.4, minProcs: 4},
-	{fast: "BenchmarkDeepCNNBatchSequential", maxAllocs: 256},
+	{fast: "BenchmarkDeepCNNBatchSequential", maxAllocs: 4},
 }
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchjson: ")
-	out := flag.String("out", "BENCH_PR24.json", "trajectory file to write")
+	out := flag.String("out", "BENCH_PR25.json", "trajectory file to write")
 	flag.Parse()
 
 	// Tee the raw stream through so the human-readable benchmark lines stay

@@ -3,13 +3,15 @@ package core
 // The layer-level forward path. Trident serves edge workloads weight-
 // stationary: once a layer's W is resident in the PCM banks, any number of
 // input vectors can stream through without reprogramming. Every forward
-// pass — serving, training and the batch-of-one Forward — streams its B
-// samples through each tile back-to-back, so the per-batch cost is one
-// fan-out plus B optical passes per tile, with every scratch buffer reused
-// across samples and across calls.
+// pass — serving, training and the batch-of-one Forward, dense layers and
+// conv kernels alike — streams its B input vectors through each tile
+// back-to-back, so the per-batch cost is one fan-out plus B optical passes
+// per tile, with every scratch buffer reused across samples and across
+// calls. A conv node's vectors are its samples' im2col patch rows, one per
+// output pixel (see Graph.convForward).
 //
-// Determinism contract: each tile PE sees its samples in batch order, one
-// noise draw and one ledger booking per sample, so a sample's outputs,
+// Determinism contract: each tile PE sees its vectors in batch order, one
+// noise draw and one ledger booking per vector, so a sample's outputs,
 // noise stream and bookings are the same whether it runs alone or inside
 // a batch.
 //
@@ -32,8 +34,9 @@ import (
 // ForwardBatchInto runs the layer on a batch: sample s occupies
 // xs[s*In : (s+1)*In] and its activated outputs land in
 // dst[s*Out : (s+1)*Out], both sample-major (dst grown only when nil or
-// short). The pre-activations stay in the layer's batchH scratch, from which
-// the training walk reads the latched derivatives.
+// short). An activated layer keeps its pre-activations in its batchH
+// scratch, from which the training walk reads the latched derivatives; a
+// linear layer sums its tiles straight into dst.
 //
 // The pass is one fan-out over row tiles (see forwardStripe): each job owns
 // one stripe of the tile grid, reprograms a stale bank in place, streams the
@@ -65,7 +68,9 @@ func (l *DenseLayer) ForwardBatchInto(dst, xs []float64, batch int) ([]float64, 
 		}
 	}
 	l.stream = growFloats(l.stream, rt*l.rows*batch)
-	l.batchH = growFloats(l.batchH, batch*out)
+	if l.spec.Activate {
+		l.batchH = growFloats(l.batchH, batch*out)
+	}
 	dst = growFloats(dst, batch*out)
 	stale := l.state != bankForward
 	if err := runStripes(rt, stripeArgs{l, dst, xs, batch, stale}, forwardStripe); err != nil {
@@ -92,7 +97,10 @@ func forwardStripe(a stripeArgs, r int) (int, error) {
 	j0 := r * l.rows
 	j1 := min(j0+l.rows, out)
 	m := j1 - j0
-	h := l.batchH
+	h := a.dst
+	if l.spec.Activate {
+		h = l.batchH
+	}
 	for s := 0; s < batch; s++ {
 		clear(h[s*out+j0 : s*out+j1])
 	}
@@ -123,9 +131,6 @@ func forwardStripe(a stripeArgs, r int) (int, error) {
 		}
 	}
 	if !l.spec.Activate {
-		for s := 0; s < batch; s++ {
-			copy(a.dst[s*out+j0:s*out+j1], h[s*out+j0:s*out+j1])
-		}
 		return 0, nil
 	}
 	pe := l.tiles[r][0]

@@ -109,7 +109,7 @@ func TestCNNForwardMatchesDigitalConv(t *testing.T) {
 	conv := c.nodes[1] // node 0 is the input
 	for oc := 0; oc < spec.OutC; oc++ {
 		for p := 0; p < pixels; p += 7 {
-			hw := conv.batchPre[oc*pixels+p]
+			hw := conv.batchPre[p*spec.OutC+oc] // pixel-major
 			dg := ref.Data()[oc*pixels+p]
 			if math.Abs(hw-dg) > 0.08 {
 				t.Fatalf("pre[%d,%d]: hw %v vs digital %v", oc, p, hw, dg)

@@ -286,24 +286,29 @@ func TestGoldenDriverBitIdentity(t *testing.T) {
 			if !ok {
 				t.Fatalf("workers=%d: driver %q missing from run", workers, drv)
 			}
-			for stream, wantBits := range wantTr {
-				gotBits, ok := gotTr[stream]
-				if !ok {
-					t.Errorf("workers=%d: %s/%s missing from run", workers, drv, stream)
-					continue
-				}
-				if len(gotBits) != len(wantBits) {
-					t.Errorf("workers=%d: %s/%s length %d, fixture %d",
-						workers, drv, stream, len(gotBits), len(wantBits))
-					continue
-				}
-				for i := range wantBits {
-					if gotBits[i] != wantBits[i] {
-						t.Errorf("workers=%d: %s/%s[%d] = %s, fixture %s",
-							workers, drv, stream, i, gotBits[i], wantBits[i])
-						break
-					}
-				}
+			requireTrace(t, fmt.Sprintf("workers=%d: %s", workers, drv), gotTr, wantTr)
+		}
+	}
+}
+
+// requireTrace reports every stream of the fixture that the run is missing
+// or does not reproduce bit for bit, naming it with the given prefix.
+func requireTrace(t *testing.T, prefix string, got, want goldenTrace) {
+	t.Helper()
+	for stream, wantBits := range want {
+		gotBits, ok := got[stream]
+		if !ok {
+			t.Errorf("%s/%s missing from run", prefix, stream)
+			continue
+		}
+		if len(gotBits) != len(wantBits) {
+			t.Errorf("%s/%s length %d, fixture %d", prefix, stream, len(gotBits), len(wantBits))
+			continue
+		}
+		for i := range wantBits {
+			if gotBits[i] != wantBits[i] {
+				t.Errorf("%s/%s[%d] = %s, fixture %s", prefix, stream, i, gotBits[i], wantBits[i])
+				break
 			}
 		}
 	}

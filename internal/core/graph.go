@@ -31,7 +31,6 @@ import (
 	"math"
 
 	"trident/internal/device"
-	"trident/internal/nn"
 	"trident/internal/tensor"
 	"trident/internal/units"
 )
@@ -80,7 +79,6 @@ type graphNode struct {
 
 	layer *DenseLayer       // dense weights / conv kernel matrix on PEs
 	spec  tensor.Conv2DSpec // conv nodes only
-	act   *nn.GSTActivation // conv per-pixel activation
 
 	// batchVal holds the node's output for the whole batch, sample-major.
 	batchVal []float64
@@ -98,17 +96,16 @@ type graphNode struct {
 	dIn     *tensor.Tensor // conv: one sample's ∂L/∂(input map)
 	dInPart [][]float64    // conv: per-tile input-gradient buffers
 
-	// Conv forward slabs, sample-major: serving reuses one chunk's worth
-	// for every chunk of a batch, training keeps the whole batch for the
-	// backward walk (see convForward).
-	batchPatches []float64 // conv: samples×(In·pixels) im2col patches
-	batchPre     []float64 // conv: samples×(Out·pixels) pre-activations
+	// Conv forward slabs, sample-major and pixel-major within a sample:
+	// serving reuses one chunk's worth for every chunk of a batch, training
+	// keeps the whole batch for the backward walk (see convForward).
+	batchPatches []float64 // conv: samples×pixels×In im2col patch rows
+	batchPre     []float64 // conv: samples×pixels×Out pre-activations
 
 	// Batched-training state and scratch (TrainBatch), all sample-major.
-	batchDerivs []float64 // dense: batch×Out LDSU-latched derivatives
 	batchActive []bool    // conv: batch×pixels active-pixel masks
 	batchGrad   []float64 // batch×size upstream gradient slab
-	batchDeltaH []float64 // gated delta slab (Out dense, OutC·pixels conv)
+	batchDeltaH []float64 // gated delta slab (Out dense, pixels×OutC conv)
 	batchDIn    []float64 // batch×(producer size) input-gradient slab
 }
 
@@ -260,14 +257,12 @@ func (g *Graph) Conv(in NodeID, spec tensor.Conv2DSpec, seed int64) NodeID {
 	if err != nil {
 		return g.failErr(err)
 	}
-	act := nn.NewGSTActivation("gst", 0)
-	act.MaxOut = 1.0 // the physical cell saturates at full transmission
 	g.layers = append(g.layers, l)
 	return g.push(&graphNode{
 		kind: nodeConv, in: []NodeID{in},
 		size: size,
 		c:    spec.OutC, h: spec.OutH(), w: spec.OutW(),
-		layer: l, spec: spec, act: act,
+		layer: l, spec: spec,
 	})
 }
 
@@ -627,26 +622,29 @@ func (g *Graph) forwardNodeBatch(n *graphNode, batch int, val func(NodeID) []flo
 	return nil
 }
 
-// convChunkCols bounds the pixel columns of one conv streamMVM call: a
-// chunk carries as many whole samples as fit (at least one), so the
-// per-tile stream scratch is the same size for any batch.
+// convChunkCols bounds the pixel rows of one conv layer pass: a chunk
+// carries as many whole samples as fit (at least one), so the stripe
+// scratch is the same size for any batch.
 const convChunkCols = 256
 
 // convForward is the one conv forward walk, shared by serving and training.
 // pv holds the producer's values for the whole batch. Samples go in chunks
-// of whole samples of at most convChunkCols pixel columns: each sample of a
-// chunk is lowered by im2col into the node's sample-major batchPatches
-// slab, one streamMVM call streams the chunk through every tile, and the
-// GST activation fires per output pixel. Serving (keep false) reuses a slab
-// of one chunk; training (keep true) keeps every sample's patches and
+// of whole samples of at most convChunkCols pixels: each sample of a chunk
+// is lowered pixel-major into the node's batchPatches slab, one patch row
+// per output pixel, so the chunk is a batch of samples·pixels input vectors
+// for the kernel layer's dense pass (its Activate is false). The pass
+// leaves pixel-major pre-activations in batchPre, and the GST curve fires
+// per output pixel into the CHW node value. Serving (keep false) reuses a
+// slab of one chunk; training (keep true) keeps every sample's patches and
 // pre-activations for the backward walk. Every tile sees the samples in
 // batch order either way, so outputs, noise streams and ledgers do not
 // depend on the chunking.
 func (g *Graph) convForward(n *graphNode, batch int, pv []float64, keep bool) error {
 	inSize := g.nodes[n.in[0]].size
-	s := n.spec
-	pixels := s.OutH() * s.OutW()
-	patchSize := s.InC * s.KH * s.KW * pixels
+	l := n.layer
+	out := l.spec.Out
+	pixels := n.h * n.w
+	patchSize := l.spec.In * pixels
 	chunk := max(1, convChunkCols/pixels)
 	slab := min(batch, chunk)
 	if keep {
@@ -662,16 +660,21 @@ func (g *Graph) convForward(n *graphNode, batch int, pv []float64, keep bool) er
 			at = s0
 		}
 		patches := n.batchPatches[at*patchSize : (at+s1-s0)*patchSize]
-		pre := n.batchPre[at*n.size : (at+s1-s0)*n.size]
 		for smp := s0; smp < s1; smp++ {
-			tensor.Im2ColInto(patches[(smp-s0)*patchSize:], pv[smp*inSize:(smp+1)*inSize], s, 0)
+			tensor.Im2ColInto(patches[(smp-s0)*patchSize:], pv[smp*inSize:(smp+1)*inSize], n.spec, 0)
 		}
-		if err := n.layer.streamMVM(patches, s1-s0, pixels, pre); err != nil {
+		pre, err := l.ForwardBatchInto(n.batchPre[at*n.size:(at+s1-s0)*n.size], patches, (s1-s0)*pixels)
+		if err != nil {
 			return err
 		}
-		out := n.batchVal[s0*n.size : s1*n.size]
-		for i, h := range pre {
-			out[i] = n.act.Eval(h)
+		for smp := s0; smp < s1; smp++ {
+			hs := pre[(smp-s0)*n.size : (smp-s0+1)*n.size]
+			vs := n.batchVal[smp*n.size : (smp+1)*n.size]
+			for p := 0; p < pixels; p++ {
+				for j, h := range hs[p*out : (p+1)*out] {
+					vs[j*pixels+p] = l.actCells.Eval(h)
+				}
+			}
 		}
 	}
 	return nil

@@ -39,13 +39,12 @@ type DenseLayer struct {
 	actCells *nn.GSTActivation
 
 	// Execution-engine scratch, reused across passes. The stream slabs hold
-	// one region per tile (conv) or per stripe (dense) so concurrent jobs
-	// never write shared accumulators, and every merge runs in fixed tile
-	// order.
-	gradBuf [][]float64 // conv kernel-gradient scratch (see gradScratch)
-	stream  []float64   // tile/stripe output slabs, or the transpose's delta gathers
-	streamX []float64   // tile/column-tile input gathers, or the transpose's stripe outputs
-	batchH  []float64   // batched pre-activation accumulator (batch×Out)
+	// one region per stripe (or per tile, for the conv transpose) so
+	// concurrent jobs never write shared accumulators, and every merge runs
+	// in fixed tile order.
+	stream  []float64 // stripe output slabs, or the transpose's delta gathers
+	streamX []float64 // column-tile input gathers, or the transpose's stripe outputs
+	batchH  []float64 // activated layers' batched pre-activations (batch×Out)
 }
 
 // bankState tracks whether the tile banks hold the current master weights.
@@ -187,18 +186,6 @@ func (l *DenseLayer) programForward() error {
 	}
 	l.state = bankForward
 	return nil
-}
-
-// ApplyUpdate performs the equation (1) update W ← W − β·δW on the
-// control-unit master copy. Banks are reprogrammed lazily on the next
-// forward pass.
-func (l *DenseLayer) ApplyUpdate(beta float64, grad [][]float64) {
-	for j := range l.w {
-		for i := range l.w[j] {
-			l.w[j][i] = clamp1(l.w[j][i] - beta*grad[j][i])
-		}
-	}
-	l.state = bankStale
 }
 
 func clamp1(v float64) float64 {

@@ -245,22 +245,24 @@ func TestTransposeMVM(t *testing.T) {
 }
 
 // TestOuterProductLayer checks the fused weight step against its three
-// separate passes — the ΔHᵀ·X contraction with the first sample assigning,
-// the 1/B mean scale (skipped at batch 1) and ApplyUpdate — bit for bit,
-// over odd row counts, input widths off the four-column register tile,
-// signed zeros and a learning rate large enough to clamp. At batch 1 the
-// step is the plain rank-1 update W − β·δh·yᵀ.
+// separate passes — the ΔHᵀ·X contraction with the first stream row
+// assigning, the 1/B mean scale (skipped when B is 1) and the clamped
+// update — bit for bit, over odd row counts, input widths off the
+// four-column register tile, signed zeros, a learning rate large enough to
+// clamp, and conv-shaped steps whose stream carries several rows (pixels)
+// per sample. At one row the step is the plain rank-1 update W − β·δh·yᵀ.
 func TestOuterProductLayer(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for _, shape := range []struct{ in, out, batch int }{
-		{10, 6, 1}, {35, 17, 32}, {7, 33, 5}, {3, 1, 2}, {16, 16, 4}, {130, 9, 3},
+	for _, shape := range []struct{ in, out, rows, batch int }{
+		{10, 6, 1, 1}, {35, 17, 32, 32}, {7, 33, 5, 5}, {3, 1, 2, 2}, {16, 16, 4, 4}, {130, 9, 3, 3},
+		{27, 12, 64, 1}, {27, 12, 3 * 64, 3}, {9, 5, 2 * 16, 2},
 	} {
 		for _, lr := range []float64{0.05, 40} {
 			fused := quietNet(t, lr, LayerSpec{In: shape.in, Out: shape.out})
 			ref := quietNet(t, lr, LayerSpec{In: shape.in, Out: shape.out})
-			lf, lr2 := fused.Layers()[0], ref.Layers()[0]
-			dhs := make([]float64, shape.batch*shape.out)
-			xs := make([]float64, shape.batch*shape.in)
+			lf := fused.Layers()[0]
+			dhs := make([]float64, shape.rows*shape.out)
+			xs := make([]float64, shape.rows*shape.in)
 			for i := range dhs {
 				dhs[i] = rng.Float64()*2 - 1
 				if i%7 == 0 {
@@ -270,24 +272,19 @@ func TestOuterProductLayer(t *testing.T) {
 			for i := range xs {
 				xs[i] = rng.Float64()*2 - 1
 			}
-			lf.applyBatchGradient(lr, dhs, xs, shape.batch)
-			grad := make([][]float64, shape.out)
-			for j := range grad {
-				grad[j] = make([]float64, shape.in)
-				for i := range grad[j] {
-					g := dhs[j] * xs[i]
-					for s := 1; s < shape.batch; s++ {
-						g += dhs[s*shape.out+j] * xs[s*shape.in+i]
-					}
-					grad[j][i] = g
-				}
-			}
-			scaleGrad(grad, shape.batch)
-			lr2.ApplyUpdate(lr, grad)
-			for j, row := range lf.Weights() {
+			lf.applyBatchGradient(lr, dhs, xs, shape.rows, shape.batch)
+			for j, row := range ref.Layers()[0].Weights() {
 				for i, w := range row {
-					if want := lr2.Weights()[j][i]; math.Float64bits(w) != math.Float64bits(want) {
-						t.Fatalf("%+v lr %v: W[%d][%d] = %v, separate passes %v", shape, lr, j, i, w, want)
+					g := dhs[j] * xs[i]
+					for r := 1; r < shape.rows; r++ {
+						g += dhs[r*shape.out+j] * xs[r*shape.in+i]
+					}
+					if shape.batch > 1 {
+						g *= 1 / float64(shape.batch)
+					}
+					want := clamp1(w - lr*g)
+					if got := lf.Weights()[j][i]; math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%+v lr %v: W[%d][%d] = %v, separate passes %v", shape, lr, j, i, got, want)
 					}
 				}
 			}
@@ -304,7 +301,7 @@ func TestOuterProductLayer(t *testing.T) {
 	for i := range y {
 		y[i] = 0.1*float64(i) - 0.4
 	}
-	l.applyBatchGradient(0.05, deltaH, y, 1)
+	l.applyBatchGradient(0.05, deltaH, y, 1, 1)
 	for j := range deltaH {
 		for i := range y {
 			if want := clamp1(before[j][i] - 0.05*(deltaH[j]*y[i])); l.Weights()[j][i] != want {

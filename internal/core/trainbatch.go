@@ -77,37 +77,16 @@ func (g *Graph) TrainBatch(xs []float64, labels []int) (float64, error) {
 	return total / float64(batch), nil
 }
 
-// forwardTrainNodeBatch is forwardNodeBatch plus per-sample training state:
-// dense nodes snapshot the batch's LDSU-latched derivatives, conv nodes
-// keep every sample's im2col patches and pre-activations in sample-major
-// slabs (the serving path reuses one chunk's slab). Join and pool nodes
-// carry no training state and reuse the serving kernels.
+// forwardTrainNodeBatch is forwardNodeBatch, except that conv nodes keep
+// every sample's im2col patches and pre-activations for the backward walk
+// (the serving path reuses one chunk's slab). An activated dense node's
+// pre-activations stay in its layer's batchH scratch, from which the
+// backward walk reads the LDSU-latched derivatives.
 func (g *Graph) forwardTrainNodeBatch(n *graphNode, batch int) error {
-	prod := g.nodes[n.in[0]]
-	switch n.kind {
-	case nodeDense:
-		l := n.layer
-		y, err := l.ForwardBatchInto(n.batchVal, prod.batchVal, batch)
-		if err != nil {
-			return err
-		}
-		n.batchVal = y
-		out := l.spec.Out
-		n.batchDerivs = growFloats(n.batchDerivs, batch*out)
-		h := l.batchH
-		for i := range n.batchDerivs[:batch*out] {
-			if l.spec.Activate {
-				n.batchDerivs[i] = l.actCells.Derivative(h[i])
-			} else {
-				n.batchDerivs[i] = 1
-			}
-		}
-	case nodeConv:
-		return g.convForward(n, batch, prod.batchVal, true)
-	default:
-		return g.forwardNodeBatch(n, batch, g.batchValOf)
+	if n.kind == nodeConv {
+		return g.convForward(n, batch, g.nodes[n.in[0]].batchVal, true)
 	}
-	return nil
+	return g.forwardNodeBatch(n, batch, g.batchValOf)
 }
 
 // backwardBatch walks the graph in reverse construction order over
@@ -192,8 +171,9 @@ func (g *Graph) backwardNodeBatch(n *graphNode, batch int) error {
 	return nil
 }
 
-// backwardDenseBatch gates the batch's gradient slab by the latched
-// derivatives, runs ONE batched transpose GEMM through the forward-resident
+// backwardDenseBatch gates the batch's gradient slab by the derivatives
+// the LDSU latches from the forward pre-activations (a linear layer passes
+// it through), runs ONE batched transpose GEMM through the forward-resident
 // banks for the producer's gradient, and applies a single mean-gradient
 // update contracted as one blocked ΔHᵀ·X GEMM over the whole batch (see
 // applyBatchGradient).
@@ -202,8 +182,12 @@ func (g *Graph) backwardDenseBatch(n *graphNode, batch int) error {
 	out := l.spec.Out
 	dh := growFloats(n.batchDeltaH, batch*out)
 	n.batchDeltaH = dh
-	for i := range dh[:batch*out] {
-		dh[i] = n.batchGrad[i] * n.batchDerivs[i]
+	if l.spec.Activate {
+		for i, h := range l.batchH[:batch*out] {
+			dh[i] = n.batchGrad[i] * l.actCells.Derivative(h)
+		}
+	} else {
+		copy(dh, n.batchGrad[:batch*out])
 	}
 	prod := g.nodes[n.in[0]]
 	if prod.kind != nodeInput {
@@ -214,38 +198,37 @@ func (g *Graph) backwardDenseBatch(n *graphNode, batch int) error {
 		n.batchDIn = raw
 		g.accumulateBatch(n.in[0], raw[:batch*l.spec.In], batch)
 	}
-	l.applyBatchGradient(g.cfg.LearningRate, dh[:batch*out], prod.batchVal, batch)
+	l.applyBatchGradient(g.cfg.LearningRate, dh[:batch*out], prod.batchVal, batch, batch)
 	return nil
 }
 
-// backwardConvBatch gates every sample's gradient map and builds its
-// active-pixel mask, runs the reprogram-free transpose/col2im passes per
-// sample (each itself pixel-batched through the bank GEMM), accumulates the
-// kernel gradient digitally across the batch, and applies one mean-gradient
-// update.
+// backwardConvBatch gates every sample's gradient map into pixel-major
+// deltas and builds its active-pixel mask, runs the reprogram-free
+// transpose/col2im passes per sample (each itself pixel-batched through the
+// bank GEMM), and applies one mean-gradient update: the dense weight step
+// over the batch's samples·pixels patch rows.
 func (g *Graph) backwardConvBatch(n *graphNode, batch int) error {
 	s := n.spec
 	l := n.layer
-	pixels := s.OutH() * s.OutW()
-	dsz := s.OutC * pixels
-	n.batchDeltaH = growFloats(n.batchDeltaH, batch*dsz)
+	out := l.spec.Out
+	pixels := n.h * n.w
+	n.batchDeltaH = growFloats(n.batchDeltaH, batch*n.size)
 	if cap(n.batchActive) < batch*pixels {
 		n.batchActive = make([]bool, batch*pixels)
 	}
 	for smp := 0; smp < batch; smp++ {
-		pre := n.batchPre[smp*dsz : (smp+1)*dsz]
-		grad := n.batchGrad[smp*dsz : (smp+1)*dsz]
-		dh := n.batchDeltaH[smp*dsz : (smp+1)*dsz]
+		pre := n.batchPre[smp*n.size : (smp+1)*n.size]
+		grad := n.batchGrad[smp*n.size : (smp+1)*n.size]
+		dh := n.batchDeltaH[smp*n.size : (smp+1)*n.size]
 		active := n.batchActive[smp*pixels : (smp+1)*pixels]
 		for p := range active {
-			active[p] = false
-		}
-		for i, gv := range grad {
-			v := gv * n.act.Derivative(pre[i])
-			dh[i] = v
-			if v != 0 {
-				active[i%pixels] = true
+			on := false
+			for j := 0; j < out; j++ {
+				v := grad[j*pixels+p] * l.actCells.Derivative(pre[p*out+j])
+				dh[p*out+j] = v
+				on = on || v != 0
 			}
+			active[p] = on
 		}
 	}
 	prod := g.nodes[n.in[0]]
@@ -256,7 +239,7 @@ func (g *Graph) backwardConvBatch(n *graphNode, batch int) error {
 		n.batchDIn = growFloats(n.batchDIn, batch*prod.size)
 		for smp := 0; smp < batch; smp++ {
 			n.dIn.Zero()
-			err := streamTransposeCol2im(l, s, n.batchDeltaH[smp*dsz:(smp+1)*dsz],
+			err := streamTransposeCol2im(l, s, n.batchDeltaH[smp*n.size:(smp+1)*n.size],
 				n.batchActive[smp*pixels:(smp+1)*pixels], &n.dInPart, n.dIn)
 			if err != nil {
 				return err
@@ -265,67 +248,48 @@ func (g *Graph) backwardConvBatch(n *graphNode, batch int) error {
 		}
 		g.accumulateBatch(n.in[0], n.batchDIn[:batch*prod.size], batch)
 	}
-	kernGrad := l.gradScratch()
-	patchDim := s.InC * s.KH * s.KW
-	for smp := 0; smp < batch; smp++ {
-		err := l.streamOuterProduct(n.batchPatches[smp*patchDim*pixels:(smp+1)*patchDim*pixels],
-			n.batchDeltaH[smp*dsz:(smp+1)*dsz], n.batchActive[smp*pixels:(smp+1)*pixels],
-			pixels, kernGrad)
-		if err != nil {
-			return err
-		}
-	}
-	scaleGrad(kernGrad, batch)
-	l.ApplyUpdate(g.cfg.LearningRate, kernGrad)
+	l.applyBatchGradient(g.cfg.LearningRate, n.batchDeltaH[:batch*n.size], n.batchPatches, batch*pixels, batch)
 	return nil
 }
 
-// scaleGrad turns the batch-summed gradient into the mean gradient. Skipped
-// entirely at batch 1, where the sum already is the sample's gradient (and
-// even ×1.0 is not always a float no-op for NaN payloads).
-func scaleGrad(grad [][]float64, batch int) {
-	if batch <= 1 {
-		return
-	}
-	inv := 1 / float64(batch)
-	for j := range grad {
-		row := grad[j]
-		for i := range row {
-			row[i] *= inv
-		}
-	}
-}
+// gradRowBlock is the weight-row granularity of the digital weight step:
+// each worker owns whole row blocks, so every gradient cell is accumulated
+// by exactly one goroutine in ascending stream-row order — bit-identical at
+// any worker count.
+const gradRowBlock = 16
 
-// applyBatchGradient is the dense layer's whole weight step, fused into one
-// pass per row block: the batch's rank-1 weight-gradient updates contract
-// as one digital GEMM, δW[j][i] = Σ_s δh[s,j]·x[s,i], which is scaled to the
-// mean (skipped at batch 1, as in scaleGrad) and applied as the equation (1)
-// update W ← clamp(W − β·δW) while still in registers. Rows shard across
-// the worker pool in fixed blocks of gradRowBlock, each row swept four
-// columns at a time; each cell accumulates its samples in ascending order
-// and the first sample assigns rather than adds (so a −0 product survives
-// as it would in a zeroed-then-assigned buffer), which keeps every weight
+// applyBatchGradient is a layer's whole weight step, fused into one pass
+// per row block: the rows stream rows of deltas dhs (Out wide) and inputs
+// xs (In wide) — one per sample for a dense layer, one per sample and
+// output pixel for a conv kernel — contract as one digital GEMM,
+// δW[j][i] = Σ_r δh[r,j]·x[r,i], which is divided by the batch size
+// (skipped when divisor is 1) and applied as the equation (1) update
+// W ← clamp(W − β·δW) while still in registers. Rows shard across the
+// worker pool in fixed blocks of gradRowBlock, each row swept four columns
+// at a time; each cell accumulates its stream rows in ascending order and
+// the first row assigns rather than adds (so a −0 product survives as it
+// would in a zeroed-then-assigned buffer), which keeps every weight
 // bit-identical to separate contract, scale and update passes at any
 // worker count.
-func (l *DenseLayer) applyBatchGradient(beta float64, dhs, xs []float64, batch int) {
+func (l *DenseLayer) applyBatchGradient(beta float64, dhs, xs []float64, rows, divisor int) {
 	out := l.spec.Out
 	blocks := (out + gradRowBlock - 1) / gradRowBlock
 	RunIndexed(blocks, func(bi int) {
 		j0 := bi * gradRowBlock
 		for j := j0; j < min(j0+gradRowBlock, out); j++ {
-			l.updateRow(beta, dhs, xs, batch, j)
+			l.updateRow(beta, dhs, xs, rows, divisor, j)
 		}
 	})
 	l.state = bankStale
 }
 
 // updateRow runs applyBatchGradient for row j.
-func (l *DenseLayer) updateRow(beta float64, dhs, xs []float64, batch, j int) {
+func (l *DenseLayer) updateRow(beta float64, dhs, xs []float64, rows, divisor, j int) {
 	out, in := l.spec.Out, l.spec.In
-	inv := 1 / float64(batch)
-	// step turns a batch-summed gradient cell into the updated weight.
+	inv := 1 / float64(divisor)
+	// step turns a summed gradient cell into the updated weight.
 	step := func(w, g float64) float64 {
-		if batch > 1 {
+		if divisor > 1 {
 			g *= inv
 		}
 		return clamp1(w - beta*g)
@@ -336,9 +300,9 @@ func (l *DenseLayer) updateRow(beta float64, dhs, xs []float64, batch, j int) {
 		d := dhs[j]
 		x := xs[i : i+4 : i+4]
 		a0, a1, a2, a3 := d*x[0], d*x[1], d*x[2], d*x[3]
-		for s := 1; s < batch; s++ {
-			d = dhs[s*out+j]
-			x = xs[s*in+i : s*in+i+4 : s*in+i+4]
+		for r := 1; r < rows; r++ {
+			d = dhs[r*out+j]
+			x = xs[r*in+i : r*in+i+4 : r*in+i+4]
 			a0 += d * x[0]
 			a1 += d * x[1]
 			a2 += d * x[2]
@@ -348,8 +312,8 @@ func (l *DenseLayer) updateRow(beta float64, dhs, xs []float64, batch, j int) {
 	}
 	for ; i < in; i++ {
 		a := dhs[j] * xs[i]
-		for s := 1; s < batch; s++ {
-			a += dhs[s*out+j] * xs[s*in+i]
+		for r := 1; r < rows; r++ {
+			a += dhs[r*out+j] * xs[r*in+i]
 		}
 		w[i] = step(w[i], a)
 	}

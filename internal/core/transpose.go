@@ -118,8 +118,9 @@ func ensureDInPart(partBuf *[][]float64, tiles, n int) [][]float64 {
 }
 
 // streamTransposeCol2im runs a conv node's gradient-vector passes
-// reprogram-free: each forward tile gathers the active pixels' delta slices
-// into a sample-major slab, streams them through its bank's compiled
+// reprogram-free: deltaH holds one sample's deltas pixel-major (pixels ×
+// Out), and each forward tile gathers the active pixels' delta slices into
+// a pixel-major slab, streams them through its bank's compiled
 // transpose view in one batched adjoint GEMM (pixels in ascending order, so
 // the PE's noise and energy sequence equals the serial per-pixel loop), and
 // scatters its patch-gradient rows via col2im into a per-tile buffer. The
@@ -163,10 +164,7 @@ func streamTransposeCol2im(l *DenseLayer, s tensor.Conv2DSpec, deltaH []float64,
 			if !active[p] {
 				continue
 			}
-			row := din[idx*m:]
-			for j := j0; j < j1; j++ {
-				row[j-j0] = deltaH[j*pixels+p]
-			}
+			copy(din[idx*m:(idx+1)*m], deltaH[p*l.spec.Out+j0:p*l.spec.Out+j1])
 			idx++
 		}
 		o := oSlab[(r*ct+c)*l.cols*pixels:][: l.cols*nact : l.cols*nact]

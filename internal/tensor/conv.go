@@ -56,7 +56,8 @@ func (s Conv2DSpec) WeightCount() int64 {
 
 // Im2Col lowers a CHW input into the (C/G·KH·KW) × (OutH·OutW) patch matrix
 // for group g, so convolution becomes one MatMul per group. dst is
-// allocated if nil.
+// allocated if nil. It runs the walk of Im2ColInto with the patch matrix
+// transposed: one row per kernel tap, one column per output pixel.
 func Im2Col(dst *Tensor, in *Tensor, s Conv2DSpec, g int) *Tensor {
 	if err := s.Validate(); err != nil {
 		panic(err)
@@ -71,47 +72,58 @@ func Im2Col(dst *Tensor, in *Tensor, s Conv2DSpec, g int) *Tensor {
 	} else if dst.Rank() != 2 || dst.Dim(0) != rows || dst.Dim(1) != cols {
 		panic(fmt.Sprintf("tensor: Im2Col dst shape %v, want [%d %d]", dst.Shape(), rows, cols))
 	}
-	Im2ColInto(dst.Data(), in.Data(), s, g)
+	im2col(dst.Data(), in.Data(), s, g, cols, 1)
 	return dst
 }
 
-// Im2ColInto is Im2Col over flat buffers: img is one CHW image and the
-// (C/G·KH·KW) × (OutH·OutW) patch matrix of group g is written row-major
-// into dst, every element overwritten. The spec must be valid; short
-// buffers panic. The walk is ordered by (channel, kernel tap, output row),
-// so no element index needs a division.
+// Im2ColInto is the flat im2col lowering, pixel-major: img is one CHW image
+// and dst receives the (OutH·OutW) × (C/G·KH·KW) patch rows of group g, one
+// row per output pixel in raster order, each ordered (channel, kernel row,
+// kernel column) like a kernel-matrix row, every element overwritten. The
+// spec must be valid; short buffers panic.
 func Im2ColInto(dst, img []float64, s Conv2DSpec, g int) {
-	cg := s.InC / s.Groups
-	outH, outW := s.OutH(), s.OutW()
-	cols := outH * outW
-	if len(img) < s.InC*s.InH*s.InW || len(dst) < cg*s.KH*s.KW*cols {
+	taps := s.InC / s.Groups * s.KH * s.KW
+	if len(img) < s.InC*s.InH*s.InW || len(dst) < s.OutH()*s.OutW()*taps {
 		panic(fmt.Sprintf("tensor: Im2ColInto buffers img %d, dst %d too short for %+v", len(img), len(dst), s))
 	}
+	im2col(dst, img, s, g, 1, taps)
+}
+
+// im2col is the one im2col walk: the patch element of kernel tap r (channel,
+// kernel row, kernel column of group g) under output pixel p lands at
+// dst[r·tapStride + p·pixelStride]. The walk is ordered by (channel, kernel
+// tap, output row) and steps every index by addition, so no element index
+// needs a division, and its inner loop runs along an output row whatever
+// the strides.
+func im2col(dst, img []float64, s Conv2DSpec, g, tapStride, pixelStride int) {
+	cg := s.InC / s.Groups
+	outH, outW := s.OutH(), s.OutW()
 	r := 0
 	for c := g * cg; c < (g+1)*cg; c++ {
 		plane := img[c*s.InH*s.InW : (c+1)*s.InH*s.InW]
 		for kh := 0; kh < s.KH; kh++ {
 			for kw := 0; kw < s.KW; kw++ {
-				drow := dst[r*cols : (r+1)*cols]
+				at := r * tapStride
 				r++
 				for oy := 0; oy < outH; oy++ {
-					out := drow[oy*outW : (oy+1)*outW]
 					iy := oy*s.StrideH - s.PadH + kh
 					if iy < 0 || iy >= s.InH {
-						for ox := range out {
-							out[ox] = 0
+						for ox := 0; ox < outW; ox++ {
+							dst[at] = 0
+							at += pixelStride
 						}
 						continue
 					}
 					src := plane[iy*s.InW : (iy+1)*s.InW]
 					ix := kw - s.PadW
-					for ox := range out {
+					for ox := 0; ox < outW; ox++ {
 						if ix >= 0 && ix < s.InW {
-							out[ox] = src[ix]
+							dst[at] = src[ix]
 						} else {
-							out[ox] = 0
+							dst[at] = 0
 						}
 						ix += s.StrideW
+						at += pixelStride
 					}
 				}
 			}

@@ -136,10 +136,11 @@ func TestIm2ColZeroPadding(t *testing.T) {
 	}
 }
 
-// TestIm2ColIntoMatchesIndexFormula: the division-free walk writes every
-// element of the patch matrix exactly as the direct index formula
-// (row r = (c, kh, kw), column = (oy, ox)) defines it, for every group,
-// overwriting whatever the destination held.
+// TestIm2ColIntoMatchesIndexFormula: the division-free pixel-major walk
+// writes every element of the patch rows exactly as the direct index
+// formula (row = output pixel (oy, ox), column r = (c, kh, kw)) defines it,
+// for every group, overwriting whatever the destination held, and Im2Col
+// holds the same patches transposed.
 func TestIm2ColIntoMatchesIndexFormula(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 200; trial++ {
@@ -163,6 +164,7 @@ func TestIm2ColIntoMatchesIndexFormula(t *testing.T) {
 				dst[i] = math.NaN()
 			}
 			Im2ColInto(dst, img, s, g)
+			cm := Im2Col(nil, FromSlice(img, s.InC, s.InH, s.InW), s, g)
 			for r := 0; r < rows; r++ {
 				c, kh, kw := g*cg+r/(s.KH*s.KW), (r/s.KW)%s.KH, r%s.KW
 				for oc := 0; oc < cols; oc++ {
@@ -172,8 +174,11 @@ func TestIm2ColIntoMatchesIndexFormula(t *testing.T) {
 					if iy >= 0 && iy < s.InH && ix >= 0 && ix < s.InW {
 						want = img[(c*s.InH+iy)*s.InW+ix]
 					}
-					if got := dst[r*cols+oc]; got != want {
-						t.Fatalf("%+v group %d: patch[%d,%d] = %v, want %v", s, g, r, oc, got, want)
+					if got := dst[oc*rows+r]; got != want {
+						t.Fatalf("%+v group %d: pixel %d tap %d = %v, want %v", s, g, oc, r, got, want)
+					}
+					if got := cm.At(r, oc); got != want {
+						t.Fatalf("%+v group %d: Im2Col[%d,%d] = %v, want %v", s, g, r, oc, got, want)
 					}
 				}
 			}
