@@ -763,8 +763,10 @@ func BenchmarkEventSimSerial(b *testing.B) {
 }
 
 // BenchmarkDeepCNNTrainStep times one in-situ training step through two
-// stacked hardware convolution stages (per-pixel transpose and
-// outer-product passes at every stage).
+// stacked hardware convolution stages: the second stage's active pixel
+// rows make one column-stripe transpose pass followed by col2im, and each
+// stage takes one weight step over its pixel rows. Its allocs/op are gated
+// in cmd/benchjson.
 func BenchmarkDeepCNNTrainStep(b *testing.B) {
 	b.ReportAllocs()
 	d, err := core.NewConvNet(core.NetworkConfig{

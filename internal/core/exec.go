@@ -11,9 +11,9 @@ package core
 // one goroutine per pass. Every layer pass, dense or conv, is one fan-out
 // over stripes of tiles (runStripes): a job owns a tile row or column and
 // merges its tiles' results in fixed order itself. Whole-grid work
-// (programming, drift, compilation and the conv transpose) runs one-tile
-// stripes through runTiles, its per-tile results merged by the caller in
-// fixed tile order after the fan-out. Either way results, including the
+// (programming, drift, compilation) runs one-tile stripes through
+// runTiles, its per-tile results merged by the caller in fixed tile order
+// after the fan-out. Either way results, including the
 // analog noise sequences and energy totals, are bit-identical regardless
 // of how many workers execute the passes.
 

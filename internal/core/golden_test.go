@@ -13,7 +13,12 @@ package core
 //	go test ./internal/core/ -run TestGoldenDriverBitIdentity -update-golden
 //
 // and every run since — any worker count — must reproduce the exact
-// float64 bit patterns they record.
+// float64 bit patterns they record. They were regenerated again when the
+// conv transpose moved onto the column-stripe pass, whose col2im sums the
+// conv input gradient in a different float order; the rewrite of this
+// file came out byte-identical (the two-conv schedule's weights, losses
+// and ledgers round to the same bits), and golden_multitile_conv.json
+// moved in two weights (see multitile_test.go).
 
 import (
 	"encoding/json"
@@ -207,7 +212,7 @@ func goldenCNNSchedule(t *testing.T) goldenTrace {
 }
 
 // goldenDeepCNNSchedule exercises a two-conv stack, whose backward pass
-// crosses the per-pixel transpose and col2im paths.
+// crosses the conv transpose pass and col2im.
 func goldenDeepCNNSchedule(t *testing.T) goldenTrace {
 	t.Helper()
 	d, err := NewConvNet(noisyCfg(), []tensor.Conv2DSpec{

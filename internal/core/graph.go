@@ -91,10 +91,7 @@ type graphNode struct {
 	// to the sequential walk.
 	joinEvents int64
 
-	// Backward scratch: conv input gradients go one sample at a time.
-	gradSet bool           // batchGrad holds a contribution this step
-	dIn     *tensor.Tensor // conv: one sample's ∂L/∂(input map)
-	dInPart [][]float64    // conv: per-tile input-gradient buffers
+	gradSet bool // batchGrad holds a contribution this step
 
 	// Conv forward slabs, sample-major and pixel-major within a sample:
 	// serving reuses one chunk's worth for every chunk of a batch, training
@@ -103,10 +100,14 @@ type graphNode struct {
 	batchPre     []float64 // conv: samples×pixels×Out pre-activations
 
 	// Batched-training state and scratch (TrainBatch), all sample-major.
-	batchActive []bool    // conv: batch×pixels active-pixel masks
-	batchGrad   []float64 // batch×size upstream gradient slab
-	batchDeltaH []float64 // gated delta slab (Out dense, pixels×OutC conv)
-	batchDIn    []float64 // batch×(producer size) input-gradient slab
+	// A conv node's transpose streams only its active pixel rows, compacted
+	// in sample-then-pixel order (see backwardConvBatch).
+	batchGrad      []float64 // batch×size upstream gradient slab
+	batchDeltaH    []float64 // gated delta slab (Out dense, pixels×OutC conv)
+	batchDIn       []float64 // batch×(producer size) input-gradient slab
+	activeRows     []int     // conv: sample·pixels+pixel of each active row
+	activeDelta    []float64 // conv: active rows' gated deltas, rows×OutC
+	batchPatchGrad []float64 // conv: active rows' patch gradients, rows×In
 }
 
 // Graph is a hardware-mapped execution DAG: node 0 is the input, layer
@@ -719,13 +720,7 @@ func (g *Graph) OutputSize() int {
 // the whole graph — the serving front-end's graceful-degradation signal.
 func (g *Graph) MaskedRowCount() int {
 	total := 0
-	for _, l := range g.layers {
-		for _, row := range l.tiles {
-			for _, pe := range row {
-				total += pe.Bank().MaskedRowCount()
-			}
-		}
-	}
+	g.ForEachPE(func(_, _, _ int, pe *PE) { total += pe.Bank().MaskedRowCount() })
 	return total
 }
 
@@ -748,11 +743,7 @@ func (g *Graph) Ledger() *Ledger {
 // PECount returns the number of PE tiles in the graph.
 func (g *Graph) PECount() int {
 	total := 0
-	for _, l := range g.layers {
-		for _, row := range l.tiles {
-			total += len(row)
-		}
-	}
+	g.ForEachPE(func(_, _, _ int, _ *PE) { total++ })
 	return total
 }
 
@@ -806,12 +797,8 @@ func (g *Graph) ApplyDrift(hold units.Duration) {
 // logical rows is thereby spread over all fabricated cells — classic
 // wear-leveling, at the cost of one full reprogramming pass.
 func (g *Graph) RotateWearLeveling(k int) {
+	g.ForEachPE(func(_, _, _ int, pe *PE) { pe.bank.RotateRows(k) })
 	for _, l := range g.layers {
-		for _, row := range l.tiles {
-			for _, pe := range row {
-				pe.bank.RotateRows(k)
-			}
-		}
 		l.Invalidate()
 	}
 }
@@ -824,34 +811,27 @@ func (g *Graph) InjectRandomFaults(fraction float64, kind FaultKind, seed int64)
 		return 0, fmt.Errorf("core: fault fraction %v outside [0,1]", fraction)
 	}
 	total := 0
-	for li, l := range g.layers {
-		for r := range l.tiles {
-			for c, pe := range l.tiles[r] {
-				count := int(fraction * float64(pe.Rows()*pe.Cols()))
-				if count == 0 && fraction > 0 {
-					count = 1
-				}
-				if _, err := pe.InjectRandomFaults(count, kind,
-					seed+int64(li)*1000+int64(r)*100+int64(c)); err != nil {
-					return total, err
-				}
-				total += count
-			}
+	var err error
+	g.ForEachPE(func(li, r, c int, pe *PE) {
+		if err != nil {
+			return
 		}
-	}
-	return total, nil
+		count := int(fraction * float64(pe.Rows()*pe.Cols()))
+		if count == 0 && fraction > 0 {
+			count = 1
+		}
+		if _, err = pe.InjectRandomFaults(count, kind,
+			seed+int64(li)*1000+int64(r)*100+int64(c)); err == nil {
+			total += count
+		}
+	})
+	return total, err
 }
 
 // FaultCount returns the number of stuck cells across the graph.
 func (g *Graph) FaultCount() int {
 	total := 0
-	for _, l := range g.layers {
-		for _, row := range l.tiles {
-			for _, pe := range row {
-				total += pe.FaultCount()
-			}
-		}
-	}
+	g.ForEachPE(func(_, _, _ int, pe *PE) { total += pe.FaultCount() })
 	return total
 }
 
@@ -860,14 +840,10 @@ func (g *Graph) FaultCount() int {
 // regardless of how many workers executed the passes that triggered them.
 func (g *Graph) FaultEvents() []NetworkFaultEvent {
 	var out []NetworkFaultEvent
-	for li, l := range g.layers {
-		for r := range l.tiles {
-			for c, pe := range l.tiles[r] {
-				for _, ev := range pe.FaultEvents() {
-					out = append(out, NetworkFaultEvent{Layer: li, TileRow: r, TileCol: c, FaultEvent: ev})
-				}
-			}
+	g.ForEachPE(func(li, r, c int, pe *PE) {
+		for _, ev := range pe.FaultEvents() {
+			out = append(out, NetworkFaultEvent{Layer: li, TileRow: r, TileCol: c, FaultEvent: ev})
 		}
-	}
+	})
 	return out
 }

@@ -3,12 +3,17 @@ package core
 // Multi-tile conv regression. Every conv the other fixtures pin fits one
 // bank row tile (OutC ≤ 8 on 8×8 banks); this stack spreads each kernel
 // matrix over a 2×4 and a 2×14 tile grid, so the forward stripe merge, the
-// transpose/col2im merge and the weight step all cross tile boundaries.
-// The fixture was recorded with
+// transpose stripe merge, col2im and the weight step all cross tile
+// boundaries. The fixture was recorded with
 //
 //	go test ./internal/core/ -run TestGoldenMultiTileConv -update-golden
 //
-// and every run since, at any worker count, must reproduce its bits.
+// and every run since, at any worker count, must reproduce its bits. It
+// was last re-recorded when the conv transpose moved from per-tile col2im
+// buffers merged tile-major onto the column-stripe pass (row tiles summed
+// first, col2im pixel-major): that reorders the float sums of the conv
+// input gradient, and two trained weights moved by one ulp. Outputs,
+// losses and the ledger did not move.
 
 import (
 	"encoding/json"
@@ -21,12 +26,10 @@ import (
 
 const multiTileGoldenPath = "testdata/golden_multitile_conv.json"
 
-// goldenMultiTileConvSchedule runs a noisy two-conv stack — 3→12 channels
-// over 8×8 pixels (In 27: rt 2, ct 4), then 12→10 at stride 2 (In 108: rt 2,
-// ct 14) — through a forward pass, a batched forward of six images (two
-// conv chunks at 64 pixels), two TrainBatch steps of three and a forward on
-// the trained weights.
-func goldenMultiTileConvSchedule(t *testing.T) goldenTrace {
+// newMultiTileConvNet builds the noisy two-conv stack — 3→12 channels over
+// 8×8 pixels (In 27: rt 2, ct 4), then 12→10 at stride 2 (In 108: rt 2,
+// ct 14) — with a three-class head.
+func newMultiTileConvNet(t *testing.T) *Graph {
 	t.Helper()
 	g, err := NewConvNet(noisyCfg(), []tensor.Conv2DSpec{
 		{InC: 3, InH: 8, InW: 8, OutC: 12, KH: 3, KW: 3,
@@ -40,6 +43,15 @@ func goldenMultiTileConvSchedule(t *testing.T) goldenTrace {
 	if rt, ct := len(g.Layers()[0].Tiles()), len(g.Layers()[0].Tiles()[0]); rt != 2 || ct != 4 {
 		t.Fatalf("first conv tile grid %d×%d, want 2×4", rt, ct)
 	}
+	return g
+}
+
+// goldenMultiTileConvSchedule runs the multi-tile stack through a forward
+// pass, a batched forward of six images (two conv chunks at 64 pixels), two
+// TrainBatch steps of three and a forward on the trained weights.
+func goldenMultiTileConvSchedule(t *testing.T) goldenTrace {
+	t.Helper()
+	g := newMultiTileConvNet(t)
 	in := g.InputSize()
 	tr := goldenTrace{}
 	out, err := g.Forward(batchInputs(t, 5, 1, in))

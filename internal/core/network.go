@@ -39,9 +39,8 @@ type DenseLayer struct {
 	actCells *nn.GSTActivation
 
 	// Execution-engine scratch, reused across passes. The stream slabs hold
-	// one region per stripe (or per tile, for the conv transpose) so
-	// concurrent jobs never write shared accumulators, and every merge runs
-	// in fixed tile order.
+	// one region per stripe so concurrent jobs never write shared
+	// accumulators, and every merge runs in fixed tile order.
 	stream  []float64 // stripe output slabs, or the transpose's delta gathers
 	streamX []float64 // column-tile input gathers, or the transpose's stripe outputs
 	batchH  []float64 // activated layers' batched pre-activations (batch×Out)

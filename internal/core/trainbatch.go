@@ -21,7 +21,6 @@ import (
 	"math"
 
 	"trident/internal/nn"
-	"trident/internal/tensor"
 )
 
 // TrainBatch runs one minibatch training step — batched forward, softmax
@@ -65,10 +64,8 @@ func (g *Graph) TrainBatch(xs []float64, labels []int) (float64, error) {
 	var total float64
 	for s := 0; s < batch; s++ {
 		label := labels[s]
-		probs := nn.Softmax(out.batchVal[s*classes : (s+1)*classes])
-		total += -math.Log(math.Max(probs[label], 1e-300))
-		d := delta[s*classes : (s+1)*classes]
-		copy(d, probs)
+		d := nn.SoftmaxInto(delta[s*classes:(s+1)*classes], out.batchVal[s*classes:(s+1)*classes])
+		total += -math.Log(math.Max(d[label], 1e-300))
 		d[label] -= 1
 	}
 	if err := g.backwardBatch(delta, batch); err != nil {
@@ -203,50 +200,57 @@ func (g *Graph) backwardDenseBatch(n *graphNode, batch int) error {
 }
 
 // backwardConvBatch gates every sample's gradient map into pixel-major
-// deltas and builds its active-pixel mask, runs the reprogram-free
-// transpose/col2im passes per sample (each itself pixel-batched through the
-// bank GEMM), and applies one mean-gradient update: the dense weight step
-// over the batch's samples·pixels patch rows.
+// deltas and, when the producer takes a gradient, compacts the batch's
+// active pixel rows (a row with any non-zero delta) into one slab in
+// sample-then-pixel order. The slab makes ONE reprogram-free transpose
+// pass through the column stripes — each PE sees the rows in that order,
+// so its noise draws and ledger equal one pass per sample — and each row's
+// patch gradient is then scattered by col2im into its sample's
+// input-gradient row, pixels in ascending order. A batch with no active
+// pixel makes no pass, so it books nothing. One mean-gradient update
+// closes the node: the dense weight step over the batch's samples·pixels
+// patch rows.
 func (g *Graph) backwardConvBatch(n *graphNode, batch int) error {
-	s := n.spec
 	l := n.layer
-	out := l.spec.Out
+	out, in := l.spec.Out, l.spec.In
 	pixels := n.h * n.w
+	prod := g.nodes[n.in[0]]
+	backprop := prod.kind != nodeInput
 	n.batchDeltaH = growFloats(n.batchDeltaH, batch*n.size)
-	if cap(n.batchActive) < batch*pixels {
-		n.batchActive = make([]bool, batch*pixels)
-	}
+	n.activeRows, n.activeDelta = n.activeRows[:0], n.activeDelta[:0]
 	for smp := 0; smp < batch; smp++ {
 		pre := n.batchPre[smp*n.size : (smp+1)*n.size]
 		grad := n.batchGrad[smp*n.size : (smp+1)*n.size]
-		dh := n.batchDeltaH[smp*n.size : (smp+1)*n.size]
-		active := n.batchActive[smp*pixels : (smp+1)*pixels]
-		for p := range active {
+		for p := 0; p < pixels; p++ {
+			dh := n.batchDeltaH[(smp*pixels+p)*out : (smp*pixels+p+1)*out]
 			on := false
-			for j := 0; j < out; j++ {
+			for j := range dh {
 				v := grad[j*pixels+p] * l.actCells.Derivative(pre[p*out+j])
-				dh[p*out+j] = v
+				dh[j] = v
 				on = on || v != 0
 			}
-			active[p] = on
+			if backprop && on {
+				n.activeRows = append(n.activeRows, smp*pixels+p)
+				n.activeDelta = append(n.activeDelta, dh...)
+			}
 		}
 	}
-	prod := g.nodes[n.in[0]]
-	if prod.kind != nodeInput {
-		if n.dIn == nil {
-			n.dIn = tensor.New(s.InC, s.InH, s.InW)
-		}
-		n.batchDIn = growFloats(n.batchDIn, batch*prod.size)
-		for smp := 0; smp < batch; smp++ {
-			n.dIn.Zero()
-			err := streamTransposeCol2im(l, s, n.batchDeltaH[smp*n.size:(smp+1)*n.size],
-				n.batchActive[smp*pixels:(smp+1)*pixels], &n.dInPart, n.dIn)
+	if backprop {
+		dIn := growFloats(n.batchDIn, batch*prod.size)
+		n.batchDIn = dIn
+		clear(dIn)
+		if rows := len(n.activeRows); rows > 0 {
+			patchGrad, err := l.TransposeMVMBatchInto(n.batchPatchGrad, n.activeDelta, rows)
 			if err != nil {
 				return err
 			}
-			copy(n.batchDIn[smp*prod.size:(smp+1)*prod.size], n.dIn.Data())
+			n.batchPatchGrad = patchGrad
+			for k, r := range n.activeRows {
+				smp := r / pixels
+				col2imAddRows(dIn[smp*prod.size:(smp+1)*prod.size], patchGrad[k*in:(k+1)*in], 0, n.spec, r%pixels)
+			}
 		}
-		g.accumulateBatch(n.in[0], n.batchDIn[:batch*prod.size], batch)
+		g.accumulateBatch(n.in[0], dIn, batch)
 	}
 	l.applyBatchGradient(g.cfg.LearningRate, n.batchDeltaH[:batch*n.size], n.batchPatches, batch*pixels, batch)
 	return nil

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -36,6 +37,20 @@ func totalTunerWrites(g *Graph) uint64 {
 		}
 	}
 	return total
+}
+
+// peLedgers snapshots every PE's ledger breakdown and elapsed time, in
+// ForEachPE order.
+func peLedgers(g *Graph) []map[string]float64 {
+	var out []map[string]float64
+	g.ForEachPE(func(_, _, _ int, pe *PE) {
+		led := map[string]float64{"elapsed": pe.Ledger().Elapsed().Seconds()}
+		for cat, e := range pe.Ledger().Breakdown() {
+			led[string(cat)] = e.Joules()
+		}
+		out = append(out, led)
+	})
+	return out
 }
 
 // directWTDelta computes the exact mathematical Wᵀ·δ from the master
@@ -140,12 +155,8 @@ func TestTrainBatchStripesBitIdenticalAcrossWorkers(t *testing.T) {
 		if tr.out, err = g.ForwardBatchInto(nil, batchInputs(t, 200, batch, in), batch); err != nil {
 			t.Fatal(err)
 		}
+		tr.ledgers = peLedgers(g)
 		g.ForEachPE(func(_, _, _ int, pe *PE) {
-			led := map[string]float64{"elapsed": pe.Ledger().Elapsed().Seconds()}
-			for cat, e := range pe.Ledger().Breakdown() {
-				led[string(cat)] = e.Joules()
-			}
-			tr.ledgers = append(tr.ledgers, led)
 			for r := 0; r < pe.Rows(); r++ {
 				for c := 0; c < pe.Cols(); c++ {
 					tr.writes = append(tr.writes, pe.Bank().PhysicalTuner(r, c).Writes())
@@ -297,5 +308,90 @@ func TestBackwardZeroProgrammingWrites(t *testing.T) {
 	}
 	if after := totalTunerWrites(g); after != before {
 		t.Fatalf("TrainBatch issued %d programming writes, want 0", after-before)
+	}
+}
+
+// TestConvTransposeInactivePixels pins the edges of the conv backward's
+// active-row compaction on the noisy multi-tile stack's second conv, at 1,
+// 2 and 8 workers. With one sample's gated deltas all zero beside a fully
+// active one, the zero sample's input-gradient row is all +0. With no
+// active pixel in the batch, the node makes no transpose pass: every PE's
+// ledger and noise stream stay where they were. The mixed case's gradient
+// and ledgers are bit-identical at every worker count.
+func TestConvTransposeInactivePixels(t *testing.T) {
+	const batch = 2
+	type trace struct {
+		dIn     []float64
+		ledgers []map[string]float64
+	}
+	run := func(workers int) trace {
+		withWorkers(t, workers)
+		g := newMultiTileConvNet(t)
+		g.nodes[0].batchVal = batchInputs(t, 3, batch, g.InputSize())
+		for i := 1; i < len(g.nodes); i++ {
+			if err := g.forwardTrainNodeBatch(g.nodes[i], batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		n := g.nodes[2]
+		prod := g.nodes[n.in[0]]
+		if n.kind != nodeConv || prod.kind != nodeConv {
+			t.Fatalf("node 2 is not a conv fed by a conv")
+		}
+		// Every pre-activation sits at the GST threshold, where the latched
+		// derivative is the full slope, so the gate passes the raw gradient.
+		for i := range n.batchPre[:batch*n.size] {
+			n.batchPre[i] = n.layer.actCells.Threshold
+		}
+		n.batchGrad = growFloats(n.batchGrad, batch*n.size)
+		clear(n.batchGrad[:n.size])
+		for i := n.size; i < batch*n.size; i++ {
+			n.batchGrad[i] = 0.01 * float64(i%7+1)
+		}
+		if err := g.backwardConvBatch(n, batch); err != nil {
+			t.Fatal(err)
+		}
+		tr := trace{dIn: append([]float64(nil), n.batchDIn[:batch*prod.size]...), ledgers: peLedgers(g)}
+		for i, v := range tr.dIn[:prod.size] {
+			if v != 0 || math.Signbit(v) {
+				t.Fatalf("workers=%d: zero sample's input gradient [%d] = %v, want +0", workers, i, v)
+			}
+		}
+		if !slices.ContainsFunc(tr.dIn[prod.size:], func(v float64) bool { return v != 0 }) {
+			t.Fatalf("workers=%d: active sample's input gradient is all zero", workers)
+		}
+
+		var streams []gaussStream
+		g.ForEachPE(func(_, _, _ int, pe *PE) { streams = append(streams, *pe.noise) })
+		clear(n.batchGrad[:batch*n.size])
+		if err := g.backwardConvBatch(n, batch); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(peLedgers(g), tr.ledgers) {
+			t.Fatalf("workers=%d: a batch with no active pixel moved a PE ledger", workers)
+		}
+		i := 0
+		g.ForEachPE(func(_, _, _ int, pe *PE) {
+			if *pe.noise != streams[i] {
+				t.Fatalf("workers=%d: a batch with no active pixel drew noise on PE %d", workers, i)
+			}
+			i++
+		})
+		if slices.ContainsFunc(n.batchDIn[:batch*prod.size], func(v float64) bool { return v != 0 || math.Signbit(v) }) {
+			t.Fatalf("workers=%d: a batch with no active pixel left a non-+0 input gradient", workers)
+		}
+		return tr
+	}
+	ref := run(1)
+	for _, workers := range []int{2, 8} {
+		got := run(workers)
+		for i := range ref.dIn {
+			if math.Float64bits(got.dIn[i]) != math.Float64bits(ref.dIn[i]) {
+				t.Fatalf("workers=%d: input gradient [%d] = %v, serial %v", workers, i, got.dIn[i], ref.dIn[i])
+			}
+		}
+		if !reflect.DeepEqual(got.ledgers, ref.ledgers) {
+			t.Fatalf("workers=%d: PE ledgers differ from the serial run", workers)
+		}
 	}
 }

@@ -11,11 +11,7 @@ package core
 // out[i0:i1] from δ[j0:j1], so the backward pass has no square-bank
 // restriction.
 
-import (
-	"fmt"
-
-	"trident/internal/tensor"
-)
+import "fmt"
 
 // TransposeMVMBatchInto computes Wᵀ·δ (the gradient-vector pass before the
 // Hadamard product) for a whole batch, reprogram-free from the forward tile
@@ -100,96 +96,4 @@ func transposeStripe(a stripeArgs, c int) (int, error) {
 		}
 	}
 	return 0, nil
-}
-
-// ensureDInPart sizes the per-tile conv input-gradient buffers (tiles × n,
-// flat-backed) that streamTransposeCol2im scatters into.
-func ensureDInPart(partBuf *[][]float64, tiles, n int) [][]float64 {
-	dInPart := *partBuf
-	if dInPart == nil || len(dInPart) < tiles || len(dInPart[0]) < n {
-		flat := make([]float64, tiles*n)
-		dInPart = make([][]float64, tiles)
-		for t := range dInPart {
-			dInPart[t] = flat[t*n : (t+1)*n]
-		}
-		*partBuf = dInPart
-	}
-	return dInPart
-}
-
-// streamTransposeCol2im runs a conv node's gradient-vector passes
-// reprogram-free: deltaH holds one sample's deltas pixel-major (pixels ×
-// Out), and each forward tile gathers the active pixels' delta slices into
-// a pixel-major slab, streams them through its bank's compiled
-// transpose view in one batched adjoint GEMM (pixels in ascending order, so
-// the PE's noise and energy sequence equals the serial per-pixel loop), and
-// scatters its patch-gradient rows via col2im into a per-tile buffer. The
-// buffers merge into dst in fixed tile order, independent of worker count.
-func streamTransposeCol2im(l *DenseLayer, s tensor.Conv2DSpec, deltaH []float64, active []bool, partBuf *[][]float64, dst *tensor.Tensor) error {
-	pixels := s.OutH() * s.OutW()
-	nact := 0
-	for _, a := range active[:pixels] {
-		if a {
-			nact++
-		}
-	}
-	if nact == 0 {
-		return nil // dst is pre-zeroed by the caller; nothing to scatter
-	}
-	if l.state != bankForward {
-		if err := l.programForward(); err != nil {
-			return err
-		}
-	}
-	rt, ct := len(l.tiles), len(l.tiles[0])
-	n := dst.Len()
-	dInPart := ensureDInPart(partBuf, rt*ct, n)
-	l.stream = growFloats(l.stream, rt*ct*l.rows*pixels)
-	l.streamX = growFloats(l.streamX, rt*ct*l.cols*pixels)
-	dSlab, oSlab := l.stream, l.streamX
-	if err := runTiles(rt, ct, func(r, c int) error {
-		pe := l.tiles[r][c]
-		j0 := r * l.rows
-		j1 := min(j0+l.rows, l.spec.Out)
-		i0 := c * l.cols
-		i1 := min(i0+l.cols, l.spec.In)
-		m := j1 - j0
-		buf := dInPart[r*ct+c][:n]
-		for i := range buf {
-			buf[i] = 0
-		}
-		din := dSlab[(r*ct+c)*l.rows*pixels:][: m*nact : m*nact]
-		idx := 0
-		for p := 0; p < pixels; p++ {
-			if !active[p] {
-				continue
-			}
-			copy(din[idx*m:(idx+1)*m], deltaH[p*l.spec.Out+j0:p*l.spec.Out+j1])
-			idx++
-		}
-		o := oSlab[(r*ct+c)*l.cols*pixels:][: l.cols*nact : l.cols*nact]
-		if _, err := pe.TransposePassBatchInto(o, din, nact, m); err != nil {
-			return err
-		}
-		idx = 0
-		for p := 0; p < pixels; p++ {
-			if !active[p] {
-				continue
-			}
-			col2imAddRows(buf, o[idx*l.cols:][:i1-i0], i0, s, p)
-			idx++
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
-	out := dst.Data()
-	for t := 0; t < rt*ct; t++ {
-		for i, v := range dInPart[t][:n] {
-			if v != 0 {
-				out[i] += v
-			}
-		}
-	}
-	return nil
 }

@@ -25,8 +25,12 @@ func NewNetwork(layers ...Layer) *Graph {
 
 // Softmax writes the softmax of logits into a new slice, using the max-
 // shifted form for numerical stability.
-func Softmax(logits []float64) []float64 {
-	out := make([]float64, len(logits))
+func Softmax(logits []float64) []float64 { return SoftmaxInto(make([]float64, len(logits)), logits) }
+
+// SoftmaxInto writes the softmax of logits into dst[:len(logits)] and
+// returns that slice, using the max-shifted form for numerical stability.
+func SoftmaxInto(dst, logits []float64) []float64 {
+	out := dst[:len(logits)]
 	maxv := math.Inf(-1)
 	for _, v := range logits {
 		if v > maxv {

@@ -194,7 +194,7 @@ supervise:
 	}
 	result.Steps = steps
 	result.Heals = sched.Heals()
-	result.MaskedRows = sched.maskedRows()
+	result.MaskedRows = net.MaskedRowCount()
 	var writeSum, cells uint64
 	net.ForEachPE(func(_, _, _ int, pe *core.PE) {
 		bank := pe.Bank()

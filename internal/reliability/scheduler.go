@@ -148,7 +148,7 @@ func (s *Scheduler) State() State {
 		Checks:     s.checks,
 		LastStep:   s.lastStep,
 		Suspects:   len(s.seen),
-		MaskedRows: s.maskedRows(),
+		MaskedRows: s.net.MaskedRowCount(),
 		Heals:      s.heals,
 	}
 }
@@ -175,15 +175,6 @@ func (s *Scheduler) absorb(rep *BISTReport) int {
 		}
 	}
 	return fresh
-}
-
-// maskedRows counts retired physical rows across the network.
-func (s *Scheduler) maskedRows() int {
-	total := 0
-	s.net.ForEachPE(func(_, _, _ int, pe *core.PE) {
-		total += pe.Bank().MaskedRowCount()
-	})
-	return total
 }
 
 // refreshAll re-pulses every drift-displaced cell. Walks PEs in fixed order;
@@ -290,7 +281,7 @@ func (s *Scheduler) Check(step int) (CheckResult, error) {
 	}
 	res.Accuracy = acc
 	res.Suspects = len(s.seen)
-	res.MaskedRows = s.maskedRows()
+	res.MaskedRows = s.net.MaskedRowCount()
 	s.lastStep = step
 	// Pay any pending snapshot recompilation now — row-scoped after refresh
 	// pulses or masking, full after drift aging or wear-leveling — so the
