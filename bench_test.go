@@ -181,7 +181,7 @@ func BenchmarkOpticalMVM(b *testing.B) {
 	out := make([]float64, 16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pe.MVMPassBatchInto(out, x, 1, len(x)); err != nil {
+		if _, err := pe.MVMPassBatchInto(out, x, 1, len(x), pe.Rows()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -357,7 +357,7 @@ func BenchmarkTransposeCompiled(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				dst = bank.TransposeMVMBatchInto(dst, delta, 1, size)
+				dst = bank.TransposeMVMBatchInto(dst, delta, 1, size, bank.Cols())
 			}
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "MVMs/sec")
 		})
@@ -550,7 +550,7 @@ func BenchmarkBankMVM(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				dst = bank.MVMBatchInto(dst, x, 1, size)
+				dst = bank.MVMBatchInto(dst, x, 1, size, bank.Rows())
 			}
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "MVMs/sec")
 		})
@@ -589,7 +589,7 @@ func BenchmarkBankMVMBatch(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				dst = bank.MVMBatchInto(dst, xs, batch, size)
+				dst = bank.MVMBatchInto(dst, xs, batch, size, bank.Rows())
 			}
 			b.ReportMetric(float64(b.N)*batch/b.Elapsed().Seconds(), "MVMs/sec")
 		})
@@ -622,7 +622,7 @@ func BenchmarkPENoisyPass(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if dst, err = pe.MVMPassBatchInto(dst, xs, batch, size); err != nil {
+		if dst, err = pe.MVMPassBatchInto(dst, xs, batch, size, pe.Rows()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -693,7 +693,7 @@ func BenchmarkBankMVMBatchParallel(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				dst = bank.MVMBatchInto(dst, xs, batch, size)
+				dst = bank.MVMBatchInto(dst, xs, batch, size, bank.Rows())
 			}
 			b.ReportMetric(float64(b.N)*batch/b.Elapsed().Seconds(), "MVMs/sec")
 		})
@@ -1031,14 +1031,28 @@ func BenchmarkDeepCNNBatchSequential(b *testing.B) {
 }
 
 // BenchmarkDeepCNNBatchPipelined streams the same batches through a
-// 4-stage pipeline over the same graph shape: each stage owns a contiguous
-// node span on its own simulated chip and micro-batches flow through
-// double-buffered boundaries, so stage k computes micro-batch b while
-// stage k+1 computes b−1. The fast side of the ≥1.4× gate (recorded but
+// pipeline planned for four stages over the same graph shape
+// (dataflow.PlanStages returns three here: conv1, conv2, the rest). Each
+// stage owns a contiguous node span on its own simulated chip and
+// micro-batches flow through double-buffered boundaries, so stage k
+// computes micro-batch b while stage k+1 computes b−1. The fast side of the ≥1.4× gate (recorded but
 // waived below four CPUs, where four stages cannot actually overlap).
 func BenchmarkDeepCNNBatchPipelined(b *testing.B) {
+	benchPipelined(b, 4)
+}
+
+// BenchmarkDeepCNNBatchPipelinedTwoStage is the same pipeline cut into two
+// stages, the shape of the cnn-offline workload (noise off here). It is a
+// recorded number with no gate.
+func BenchmarkDeepCNNBatchPipelinedTwoStage(b *testing.B) {
+	benchPipelined(b, 2)
+}
+
+// benchPipelined streams pipeBenchBatch-sample batches through a k-stage
+// pipeline over pipeBenchGraph, at the auto micro-batch size.
+func benchPipelined(b *testing.B, k int) {
 	g := pipeBenchGraph(b)
-	cuts, err := dataflow.PlanStages(g, 4)
+	cuts, err := dataflow.PlanStages(g, k)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -25,6 +25,15 @@ package core
 // to in-line execution, so a single-tile network still uses every worker
 // on the bank GEMM while a many-tile network parallelizes across stripes —
 // without oversubscription in either case.
+//
+// Every pass computes only a tile's live extent. The last row tile of a
+// layer whose output count is not a multiple of the bank height J holds
+// m < J live rows (a 6-output conv on 8-row banks uses 6 of its tile's 8
+// rows), and its forward pass runs the bank GEMM over those m rows alone;
+// the transpose pass does the same for the live columns of a partial
+// column tile. A dead row still takes its detection-noise draw and its
+// clocks, so noise streams and ledgers are those of a full pass (see
+// PE.MVMPassBatchInto).
 
 import (
 	"fmt"
@@ -120,7 +129,7 @@ func forwardStripe(a stripeArgs, r int) (int, error) {
 		if ct > 1 {
 			xt = l.streamX[i0*batch : i1*batch]
 		}
-		if _, err := pe.MVMPassBatchInto(part, xt, batch, i1-i0); err != nil {
+		if _, err := pe.MVMPassBatchInto(part, xt, batch, i1-i0, m); err != nil {
 			return r*ct + c, err
 		}
 		for s := 0; s < batch; s++ {

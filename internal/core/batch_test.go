@@ -192,7 +192,7 @@ func TestBatchGeometryErrors(t *testing.T) {
 		t.Error("layer short inputs: want error")
 	}
 	pe := l.Tiles()[0][0]
-	if _, err := pe.MVMPassBatchInto(nil, make([]float64, 18), 2, 9); err == nil {
+	if _, err := pe.MVMPassBatchInto(nil, make([]float64, 18), 2, 9, pe.Rows()); err == nil {
 		t.Error("PE sample wider than bank: want error")
 	}
 }

@@ -211,9 +211,9 @@ func goldenCNNSchedule(t *testing.T) goldenTrace {
 	return tr
 }
 
-// goldenDeepCNNSchedule exercises a two-conv stack, whose backward pass
-// crosses the conv transpose pass and col2im.
-func goldenDeepCNNSchedule(t *testing.T) goldenTrace {
+// newGoldenDeepCNN builds the deepcnn schedule's noisy two-conv stack:
+// 1→4 channels over 8×8 pixels, then 4→6 at stride 2, and a two-class head.
+func newGoldenDeepCNN(t *testing.T) *Graph {
 	t.Helper()
 	d, err := NewConvNet(noisyCfg(), []tensor.Conv2DSpec{
 		{InC: 1, InH: 8, InW: 8, OutC: 4, KH: 3, KW: 3,
@@ -224,6 +224,14 @@ func goldenDeepCNNSchedule(t *testing.T) goldenTrace {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return d
+}
+
+// goldenDeepCNNSchedule exercises a two-conv stack, whose backward pass
+// crosses the conv transpose pass and col2im.
+func goldenDeepCNNSchedule(t *testing.T) goldenTrace {
+	t.Helper()
+	d := newGoldenDeepCNN(t)
 	tr := goldenTrace{}
 	var losses []float64
 	for s := 0; s < 3; s++ {

@@ -236,16 +236,27 @@ func (p *PE) addNoise(vs []float64, n int) {
 // sample in batch order — so the outputs, the PE's noise stream and its
 // ledger are bit-identical to running the samples one at a time as batches
 // of one. The steady-state path allocates nothing.
-func (p *PE) MVMPassBatchInto(dst, xs []float64, batch, n int) ([]float64, error) {
+//
+// Only the live rows [0, m) are computed: a partial tile — the last row
+// tile of a layer whose output count is not a multiple of Rows — has no
+// output behind rows m..Rows−1. Each such dead row is set to +0 and still
+// takes its detection-noise draw, so a dead row reads exactly that noise
+// added to +0, and the noise stream and the ledger advance as for a full
+// pass (m = Rows): the live rows are bit-identical to a full pass's.
+func (p *PE) MVMPassBatchInto(dst, xs []float64, batch, n, m int) ([]float64, error) {
 	if n > p.cfg.Cols {
 		return nil, fmt.Errorf("core: batch sample width %d exceeds bank cols %d", n, p.cfg.Cols)
+	}
+	if m < 0 || m > p.cfg.Rows {
+		return nil, fmt.Errorf("core: live rows %d outside bank rows %d", m, p.cfg.Rows)
 	}
 	if batch < 0 || len(xs) < batch*n {
 		return nil, fmt.Errorf("core: batch %d×%d needs %d inputs, have %d", batch, n, batch*n, len(xs))
 	}
-	dst = growFloats(dst, batch*p.cfg.Rows)
-	dst = p.bank.MVMBatchInto(dst, xs, batch, n)
-	p.addNoise(dst[:batch*p.cfg.Rows], n)
+	rows := p.cfg.Rows
+	dst = p.bank.MVMBatchInto(dst, xs, batch, n, m)
+	clearDead(dst, batch, rows, m)
+	p.addNoise(dst[:batch*rows], n)
 	p.bookSymbols(p.lasers.EncodeEnergy(n), batch)
 	return dst, nil
 }
@@ -263,18 +274,37 @@ func (p *PE) MVMPassBatchInto(dst, xs []float64, batch, n int) ([]float64, error
 // are booked per sample in batch order, exactly like a forward pass of the
 // same optical depth — so a sample's result does not depend on the batch
 // it rides in, and the steady state is allocation-free.
-func (p *PE) TransposePassBatchInto(dst, ds []float64, batch, m int) ([]float64, error) {
+//
+// Only the live columns [0, n) are computed — a partial column tile has no
+// layer input behind columns n..Cols−1 — and, as for MVMPassBatchInto's
+// dead rows, each dead column reads exactly its noise draw added to +0.
+func (p *PE) TransposePassBatchInto(dst, ds []float64, batch, m, n int) ([]float64, error) {
 	if m > p.cfg.Rows {
 		return nil, fmt.Errorf("core: batch delta width %d exceeds bank rows %d", m, p.cfg.Rows)
+	}
+	if n < 0 || n > p.cfg.Cols {
+		return nil, fmt.Errorf("core: live columns %d outside bank cols %d", n, p.cfg.Cols)
 	}
 	if batch < 0 || len(ds) < batch*m {
 		return nil, fmt.Errorf("core: batch %d×%d needs %d inputs, have %d", batch, m, batch*m, len(ds))
 	}
-	dst = growFloats(dst, batch*p.cfg.Cols)
-	dst = p.bank.TransposeMVMBatchInto(dst, ds, batch, m)
-	p.addNoise(dst[:batch*p.cfg.Cols], m)
+	cols := p.cfg.Cols
+	dst = p.bank.TransposeMVMBatchInto(dst, ds, batch, m, n)
+	clearDead(dst, batch, cols, n)
+	p.addNoise(dst[:batch*cols], m)
 	p.bookSymbols(p.lasers.EncodeEnergy(m), batch)
 	return dst, nil
+}
+
+// clearDead sets entries [live, width) of each of a batch's width-wide
+// sample rows to +0: the outputs a partial tile's pass does not compute.
+func clearDead(dst []float64, batch, width, live int) {
+	if live == width {
+		return
+	}
+	for s := 0; s < batch; s++ {
+		clear(dst[s*width+live : (s+1)*width])
+	}
 }
 
 // ActivateInto pushes accumulated pre-activations h (len ≤ Rows) through the
@@ -317,7 +347,7 @@ func (p *PE) ActivateInto(dst, h []float64) ([]float64, error) {
 // as a batch of one: optical MVM, balanced detection, GST activation, LDSU
 // latch. It returns the activated outputs and the raw pre-activations.
 func (p *PE) Infer(x []float64) (y, h []float64, err error) {
-	h, err = p.MVMPassBatchInto(nil, x, 1, len(x))
+	h, err = p.MVMPassBatchInto(nil, x, 1, len(x), p.cfg.Rows)
 	if err != nil {
 		return nil, nil, err
 	}

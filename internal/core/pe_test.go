@@ -162,7 +162,7 @@ func TestPENoiseBounded(t *testing.T) {
 	const n = 300
 	var mean, m2 float64
 	for i := 0; i < n; i++ {
-		h, err := noisy.MVMPassBatchInto(nil, []float64{0.5, 0.5}, 1, 2)
+		h, err := noisy.MVMPassBatchInto(nil, []float64{0.5, 0.5}, 1, 2, noisy.Rows())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +170,7 @@ func TestPENoiseBounded(t *testing.T) {
 	}
 	mean /= n
 	for i := 0; i < n; i++ {
-		h, _ := noisy.MVMPassBatchInto(nil, []float64{0.5, 0.5}, 1, 2)
+		h, _ := noisy.MVMPassBatchInto(nil, []float64{0.5, 0.5}, 1, 2, noisy.Rows())
 		d := h[0] - mean
 		m2 += d * d
 	}

@@ -7,7 +7,12 @@ package core
 // stage k+1 computes b−1. Steady-state throughput approaches the slowest
 // stage instead of the sum of stages, which is the weight-stationary payoff:
 // every bank already holds its layer's weights permanently, so concurrent
-// stage execution costs no reprogramming.
+// stage execution costs no reprogramming. The overlap starts only once the
+// pipeline has filled and ends as it drains, and at each end every stage
+// but the slowest idles for one micro-batch; the auto micro-batch size
+// (microFor) cuts a call into up to about 8K micro-batches so that this
+// bubble is a small slice of the call, but keeps each micro-batch large
+// enough that per-handoff overhead does not outweigh what it saves.
 //
 // Determinism contract (same bar as the rest of the package): outputs, noise
 // streams and energy ledgers are bit-identical to the unpipelined
@@ -110,7 +115,8 @@ type Pipeline struct {
 	g      *Graph
 	stages []*pipeStage
 	cuts   []int // node indices the partition cut after (diagnostics)
-	micro  int   // configured micro-batch size; 0 = auto (batch/(2K))
+	micro  int   // configured micro-batch size; 0 = auto (see microFor)
+	floor  int   // auto size's lower bound: ⌈microMinPasses / bottleneck cost⌉
 	out    int   // stage index owning the graph output node
 
 	occ    []float64 // last call's per-stage occupancy (busy/wall)
@@ -121,7 +127,8 @@ type Pipeline struct {
 // cut falling after the given node index. Cuts must be strictly increasing,
 // inside [1, N−2], and legal per PipelinePlan — use dataflow.PlanStages to
 // compute a balanced legal cut set. microBatch fixes the micro-batch size; 0
-// picks ⌈batch/(2K)⌉ per call so every stage double-buffers.
+// picks ⌈batch/(8K)⌉ per call, but never fewer samples than carry
+// microMinPasses tile passes through the costliest stage (see microFor).
 func NewPipeline(g *Graph, cuts []int, microBatch int) (*Pipeline, error) {
 	if !g.outputSet {
 		return nil, fmt.Errorf("core: pipeline needs a sealed graph (output not set)")
@@ -129,7 +136,7 @@ func NewPipeline(g *Graph, cuts []int, microBatch int) (*Pipeline, error) {
 	if microBatch < 0 {
 		return nil, fmt.Errorf("core: micro-batch %d must be ≥ 0", microBatch)
 	}
-	_, legal := g.PipelinePlan()
+	costs, legal := g.PipelinePlan()
 	prev := 0
 	for _, c := range cuts {
 		if c <= prev || c > len(g.nodes)-2 {
@@ -149,11 +156,18 @@ func NewPipeline(g *Graph, cuts []int, microBatch int) (*Pipeline, error) {
 		lo, in = c+1, NodeID(c)
 	}
 	p.stages = append(p.stages, &pipeStage{lo: lo, hi: len(g.nodes) - 1, inID: in})
+	var bottleneck int64
 	for i, st := range p.stages {
 		if st.lo <= int(g.output) && int(g.output) <= st.hi {
 			p.out = i
 		}
+		var cost int64
+		for j := st.lo; j <= st.hi; j++ {
+			cost += costs[j-1]
+		}
+		bottleneck = max(bottleneck, cost)
 	}
+	p.floor = int((microMinPasses + bottleneck - 1) / bottleneck)
 	p.occ = make([]float64, len(p.stages))
 	return p, nil
 }
@@ -204,21 +218,35 @@ func (p *Pipeline) StageInfos() []StageInfo {
 	return infos
 }
 
+// microPerStage is the auto micro-batch rule's split: a call is cut into
+// at most about microPerStage·K micro-batches, which makes the pipeline's
+// fill and drain a small slice of the call.
+const microPerStage = 8
+
+// microMinPasses bounds the auto micro-batch size from below: a micro-batch
+// carries at least this many tile passes (PipelinePlan's cost unit) through
+// the costliest stage, so the fixed cost of each stage handoff and node
+// fan-out stays a small share of the work it moves. Measured on the
+// four-conv CNN (448 passes per sample in its costlier stage at K=2, 320 at
+// K=4) micro-batches of 1 and 2 ran slower than 4 at batches of 16 and 64;
+// on the serving MLPs (15 passes per sample) every split ran slower than
+// one micro-batch per call (DESIGN.md §16).
+const microMinPasses = 1024
+
 // microFor picks the micro-batch size for one call: the configured size
-// clamped to the batch, or ⌈batch/(2K)⌉ so the pipeline holds two
-// micro-batches per stage in flight (the double-buffer sweet spot).
+// clamped to the batch, or ⌈batch/(microPerStage·K)⌉ raised to the
+// pipeline's floor (microMinPasses over its costliest stage's passes per
+// sample) and clamped to the batch. With whole-call stage times T_k, a call
+// of M micro-batches takes about max_k T_k + (Σ_k T_k − max_k T_k)/M plus
+// M times the per-micro-batch overhead: the pipeline fills and drains once,
+// and every stage but the slowest idles for one micro-batch at each end, so
+// the bubble shrinks as 1/M while the overhead grows with M.
 func (p *Pipeline) microFor(batch int) int {
 	if p.micro > 0 {
-		if p.micro > batch {
-			return batch
-		}
-		return p.micro
+		return min(p.micro, batch)
 	}
-	m := (batch + 2*len(p.stages) - 1) / (2 * len(p.stages))
-	if m < 1 {
-		m = 1
-	}
-	return m
+	split := microPerStage * len(p.stages)
+	return min(max((batch+split-1)/split, p.floor), batch)
 }
 
 // ForwardBatchPipelined streams a batch through the stage pipeline; see

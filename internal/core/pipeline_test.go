@@ -95,12 +95,14 @@ func requireSameLedger(t *testing.T, label string, got, want *core.Ledger) {
 
 // TestGraphPipelinedBatchBitIdentical is the tentpole correctness bar:
 // pipelined execution reproduces the sequential batched path bit-for-bit —
-// outputs, noise streams and energy ledgers — at stage counts 1/2/4 and
-// worker counts 1/8, on a deep sequential model and a branched one, with the
-// analog noise model on. A follow-up sequential batch on both graphs then
-// proves the pipelined pass left every per-PE RNG stream in the same state
-// the sequential pass did.
+// outputs, noise streams and energy ledgers — at stage counts 1/2/4, worker
+// counts 1/8 and micro-batch sizes auto (0), 1, 3, 5 and the whole batch,
+// on a deep sequential model and a branched one, with the analog noise model
+// on. A follow-up sequential batch on both graphs then proves the pipelined
+// pass left every per-PE RNG stream in the same state the sequential pass
+// did.
 func TestGraphPipelinedBatchBitIdentical(t *testing.T) {
+	const batch = 13 // deliberately not a multiple of any micro size
 	cases := []struct {
 		name  string
 		build func(t *testing.T) *core.Graph
@@ -112,53 +114,65 @@ func TestGraphPipelinedBatchBitIdentical(t *testing.T) {
 		for _, workers := range []int{1, 8} {
 			for _, k := range []int{1, 2, 4} {
 				t.Run(fmt.Sprintf("%s/workers=%d/K=%d", tc.name, workers, k), func(t *testing.T) {
-					prev := core.SetMaxWorkers(workers)
-					defer core.SetMaxWorkers(prev)
-					ref := tc.build(t)
-					shard := tc.build(t)
-					const batch = 13 // deliberately not a multiple of any micro size
-					xs := pipelineBatchInput(batch*ref.InputSize(), 7)
-
-					want, err := ref.ForwardBatchInto(nil, xs, batch)
-					if err != nil {
-						t.Fatal(err)
+					for _, micro := range []int{0, 1, 3, 5, batch} {
+						t.Run(fmt.Sprintf("micro=%d", micro), func(t *testing.T) {
+							requirePipelinedBitIdentical(t, tc.build, workers, k, micro, batch)
+						})
 					}
-					cuts, err := dataflow.PlanStages(shard, k)
-					if err != nil {
-						t.Fatal(err)
-					}
-					p, err := core.NewPipeline(shard, cuts, 0)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err := p.ForwardBatchPipelined(nil, xs, batch)
-					if err != nil {
-						t.Fatal(err)
-					}
-					requireSameFloats(t, "pipelined output", got, want)
-					requireSameLedger(t, "after pipelined batch", shard.Ledger(), ref.Ledger())
-					if occ := p.StageOccupancy(); len(occ) != p.Stages() {
-						t.Fatalf("occupancy has %d entries for %d stages", len(occ), p.Stages())
-					}
-
-					// RNG stream continuity: the next *sequential* batch on
-					// both graphs must still agree, so the pipelined pass
-					// advanced every noise stream exactly as sequential did.
-					xs2 := pipelineBatchInput(batch*ref.InputSize(), 8)
-					want2, err := ref.ForwardBatchInto(nil, xs2, batch)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got2, err := shard.ForwardBatchInto(nil, xs2, batch)
-					if err != nil {
-						t.Fatal(err)
-					}
-					requireSameFloats(t, "follow-up sequential output", got2, want2)
-					requireSameLedger(t, "after follow-up batch", shard.Ledger(), ref.Ledger())
 				})
 			}
 		}
 	}
+}
+
+// requirePipelinedBitIdentical runs one batch through a K-stage pipeline of
+// the given micro-batch size and through the sequential batched path on a
+// twin graph, then one more sequential batch on both, and requires equal
+// outputs and ledgers after each.
+func requirePipelinedBitIdentical(t *testing.T, build func(t *testing.T) *core.Graph, workers, k, micro, batch int) {
+	t.Helper()
+	prev := core.SetMaxWorkers(workers)
+	defer core.SetMaxWorkers(prev)
+	ref := build(t)
+	shard := build(t)
+	xs := pipelineBatchInput(batch*ref.InputSize(), 7)
+
+	want, err := ref.ForwardBatchInto(nil, xs, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cuts, err := dataflow.PlanStages(shard, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := core.NewPipeline(shard, cuts, micro)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := p.ForwardBatchPipelined(nil, xs, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameFloats(t, "pipelined output", got, want)
+	requireSameLedger(t, "after pipelined batch", shard.Ledger(), ref.Ledger())
+	if occ := p.StageOccupancy(); len(occ) != p.Stages() {
+		t.Fatalf("occupancy has %d entries for %d stages", len(occ), p.Stages())
+	}
+
+	// RNG stream continuity: the next *sequential* batch on both graphs
+	// must still agree, so the pipelined pass advanced every noise stream
+	// exactly as sequential did.
+	xs2 := pipelineBatchInput(batch*ref.InputSize(), 8)
+	want2, err := ref.ForwardBatchInto(nil, xs2, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got2, err := shard.ForwardBatchInto(nil, xs2, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameFloats(t, "follow-up sequential output", got2, want2)
+	requireSameLedger(t, "after follow-up batch", shard.Ledger(), ref.Ledger())
 }
 
 // TestGraphPipelinedPredictBatchMatches pins the serving entry point: the

@@ -274,17 +274,29 @@ const gradRowBlock = 16
 // the first row assigns rather than adds (so a −0 product survives as it
 // would in a zeroed-then-assigned buffer), which keeps every weight
 // bit-identical to separate contract, scale and update passes at any
-// worker count.
+// worker count. The row blocks run as capture-free stripe jobs (see
+// runStripes), so a step that runs in-line allocates nothing.
 func (l *DenseLayer) applyBatchGradient(beta float64, dhs, xs []float64, rows, divisor int) {
-	out := l.spec.Out
-	blocks := (out + gradRowBlock - 1) / gradRowBlock
-	RunIndexed(blocks, func(bi int) {
-		j0 := bi * gradRowBlock
-		for j := j0; j < min(j0+gradRowBlock, out); j++ {
-			l.updateRow(beta, dhs, xs, rows, divisor, j)
-		}
-	})
+	blocks := (l.spec.Out + gradRowBlock - 1) / gradRowBlock
+	_ = runStripes(blocks, gradStep{l, beta, dhs, xs, rows, divisor}, gradBlock) // gradBlock never fails
 	l.state = bankStale
+}
+
+// gradStep is one applyBatchGradient call, handed to every row-block job.
+type gradStep struct {
+	l             *DenseLayer
+	beta          float64
+	dhs, xs       []float64
+	rows, divisor int
+}
+
+// gradBlock is applyBatchGradient's job for weight-row block bi.
+func gradBlock(a gradStep, bi int) (int, error) {
+	j0 := bi * gradRowBlock
+	for j := j0; j < min(j0+gradRowBlock, a.l.spec.Out); j++ {
+		a.l.updateRow(a.beta, a.dhs, a.xs, a.rows, a.divisor, j)
+	}
+	return 0, nil
 }
 
 // updateRow runs applyBatchGradient for row j.

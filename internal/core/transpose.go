@@ -85,7 +85,7 @@ func transposeStripe(a stripeArgs, c int) (int, error) {
 		if rt > 1 {
 			dt = l.stream[j0*batch : j1*batch]
 		}
-		if _, err := pe.TransposePassBatchInto(part, dt, batch, j1-j0); err != nil {
+		if _, err := pe.TransposePassBatchInto(part, dt, batch, j1-j0, i1-i0); err != nil {
 			return r*ct + c, err
 		}
 		for s := 0; s < batch; s++ {

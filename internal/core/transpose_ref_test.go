@@ -79,7 +79,7 @@ func streamTransposeCol2im(l *DenseLayer, s tensor.Conv2DSpec, deltaH []float64,
 			idx++
 		}
 		o := oSlab[(r*ct+c)*l.cols*pixels:][: l.cols*nact : l.cols*nact]
-		if _, err := pe.TransposePassBatchInto(o, din, nact, m); err != nil {
+		if _, err := pe.TransposePassBatchInto(o, din, nact, m, pe.Cols()); err != nil {
 			return err
 		}
 		idx = 0

@@ -602,9 +602,18 @@ func (b *WeightBank) batchPrepare(dst, xs []float64, batch, n int) []float64 {
 // when nil or short. The lazily-recompiled snapshot makes a bank
 // single-writer: callers follow the one-goroutine-per-PE ownership contract
 // of the tile-execution engine.
-func (b *WeightBank) MVMBatchInto(dst, xs []float64, batch, n int) []float64 {
+//
+// Only the live rows [0, m) are computed (m = J for a full pass), and
+// dst[s*J+m : (s+1)*J] is left as it was: a partial weight tile — a layer
+// whose output count is not a multiple of J — has no output behind its
+// rows m..J−1. Row j's result is bit-identical to the full pass's, at any
+// batch size and worker count. It panics when m lies outside [0, J].
+func (b *WeightBank) MVMBatchInto(dst, xs []float64, batch, n, m int) []float64 {
+	if m < 0 || m > b.rows {
+		panic(fmt.Sprintf("mrr: live rows %d outside bank rows %d", m, b.rows))
+	}
 	dst = b.batchPrepare(dst, xs, batch, n)
-	b.compiledMVMBatch(dst, xs, batch, n)
+	b.compiledMVMBatch(dst, xs, batch, n, m)
 	return dst
 }
 

@@ -207,20 +207,22 @@ func (b *WeightBank) compileRow(j int) {
 // sums its (row, sample) dot in ascending column order) bit-identical to
 // running each sample as a batch of one. Geometry is validated by the
 // caller (batchPrepare); dst is sample-major batch×rows, xs sample-major
-// batch×n. A batch of one stays serial: it is the single-sample GEMV, and
-// fanning out one sample's rows would only add latency.
-func (b *WeightBank) compiledMVMBatch(dst, xs []float64, batch, n int) {
+// batch×n. Only the live rows [0, m) are computed — the row blocks tile
+// them, and the fan-out threshold counts them — and rows m..rows−1 of dst
+// are not written. A batch of one stays serial: it is the single-sample
+// GEMV, and fanning out one sample's rows would only add latency.
+func (b *WeightBank) compiledMVMBatch(dst, xs []float64, batch, n, m int) {
 	rows := b.rows
 	b.ensureCompiled()
-	if b.pfor != nil && batch > 1 && rows >= 2*gemmRowBlock && rows*n*batch >= gemmParallelMinWork {
-		blocks := (rows + gemmRowBlock - 1) / gemmRowBlock
+	if b.pfor != nil && batch > 1 && m >= 2*gemmRowBlock && m*n*batch >= gemmParallelMinWork {
+		blocks := (m + gemmRowBlock - 1) / gemmRowBlock
 		b.pfor(blocks, func(bi int) {
 			j0 := bi * gemmRowBlock
-			gemmRowRange(b.weff, b.cols, rows, dst, xs, j0, min(j0+gemmRowBlock, rows), batch, n)
+			gemmRowRange(b.weff, b.cols, rows, dst, xs, j0, min(j0+gemmRowBlock, m), batch, n)
 		})
 		return
 	}
-	gemmRowRange(b.weff, b.cols, rows, dst, xs, 0, rows, batch, n)
+	gemmRowRange(b.weff, b.cols, rows, dst, xs, 0, m, batch, n)
 }
 
 // gemmRowRange computes output rows [j0, j1) for the whole batch with

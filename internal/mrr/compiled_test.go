@@ -105,7 +105,7 @@ func TestCompiledMatchesReferenceUnderMutation(t *testing.T) {
 				}
 				now += units.Second
 				x := randomInput(rng, width, step%3)
-				assertMatchesReference(t, b.MVMBatchInto(nil, x, 1, len(x)), b.ReferenceMVM(nil, x),
+				assertMatchesReference(t, b.MVMBatchInto(nil, x, 1, len(x), b.Rows()), b.ReferenceMVM(nil, x),
 					fmt.Sprintf("step %d single", step))
 				if step%4 == 0 {
 					const batch = 5
@@ -113,7 +113,7 @@ func TestCompiledMatchesReferenceUnderMutation(t *testing.T) {
 					for i := range xs {
 						xs[i] = rng.Float64()*2 - 1
 					}
-					got := b.MVMBatchInto(nil, xs, batch, width)
+					got := b.MVMBatchInto(nil, xs, batch, width, b.Rows())
 					for s := 0; s < batch; s++ {
 						want := b.ReferenceMVM(nil, xs[s*width:(s+1)*width])
 						assertMatchesReference(t, got[s*width:(s+1)*width], want,
@@ -168,13 +168,13 @@ func TestEveryMutatorBumpsEpoch(t *testing.T) {
 			// ApplyDrift(year) mutator also visibly moves the readout.
 			b.ApplyDrift(year / 2)
 			x := randomInput(rng, width, 0)
-			before := append([]float64(nil), b.MVMBatchInto(nil, x, 1, len(x))...) // compiles the snapshot
+			before := append([]float64(nil), b.MVMBatchInto(nil, x, 1, len(x), b.Rows())...) // compiles the snapshot
 			epoch := b.Epoch()
 			m.call(t, b)
 			if b.Epoch() == epoch {
 				t.Fatalf("%s did not bump the weight-state epoch: a stale compiled snapshot would be served", m.name)
 			}
-			got := b.MVMBatchInto(nil, x, 1, len(x))
+			got := b.MVMBatchInto(nil, x, 1, len(x), b.Rows())
 			assertMatchesReference(t, got, b.ReferenceMVM(nil, x), m.name)
 			// Sanity: the mutation visibly changed the output, so a stale
 			// snapshot could not have hidden behind an unchanged result.
@@ -207,10 +207,10 @@ func TestCompiledBatchBitIdenticalToSingle(t *testing.T) {
 			for i := range xs {
 				xs[i] = rng.Float64()*2 - 1
 			}
-			got := b.MVMBatchInto(nil, xs, batch, n)
+			got := b.MVMBatchInto(nil, xs, batch, n, b.Rows())
 			single := make([]float64, rows)
 			for s := 0; s < batch; s++ {
-				b.MVMBatchInto(single, xs[s*n:(s+1)*n], 1, n)
+				b.MVMBatchInto(single, xs[s*n:(s+1)*n], 1, n, b.Rows())
 				for j := range single {
 					if got[s*rows+j] != single[j] {
 						t.Fatalf("rows=%d batch=%d sample %d row %d: batch %v, single %v",
@@ -230,7 +230,7 @@ func TestCompiledLazily(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	b := wideBank(t, rng, 8)
 	x := randomInput(rng, 8, 0)
-	b.MVMBatchInto(nil, x, 1, len(x))
+	b.MVMBatchInto(nil, x, 1, len(x), b.Rows())
 	if b.compiledAt != b.epoch {
 		t.Fatal("MVM did not compile the snapshot")
 	}
@@ -238,8 +238,54 @@ func TestCompiledLazily(t *testing.T) {
 	if b.compiledAt == b.epoch {
 		t.Fatal("mutation must not recompile eagerly; compilation is lazy")
 	}
-	b.MVMBatchInto(nil, x, 1, len(x))
+	b.MVMBatchInto(nil, x, 1, len(x), b.Rows())
 	if b.compiledAt != b.epoch {
 		t.Fatal("MVM after mutation did not recompile")
+	}
+}
+
+// TestLiveExtentBitIdentical pins the live-extent passes against the full
+// ones on a bank wide enough to shard: MVMBatchInto's rows [0, m) and
+// TransposeMVMBatchInto's columns [0, n) must equal a serial full
+// pass's bit for bit at any worker count, with m and n off the row-block
+// grid, and every entry past the live extent must keep what dst held.
+func TestLiveExtentBitIdentical(t *testing.T) {
+	const width, batch, live, sentinel = 256, 12, 150, 7.5
+	serial := wideBank(t, rand.New(rand.NewSource(81)), width)
+	xs := make([]float64, batch*width)
+	xrng := rand.New(rand.NewSource(82))
+	for i := range xs {
+		xs[i] = xrng.Float64()*2 - 1
+	}
+	const n = 200 // input width of the forward pass, delta width of the adjoint
+	wantFwd := append([]float64(nil), serial.MVMBatchInto(nil, xs[:batch*n], batch, n, serial.Rows())...)
+	wantAdj := append([]float64(nil), serial.TransposeMVMBatchInto(nil, xs[:batch*n], batch, n, serial.Cols())...)
+	check := func(label string, got, want []float64) {
+		t.Helper()
+		for k := range want {
+			w := want[k]
+			if k%width >= live {
+				w = sentinel
+			}
+			if got[k] != w {
+				t.Fatalf("%s: output[%d] (sample %d, index %d) = %v, want %v",
+					label, k, k/width, k%width, got[k], w)
+			}
+		}
+	}
+	fill := func() []float64 {
+		dst := make([]float64, batch*width)
+		for i := range dst {
+			dst[i] = sentinel
+		}
+		return dst
+	}
+	for _, workers := range []int{1, 2, 8} {
+		p := wideBank(t, rand.New(rand.NewSource(81)), width)
+		p.SetParallelFor(testParallelFor(workers))
+		check(fmt.Sprintf("workers=%d forward", workers),
+			p.MVMBatchInto(fill(), xs[:batch*n], batch, n, live), wantFwd)
+		check(fmt.Sprintf("workers=%d transpose", workers),
+			p.TransposeMVMBatchInto(fill(), xs[:batch*n], batch, n, live), wantAdj)
 	}
 }

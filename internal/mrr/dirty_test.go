@@ -137,7 +137,7 @@ func TestIncrementalRecompileMatchesFullCompile(t *testing.T) {
 				full := fullCompileFrom(b)
 				assertSnapshotExact(t, inc, full, width, fmt.Sprintf("step %d", step))
 				x := randomInput(rng, width, step%3)
-				got, want := b.MVMBatchInto(nil, x, 1, len(x)), b.ReferenceMVM(nil, x)
+				got, want := b.MVMBatchInto(nil, x, 1, len(x), b.Rows()), b.ReferenceMVM(nil, x)
 				for j := range want {
 					diff := math.Abs(got[j] - want[j])
 					if scale := math.Max(math.Abs(want[j]), 1); diff/scale > 1e-12 {
@@ -314,13 +314,13 @@ func TestCompiledParallelBitIdentical(t *testing.T) {
 			b.OverrideWeight(mrng.Intn(width), mrng.Intn(width), mrng.Float64()*2-1)
 		}
 	}
-	wantFresh := append([]float64(nil), serial.MVMBatchInto(nil, xs, batch, width)...)
+	wantFresh := append([]float64(nil), serial.MVMBatchInto(nil, xs, batch, width, serial.Rows())...)
 	narrow := width / 2
-	wantNarrow := append([]float64(nil), serial.MVMBatchInto(nil, xs[:batch*narrow], batch, narrow)...)
+	wantNarrow := append([]float64(nil), serial.MVMBatchInto(nil, xs[:batch*narrow], batch, narrow, serial.Rows())...)
 	mutate(serial)
 	serial.EnsureCompiled()
 	wantWeff := append([]float64(nil), serial.weff...)
-	wantMut := serial.MVMBatchInto(nil, xs, batch, width)
+	wantMut := serial.MVMBatchInto(nil, xs, batch, width, serial.Rows())
 	for _, workers := range []int{1, 2, 8} {
 		p := build()
 		p.SetParallelFor(testParallelFor(workers))
@@ -328,8 +328,8 @@ func TestCompiledParallelBitIdentical(t *testing.T) {
 		for s, tag := range []struct {
 			got, want []float64
 		}{
-			{p.MVMBatchInto(nil, xs, batch, width), wantFresh},
-			{p.MVMBatchInto(nil, xs[:batch*narrow], batch, narrow), wantNarrow},
+			{p.MVMBatchInto(nil, xs, batch, width, p.Rows()), wantFresh},
+			{p.MVMBatchInto(nil, xs[:batch*narrow], batch, narrow, p.Rows()), wantNarrow},
 		} {
 			for k := range tag.want {
 				if tag.got[k] != tag.want[k] {
@@ -341,7 +341,7 @@ func TestCompiledParallelBitIdentical(t *testing.T) {
 		mutate(p)
 		p.EnsureCompiled() // parallel dirty-row recompile
 		assertSnapshotExact(t, p.weff, wantWeff, width, fmt.Sprintf("workers=%d post-mutation", workers))
-		got := p.MVMBatchInto(nil, xs, batch, width)
+		got := p.MVMBatchInto(nil, xs, batch, width, p.Rows())
 		for k := range wantMut {
 			if got[k] != wantMut[k] {
 				t.Fatalf("workers=%d post-mutation output[%d]: parallel %v serial %v",

@@ -74,7 +74,7 @@ func TestCompiledKernelMatchesReference(t *testing.T) {
 		for flavour := 0; flavour < 3; flavour++ {
 			x := randomInput(rng, cols, flavour)
 			fast := make([]float64, rows)
-			b.MVMBatchInto(fast, x, 1, len(x))
+			b.MVMBatchInto(fast, x, 1, len(x), b.Rows())
 			ref := b.ReferenceMVM(nil, x)
 			for j := range fast {
 				diff := math.Abs(fast[j] - ref[j])
@@ -102,13 +102,13 @@ func TestMVMBatchMatchesSingle(t *testing.T) {
 		}
 		xs[i] = rng.Float64()*2 - 1
 	}
-	got := b.MVMBatchInto(nil, xs, batch, n)
+	got := b.MVMBatchInto(nil, xs, batch, n, b.Rows())
 	if len(got) != batch*b.Rows() {
 		t.Fatalf("batch output length %d, want %d", len(got), batch*b.Rows())
 	}
 	single := make([]float64, b.Rows())
 	for s := 0; s < batch; s++ {
-		b.MVMBatchInto(single, xs[s*n:(s+1)*n], 1, n)
+		b.MVMBatchInto(single, xs[s*n:(s+1)*n], 1, n, b.Rows())
 		for j := range single {
 			if got[s*b.Rows()+j] != single[j] {
 				t.Fatalf("sample %d row %d: batch %v, single %v", s, j, got[s*b.Rows()+j], single[j])
@@ -117,7 +117,7 @@ func TestMVMBatchMatchesSingle(t *testing.T) {
 	}
 	// The batched path must reuse a sufficiently large destination.
 	dst := make([]float64, batch*b.Rows())
-	if out := b.MVMBatchInto(dst, xs, batch, n); &out[0] != &dst[0] {
+	if out := b.MVMBatchInto(dst, xs, batch, n, b.Rows()); &out[0] != &dst[0] {
 		t.Error("MVMBatchInto must reuse a sufficiently large dst")
 	}
 }
@@ -127,8 +127,8 @@ func TestMVMBatchPanicsOnBadGeometry(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	b := randomBank(t, rng, 2, 4, false)
 	for name, fn := range map[string]func(){
-		"wide sample":  func() { b.MVMBatchInto(nil, make([]float64, 10), 2, 5) },
-		"short inputs": func() { b.MVMBatchInto(nil, make([]float64, 3), 2, 4) },
+		"wide sample":  func() { b.MVMBatchInto(nil, make([]float64, 10), 2, 5, b.Rows()) },
+		"short inputs": func() { b.MVMBatchInto(nil, make([]float64, 3), 2, 4, b.Rows()) },
 	} {
 		func() {
 			defer func() {

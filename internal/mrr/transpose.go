@@ -118,20 +118,21 @@ func (b *WeightBank) tbatchPrepare(dst, ds []float64, batch, m int) []float64 {
 // output-row-block ownership gives disjoint writes and no merge step, so
 // results are bit-identical at any worker count and whatever batch a delta
 // rides in. Geometry is validated by the caller (tbatchPrepare); dst is
-// sample-major batch×cols, ds sample-major batch×m. A batch of one stays
-// serial, like compiledMVMBatch.
-func (b *WeightBank) compiledTransposeMVMBatch(dst, ds []float64, batch, m int) {
+// sample-major batch×cols, ds sample-major batch×m. Only the live columns
+// [0, n) are computed, and columns n..cols−1 of dst are not written. A
+// batch of one stays serial, like compiledMVMBatch.
+func (b *WeightBank) compiledTransposeMVMBatch(dst, ds []float64, batch, m, n int) {
 	rows, cols := b.rows, b.cols
 	b.ensureTransposeCompiled()
-	if b.pfor != nil && batch > 1 && cols >= 2*gemmRowBlock && cols*m*batch >= gemmParallelMinWork {
-		blocks := (cols + gemmRowBlock - 1) / gemmRowBlock
+	if b.pfor != nil && batch > 1 && n >= 2*gemmRowBlock && n*m*batch >= gemmParallelMinWork {
+		blocks := (n + gemmRowBlock - 1) / gemmRowBlock
 		b.pfor(blocks, func(bi int) {
 			i0 := bi * gemmRowBlock
-			gemmRowRange(b.wefft, rows, cols, dst, ds, i0, min(i0+gemmRowBlock, cols), batch, m)
+			gemmRowRange(b.wefft, rows, cols, dst, ds, i0, min(i0+gemmRowBlock, n), batch, m)
 		})
 		return
 	}
-	gemmRowRange(b.wefft, rows, cols, dst, ds, 0, cols, batch, m)
+	gemmRowRange(b.wefft, rows, cols, dst, ds, 0, n, batch, m)
 }
 
 // TransposeMVMBatchInto computes the bank's adjoint pass out = Weffᵀ·δ for
@@ -144,9 +145,17 @@ func (b *WeightBank) compiledTransposeMVMBatch(dst, ds []float64, batch, m int) 
 // register-blocked GEMM as the forward path over the transpose view,
 // bit-identical whatever batch a delta rides in and at any worker count. It
 // panics on inconsistent geometry; dst is allocated when nil or short.
-func (b *WeightBank) TransposeMVMBatchInto(dst, ds []float64, batch, m int) []float64 {
+//
+// Only the live columns [0, n) are computed (n = N for a full pass), and
+// dst[s*N+n : (s+1)*N] is left as it was: a partial column tile has no
+// layer input behind its columns n..N−1. Column i's result is
+// bit-identical to the full pass's. It panics when n lies outside [0, N].
+func (b *WeightBank) TransposeMVMBatchInto(dst, ds []float64, batch, m, n int) []float64 {
+	if n < 0 || n > b.cols {
+		panic(fmt.Sprintf("mrr: live columns %d outside bank cols %d", n, b.cols))
+	}
 	dst = b.tbatchPrepare(dst, ds, batch, m)
-	b.compiledTransposeMVMBatch(dst, ds, batch, m)
+	b.compiledTransposeMVMBatch(dst, ds, batch, m, n)
 	return dst
 }
 

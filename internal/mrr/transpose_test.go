@@ -131,7 +131,7 @@ func TestTransposeCompiledMatchesReferenceUnderMutation(t *testing.T) {
 				}
 				now += units.Second
 				delta := randomDelta(rng, rows, step%3)
-				assertTransposeMatches(t, b.TransposeMVMBatchInto(nil, delta, 1, len(delta)),
+				assertTransposeMatches(t, b.TransposeMVMBatchInto(nil, delta, 1, len(delta), b.Cols()),
 					b.ReferenceTransposeMVM(nil, delta),
 					fmt.Sprintf("step %d single", step))
 				if step%4 == 0 {
@@ -140,7 +140,7 @@ func TestTransposeCompiledMatchesReferenceUnderMutation(t *testing.T) {
 					for i := range ds {
 						ds[i] = rng.Float64()*2 - 1
 					}
-					got := b.TransposeMVMBatchInto(nil, ds, batch, rows)
+					got := b.TransposeMVMBatchInto(nil, ds, batch, rows, b.Cols())
 					for s := 0; s < batch; s++ {
 						want := b.ReferenceTransposeMVM(nil, ds[s*rows:(s+1)*rows])
 						assertTransposeMatches(t, got[s*cols:(s+1)*cols], want,
@@ -194,13 +194,13 @@ func TestTransposeSharedDirtyRowPatch(t *testing.T) {
 		t.Fatalf("dirty rows after one override: got %d, want 1", got)
 	}
 	delta := randomDelta(rng, 32, 0)
-	assertTransposeMatches(t, b.TransposeMVMBatchInto(nil, delta, 1, len(delta)),
+	assertTransposeMatches(t, b.TransposeMVMBatchInto(nil, delta, 1, len(delta), b.Cols()),
 		b.ReferenceTransposeMVM(nil, delta), "adjoint after patch")
 	if got := b.RowsCompiled() - before; got != 1 {
 		t.Fatalf("rows recompiled for one dirty row: got %d, want 1", got)
 	}
 	x := randomInput(rng, 24, 0)
-	assertMatchesReference(t, b.MVMBatchInto(nil, x, 1, len(x)), b.ReferenceMVM(nil, x),
+	assertMatchesReference(t, b.MVMBatchInto(nil, x, 1, len(x), b.Rows()), b.ReferenceMVM(nil, x),
 		"forward after patch")
 }
 
@@ -218,14 +218,14 @@ func TestTransposeBatchBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 	want := make([]float64, batch*cols)
 	for s := 0; s < batch; s++ {
-		b.TransposeMVMBatchInto(want[s*cols:(s+1)*cols], ds[s*rows:(s+1)*rows], 1, rows)
+		b.TransposeMVMBatchInto(want[s*cols:(s+1)*cols], ds[s*rows:(s+1)*rows], 1, rows, b.Cols())
 	}
 	for _, workers := range []int{0, 1, 2, 8} {
 		b.SetParallelFor(nil)
 		if workers > 0 {
 			b.SetParallelFor(testParallelFor(workers))
 		}
-		got := b.TransposeMVMBatchInto(nil, ds, batch, rows)
+		got := b.TransposeMVMBatchInto(nil, ds, batch, rows, b.Cols())
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("workers=%d: element %d batch=%v single=%v", workers, i, got[i], want[i])
@@ -247,13 +247,13 @@ func TestTransposePassPerformsNoWrites(t *testing.T) {
 	}
 	writes, epoch := totalTunerWrites(b), b.Epoch()
 	delta := randomDelta(rng, 24, 0)
-	b.TransposeMVMBatchInto(nil, delta, 1, len(delta))
+	b.TransposeMVMBatchInto(nil, delta, 1, len(delta), b.Cols())
 	const batch = 4
 	ds := make([]float64, batch*24)
 	for i := range ds {
 		ds[i] = rng.Float64()*2 - 1
 	}
-	b.compiledTransposeMVMBatch(b.tbatchPrepare(nil, ds, batch, 24), ds, batch, 24)
+	b.compiledTransposeMVMBatch(b.tbatchPrepare(nil, ds, batch, 24), ds, batch, 24, 24)
 	if !b.TransposeViewActive() {
 		t.Fatal("transpose view not materialized by adjoint pass")
 	}

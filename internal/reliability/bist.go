@@ -183,7 +183,7 @@ func RunBIST(net *core.Graph, repeats int) (*BISTReport, error) {
 					probes[(n*repeats+rep)*bCols+n] = 1
 				}
 			}
-			meas, err := pe.MVMPassBatchInto(nil, probes, batch, bCols)
+			meas, err := pe.MVMPassBatchInto(nil, probes, batch, bCols, bRows)
 			if err != nil {
 				return err
 			}

@@ -384,7 +384,7 @@ func TestRemediationRecompilesBanks(t *testing.T) {
 		for i := range x {
 			x[i] = rng.Float64()*2 - 1
 		}
-		got := bank.MVMBatchInto(nil, x, 1, len(x))
+		got := bank.MVMBatchInto(nil, x, 1, len(x), bank.Rows())
 		want := bank.ReferenceMVM(nil, x)
 		for j := range want {
 			diff := math.Abs(got[j] - want[j])
@@ -446,7 +446,7 @@ func TestRemediationRecompilesTransposeView(t *testing.T) {
 		for i := range delta {
 			delta[i] = rng.Float64()*2 - 1
 		}
-		got := bank.TransposeMVMBatchInto(nil, delta, 1, len(delta))
+		got := bank.TransposeMVMBatchInto(nil, delta, 1, len(delta), bank.Cols())
 		want := bank.ReferenceTransposeMVM(nil, delta)
 		for i := range want {
 			diff := math.Abs(got[i] - want[i])
