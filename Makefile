@@ -62,7 +62,7 @@ tier2-reliability:
 # speedup and allocation gate in its gate table (defaultGates in
 # cmd/benchjson/main.go) holds; parallelism gates are recorded but waived on
 # hosts with too few CPUs.
-BENCH_OUT ?= BENCH_PR27.json
+BENCH_OUT ?= BENCH_PR28.json
 BENCH_COUNT ?= 6
 BENCH_PATTERN = ^(BenchmarkBankMVM|BenchmarkBankMVMReference|BenchmarkBankMVMBatch|BenchmarkBankMVMBatchParallel|BenchmarkBankRecompileFull|BenchmarkBankRecompileIncremental|BenchmarkBankProgram|BenchmarkPENoisyPass|BenchmarkTrainStep|BenchmarkTrainBatch|BenchmarkTransposeCompiled|BenchmarkTableIII_PowerBreakdown|BenchmarkFigure6_InferencesPerSecond|BenchmarkServeBatcher|BenchmarkServeUnbatched|BenchmarkRouterOneReplica|BenchmarkRouterTwoReplicas|BenchmarkDeepCNNBatchSequential|BenchmarkDeepCNNBatchPipelined|BenchmarkDeepCNNBatchPipelinedTwoStage|BenchmarkDeepCNNTrainStep)$$
 

@@ -1033,17 +1033,18 @@ func BenchmarkDeepCNNBatchSequential(b *testing.B) {
 // BenchmarkDeepCNNBatchPipelined streams the same batches through a
 // pipeline planned for four stages over the same graph shape
 // (dataflow.PlanStages returns three here: conv1, conv2, the rest). Each
-// stage owns a contiguous node span on its own simulated chip and
-// micro-batches flow through double-buffered boundaries, so stage k
-// computes micro-batch b while stage k+1 computes b−1. The fast side of the ≥1.4× gate (recorded but
-// waived below four CPUs, where four stages cannot actually overlap).
+// stage owns a contiguous node span on its own simulated chip and hands
+// each finished micro-batch to the next stage, so stage k computes
+// micro-batch b while stage k+1 computes b−1. The fast side of the ≥1.4×
+// gate (recorded but waived below four CPUs, where four stages cannot
+// actually overlap).
 func BenchmarkDeepCNNBatchPipelined(b *testing.B) {
 	benchPipelined(b, 4)
 }
 
 // BenchmarkDeepCNNBatchPipelinedTwoStage is the same pipeline cut into two
-// stages, the shape of the cnn-offline workload (noise off here). It is a
-// recorded number with no gate.
+// stages, the shape of the cnn-offline workload (noise off here). Its
+// allocs/op are gated; its time is a recorded number with no gate.
 func BenchmarkDeepCNNBatchPipelinedTwoStage(b *testing.B) {
 	benchPipelined(b, 2)
 }

@@ -7,7 +7,7 @@
 //
 // Usage (as wired by `make bench`):
 //
-//	go test -run='^$' -bench=... -benchmem -count=6 . | benchjson -out BENCH_PR27.json
+//	go test -run='^$' -bench=... -benchmem -count=6 . | benchjson -out BENCH_PR28.json
 package main
 
 import (
@@ -54,7 +54,7 @@ type gateSpec struct {
 //     sequential batched path on the same graph; waived below 4 CPUs, where
 //     four stage workers cannot overlap.
 //
-// and two allocation gates, allocs/op at most the bound:
+// and three allocation gates, allocs/op at most the bound:
 //
 //   - conv walk: one 64-sample sequential DeepCNN batch ≤4 allocations,
 //     i.e. no per-sample, per-chunk or per-fan-out allocation on the
@@ -64,6 +64,11 @@ type gateSpec struct {
 //     worker pool (the shared state of each parallel stripe fan-out). A
 //     per-sample, per-pixel, per-tile or per-layer allocation on the conv
 //     backward fails it.
+//   - two-stage pipeline: one 64-sample DeepCNN batch through the 2-stage
+//     pipeline (cnn-offline's shape) ≤9 allocations, what it measures at
+//     -cpu 1, 2, 4 and 8: the per-call error slots, channel slice, cut
+//     channel and stage goroutines. A per-micro-batch or per-node
+//     allocation fails it.
 var defaultGates = []gateSpec{
 	{fast: "BenchmarkBankMVM/64x64", ref: "BenchmarkBankMVMReference/64x64", min: 3},
 	{fast: "BenchmarkBankRecompileIncremental/256x256", ref: "BenchmarkBankRecompileFull/256x256", min: 5},
@@ -74,12 +79,13 @@ var defaultGates = []gateSpec{
 	{fast: "BenchmarkDeepCNNBatchPipelined", ref: "BenchmarkDeepCNNBatchSequential", min: 1.4, minProcs: 4},
 	{fast: "BenchmarkDeepCNNBatchSequential", maxAllocs: 4},
 	{fast: "BenchmarkDeepCNNTrainStep", maxAllocs: 4},
+	{fast: "BenchmarkDeepCNNBatchPipelinedTwoStage", maxAllocs: 9},
 }
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchjson: ")
-	out := flag.String("out", "BENCH_PR27.json", "trajectory file to write")
+	out := flag.String("out", "BENCH_PR28.json", "trajectory file to write")
 	flag.Parse()
 
 	// Tee the raw stream through so the human-readable benchmark lines stay

@@ -38,7 +38,6 @@ func cmdServe(args []string) {
 	batch := fs.Int("batch", 16, "micro-batch size cap (per replica)")
 	wait := fs.Duration("wait", 2*time.Millisecond, "batch collection window")
 	queue := fs.Int("queue", 64, "admission queue capacity (per replica)")
-	stages := fs.Int("stages", 1, "pipeline stage count per replica: ≥2 shards each graph layer-wise across that many simulated chips and streams micro-batches through them (bit-identical to sequential)")
 	grace := fs.Duration("grace", 5*time.Second, "shutdown drain budget before in-flight work is cancelled")
 	maint := fs.Duration("maint", 30*time.Second, "maintenance window interval per replica (0 disables BIST/refresh)")
 	chaosOn := fs.Bool("chaos", false, "inject drift spikes, wear faults and stalls per replica (for soak testing)")
@@ -79,7 +78,7 @@ func cmdServe(args []string) {
 				log.Fatal(err)
 			}
 			name := fmt.Sprintf("%s/replica-%d", kind, i)
-			cfg := serve.Config{MaxBatch: *batch, MaxWait: *wait, QueueCap: *queue, PipelineStages: *stages}
+			cfg := serve.Config{MaxBatch: *batch, MaxWait: *wait, QueueCap: *queue}
 			var mcfg *serve.MaintainerConfig
 			if *maint > 0 {
 				mcfg = &serve.MaintainerConfig{
@@ -90,9 +89,6 @@ func cmdServe(args []string) {
 			inst, err := serve.NewGraphInstance(name, rep.Graph, cfg, mcfg)
 			if err != nil {
 				log.Fatal(err)
-			}
-			if p := inst.Pipeline(); p != nil && i == 0 {
-				fmt.Printf("  %s: %d-stage pipeline (cuts after nodes %v)\n", kind, p.Stages(), p.Cuts())
 			}
 			if m := inst.Maintainer(); m != nil {
 				// Stagger the per-replica maintenance loops so windows on

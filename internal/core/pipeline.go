@@ -2,17 +2,18 @@ package core
 
 // Pipelined stage-sharded execution. A sealed Graph is partitioned into K
 // contiguous stages — each stage a run of consecutive nodes whose hardware
-// layers act as one simulated chip — and micro-batches stream through
-// double-buffered inter-stage queues so stage k computes micro-batch b while
-// stage k+1 computes b−1. Steady-state throughput approaches the slowest
-// stage instead of the sum of stages, which is the weight-stationary payoff:
-// every bank already holds its layer's weights permanently, so concurrent
-// stage execution costs no reprogramming. The overlap starts only once the
-// pipeline has filled and ends as it drains, and at each end every stage
-// but the slowest idles for one micro-batch; the auto micro-batch size
-// (microFor) cuts a call into up to about 8K micro-batches so that this
-// bubble is a small slice of the call, but keeps each micro-batch large
-// enough that per-handoff overhead does not outweigh what it saves.
+// layers act as one simulated chip — and micro-batches stream from stage to
+// stage so stage k computes micro-batch b while stage k+1 computes b−1.
+// Each downstream stage owns one full-batch input buffer that its upstream
+// neighbour fills at each micro-batch's own offset, and one channel per cut
+// carries the indices of finished micro-batches. Steady-state throughput
+// approaches the slowest stage instead of the sum of stages, which is the
+// weight-stationary payoff: every bank already holds its layer's weights
+// permanently, so concurrent stage execution costs no reprogramming. The
+// overlap starts only once the pipeline has filled and ends as it drains,
+// and at each end every stage but the slowest idles for one micro-batch;
+// the auto micro-batch size (microFor) cuts a call into about 8K
+// micro-batches so that this bubble is a small slice of the call.
 //
 // Determinism contract (same bar as the rest of the package): outputs, noise
 // streams and energy ledgers are bit-identical to the unpipelined
@@ -32,7 +33,6 @@ package core
 // internal/dataflow turns them into a balanced partition.
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -86,49 +86,34 @@ func (g *Graph) PipelinePlan() (costs []int64, legal []bool) {
 }
 
 // pipeStage is one simulated chip: a contiguous node range [lo, hi], the
-// single external producer feeding it, and the double-buffered input slots
-// it owns (the upstream stage copies the boundary value in, this stage reads
-// it back out — ping-pong over two slots so the producer is never stalled
-// behind a single in-flight buffer).
+// single external producer feeding it, and — for every stage but the first
+// — a full-batch copy of that producer's output, which the upstream stage
+// fills one micro-batch at a time at the micro-batch's own offset.
 type pipeStage struct {
-	lo, hi int    // node index range, inclusive
-	inID   NodeID // external producer: the preceding cut node (0 = graph input)
-	slots  [2][]float64
+	lo, hi int           // node index range, inclusive
+	inID   NodeID        // external producer: the preceding cut node (0 = graph input)
+	in     []float64     // upstream output for the whole call (stages ≥ 1)
 	busy   time.Duration // compute time this ForwardBatchPipelined call
 }
 
-// pipeToken hands a filled input slot downstream. Slot ownership round-trips
-// through two channels per boundary: `ready` carries filled slot indices
-// down, `free` carries drained ones back up; both have capacity 2, matching
-// the two slots, so sends never block and the channel handoff provides the
-// happens-before edge between the producer's copy and the consumer's read.
-type pipeToken struct {
-	slot int
-}
-
 // Pipeline drives one sealed Graph through stage-sharded micro-batched
-// execution. It is not safe for concurrent calls — it shares the graph's
-// scratch buffers exactly like the sequential batched path (the serving
-// batcher's execute token already serializes callers, and the drain protocol
-// therefore still fences the whole pipeline before BIST/refresh).
+// execution. It is not safe for concurrent calls: it shares the graph's
+// scratch buffers exactly like the sequential batched path.
 type Pipeline struct {
 	g      *Graph
 	stages []*pipeStage
 	cuts   []int // node indices the partition cut after (diagnostics)
 	micro  int   // configured micro-batch size; 0 = auto (see microFor)
-	floor  int   // auto size's lower bound: ⌈microMinPasses / bottleneck cost⌉
 	out    int   // stage index owning the graph output node
 
-	occ    []float64 // last call's per-stage occupancy (busy/wall)
-	logits []float64 // PredictBatchCtx scratch
+	occ []float64 // last call's per-stage occupancy (busy/wall)
 }
 
 // NewPipeline shards a sealed graph into len(cuts)+1 contiguous stages, each
 // cut falling after the given node index. Cuts must be strictly increasing,
 // inside [1, N−2], and legal per PipelinePlan — use dataflow.PlanStages to
 // compute a balanced legal cut set. microBatch fixes the micro-batch size; 0
-// picks ⌈batch/(8K)⌉ per call, but never fewer samples than carry
-// microMinPasses tile passes through the costliest stage (see microFor).
+// picks ⌈batch/(8K)⌉ per call (see microFor).
 func NewPipeline(g *Graph, cuts []int, microBatch int) (*Pipeline, error) {
 	if !g.outputSet {
 		return nil, fmt.Errorf("core: pipeline needs a sealed graph (output not set)")
@@ -136,7 +121,7 @@ func NewPipeline(g *Graph, cuts []int, microBatch int) (*Pipeline, error) {
 	if microBatch < 0 {
 		return nil, fmt.Errorf("core: micro-batch %d must be ≥ 0", microBatch)
 	}
-	costs, legal := g.PipelinePlan()
+	_, legal := g.PipelinePlan()
 	prev := 0
 	for _, c := range cuts {
 		if c <= prev || c > len(g.nodes)-2 {
@@ -156,18 +141,11 @@ func NewPipeline(g *Graph, cuts []int, microBatch int) (*Pipeline, error) {
 		lo, in = c+1, NodeID(c)
 	}
 	p.stages = append(p.stages, &pipeStage{lo: lo, hi: len(g.nodes) - 1, inID: in})
-	var bottleneck int64
 	for i, st := range p.stages {
 		if st.lo <= int(g.output) && int(g.output) <= st.hi {
 			p.out = i
 		}
-		var cost int64
-		for j := st.lo; j <= st.hi; j++ {
-			cost += costs[j-1]
-		}
-		bottleneck = max(bottleneck, cost)
 	}
-	p.floor = int((microMinPasses + bottleneck - 1) / bottleneck)
 	p.occ = make([]float64, len(p.stages))
 	return p, nil
 }
@@ -178,18 +156,15 @@ func (p *Pipeline) Stages() int { return len(p.stages) }
 // Cuts returns the node indices each stage boundary falls after.
 func (p *Pipeline) Cuts() []int { return append([]int(nil), p.cuts...) }
 
-// InputSize returns the graph input width (the serve.Engine contract).
-func (p *Pipeline) InputSize() int { return p.g.InputSize() }
-
 // StageOccupancy returns each stage's busy-time fraction of the last
-// ForwardBatchPipelined call's wall time — the serving stats' per-stage
-// utilization signal. A balanced pipeline at steady state reads near-equal
-// fractions; a dominant stage reads ~1.0 while its neighbours idle.
+// ForwardBatchPipelined call's wall time. A balanced pipeline at steady
+// state reads near-equal fractions; a dominant stage reads ~1.0 while its
+// neighbours idle.
 func (p *Pipeline) StageOccupancy() []float64 {
 	return append([]float64(nil), p.occ...)
 }
 
-// StageInfo describes one stage for logs and /stats.
+// StageInfo describes one stage for logs and reports.
 type StageInfo struct {
 	Nodes         int   // executable nodes in the stage
 	PEs           int   // PE tiles across the stage's layers
@@ -219,51 +194,38 @@ func (p *Pipeline) StageInfos() []StageInfo {
 }
 
 // microPerStage is the auto micro-batch rule's split: a call is cut into
-// at most about microPerStage·K micro-batches, which makes the pipeline's
-// fill and drain a small slice of the call.
+// about microPerStage·K micro-batches, which makes the pipeline's fill and
+// drain a small slice of the call.
 const microPerStage = 8
 
-// microMinPasses bounds the auto micro-batch size from below: a micro-batch
-// carries at least this many tile passes (PipelinePlan's cost unit) through
-// the costliest stage, so the fixed cost of each stage handoff and node
-// fan-out stays a small share of the work it moves. Measured on the
-// four-conv CNN (448 passes per sample in its costlier stage at K=2, 320 at
-// K=4) micro-batches of 1 and 2 ran slower than 4 at batches of 16 and 64;
-// on the serving MLPs (15 passes per sample) every split ran slower than
-// one micro-batch per call (DESIGN.md §16).
-const microMinPasses = 1024
-
 // microFor picks the micro-batch size for one call: the configured size
-// clamped to the batch, or ⌈batch/(microPerStage·K)⌉ raised to the
-// pipeline's floor (microMinPasses over its costliest stage's passes per
-// sample) and clamped to the batch. With whole-call stage times T_k, a call
-// of M micro-batches takes about max_k T_k + (Σ_k T_k − max_k T_k)/M plus
-// M times the per-micro-batch overhead: the pipeline fills and drains once,
-// and every stage but the slowest idles for one micro-batch at each end, so
-// the bubble shrinks as 1/M while the overhead grows with M.
+// clamped to the batch, or ⌈batch/(microPerStage·K)⌉. With whole-call stage
+// times T_k, a call of M micro-batches takes about
+// max_k T_k + (Σ_k T_k − max_k T_k)/M plus M times the per-micro-batch
+// overhead: the pipeline fills and drains once, and every stage but the
+// slowest idles for one micro-batch at each end, so the bubble shrinks as
+// 1/M while the overhead grows with M.
 func (p *Pipeline) microFor(batch int) int {
 	if p.micro > 0 {
 		return min(p.micro, batch)
 	}
 	split := microPerStage * len(p.stages)
-	return min(max((batch+split-1)/split, p.floor), batch)
+	return (batch + split - 1) / split
 }
 
-// ForwardBatchPipelined streams a batch through the stage pipeline; see
-// ForwardBatchPipelinedCtx.
+// ForwardBatchPipelined runs one batched inference with each stage on its
+// own goroutine. Outputs and ledgers are bit-identical to ForwardBatchInto
+// (see the package comment above for the argument). Stage s hands
+// micro-batch b to stage s+1 by copying its boundary value into stage s+1's
+// full-batch input buffer at b's offset and then sending b on the cut's
+// channel; the send is the happens-before edge between that copy and the
+// consumer's read. No region of the buffer is written twice in a call, so
+// the producer never waits for its consumer, and each channel holds every
+// micro-batch index of the call. A stage closes its outgoing channel when
+// it returns, so a failed stage releases its consumers, which then finish
+// without error; the call returns the lowest-indexed stage's error and
+// never partial output.
 func (p *Pipeline) ForwardBatchPipelined(dst, xs []float64, batch int) ([]float64, error) {
-	return p.ForwardBatchPipelinedCtx(context.Background(), dst, xs, batch)
-}
-
-// ForwardBatchPipelinedCtx runs one batched inference with each stage on its
-// own goroutine, micro-batches flowing through the double-buffered boundary
-// slots. Outputs and ledgers are bit-identical to ForwardBatchIntoCtx (see
-// the package comment above for the argument). Cancellation checkpoints sit
-// between node passes inside every stage, exactly like the sequential path:
-// a cancelled call returns the context error and never partial output, and
-// every bank is left in a consistent state because checkpoints never split a
-// hardware pass.
-func (p *Pipeline) ForwardBatchPipelinedCtx(ctx context.Context, dst, xs []float64, batch int) ([]float64, error) {
 	g := p.g
 	in := g.nodes[0].size
 	if batch < 0 || len(xs) < batch*in {
@@ -280,26 +242,15 @@ func (p *Pipeline) ForwardBatchPipelinedCtx(ctx context.Context, dst, xs []float
 	nMicro := (batch + micro - 1) / micro
 	K := len(p.stages)
 
-	// Pre-size every boundary slot before the workers launch so no slice
+	// Size every boundary buffer before the workers launch so no slice
 	// header is written concurrently with a read.
+	done := make([]chan int, K)
 	for s := 1; s < K; s++ {
 		st := p.stages[s]
-		want := micro * g.nodes[st.inID].size
-		for i := range st.slots {
-			st.slots[i] = growFloats(st.slots[i], want)
-		}
-	}
-	ready := make([]chan pipeToken, K)
-	free := make([]chan int, K)
-	for s := 1; s < K; s++ {
-		ready[s] = make(chan pipeToken, 2)
-		free[s] = make(chan int, 2)
-		free[s] <- 0
-		free[s] <- 1
+		st.in = growFloats(st.in, batch*g.nodes[st.inID].size)
+		done[s] = make(chan int, nMicro)
 	}
 
-	pctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	errs := make([]error, K)
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -307,70 +258,10 @@ func (p *Pipeline) ForwardBatchPipelinedCtx(ctx context.Context, dst, xs []float
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			st := p.stages[s]
-			st.busy = 0
-			for mb := 0; mb < nMicro; mb++ {
-				off := mb * micro
-				n := micro
-				if off+n > batch {
-					n = batch - off
-				}
-				// Resolve this micro-batch's external input: the raw xs
-				// window for stage 0, a filled handoff slot otherwise.
-				var cur []float64
-				tok := pipeToken{slot: -1}
-				if s == 0 {
-					cur = xs[off*in : (off+n)*in]
-				} else {
-					select {
-					case tok = <-ready[s]:
-					case <-pctx.Done():
-						errs[s] = p.cancelErr(ctx, st.lo)
-						return
-					}
-					cur = st.slots[tok.slot]
-				}
-				val := func(id NodeID) []float64 {
-					if id == st.inID {
-						return cur
-					}
-					return g.nodes[id].batchVal
-				}
-				t0 := time.Now()
-				for i := st.lo; i <= st.hi; i++ {
-					if pctx.Err() != nil {
-						errs[s] = p.cancelErr(ctx, i)
-						return
-					}
-					if err := g.forwardNodeBatch(g.nodes[i], n, val); err != nil {
-						errs[s] = err
-						cancel()
-						return
-					}
-				}
-				st.busy += time.Since(t0)
-				if tok.slot >= 0 {
-					free[s] <- tok.slot // drained: hand the slot back upstream
-				}
-				if s == p.out {
-					copy(dst[off*outSize:(off+n)*outSize], g.nodes[g.output].batchVal[:n*outSize])
-				}
-				if s < K-1 {
-					// Copy the boundary value into a free downstream slot;
-					// only after the copy lands may this stage overwrite its
-					// own batchVal with the next micro-batch.
-					b := g.nodes[st.hi]
-					var idx int
-					select {
-					case idx = <-free[s+1]:
-					case <-pctx.Done():
-						errs[s] = p.cancelErr(ctx, st.hi)
-						return
-					}
-					copy(p.stages[s+1].slots[idx][:n*b.size], b.batchVal[:n*b.size])
-					ready[s+1] <- pipeToken{slot: idx}
-				}
+			if s < K-1 {
+				defer close(done[s+1])
 			}
+			errs[s] = p.runStage(s, dst, xs, batch, micro, nMicro, done)
 		}(s)
 	}
 	wg.Wait()
@@ -380,48 +271,65 @@ func (p *Pipeline) ForwardBatchPipelinedCtx(ctx context.Context, dst, xs []float
 		if wall > 0 {
 			f = float64(st.busy) / float64(wall)
 		}
-		if f > 1 {
-			f = 1
-		}
-		p.occ[s] = f
+		p.occ[s] = min(f, 1)
 	}
-	// Deterministic error selection: the lowest-indexed stage's error wins.
-	// Stages cancelled by a sibling's failure record nil (cancelErr), so the
-	// surviving error is the root cause; external cancellation surfaces as
-	// the context error regardless of which stage noticed first.
+	// Deterministic error selection: a stage released by a failed upstream
+	// neighbour records nil, so the lowest-indexed error is the root cause.
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("core: pipelined forward cancelled: %w", err)
-	}
 	return dst, nil
 }
 
-// cancelErr classifies a pipeline cancellation observed before node i: the
-// caller's context going down is that context's error (wrapped like the
-// sequential path's checkpoint message); an internal cancel triggered by a
-// sibling stage's failure is nil here — the failing stage reports the root
-// cause and this stage just unwinds.
-func (p *Pipeline) cancelErr(ctx context.Context, node int) error {
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("core: batched forward cancelled before node %d: %w", node, err)
+// runStage is stage s's worker: it runs the stage's nodes over each
+// micro-batch in ascending order — every index for stage 0, each index that
+// arrives on done[s] otherwise — then writes the graph output into dst (on
+// the output stage) or hands the boundary value to stage s+1.
+func (p *Pipeline) runStage(s int, dst, xs []float64, batch, micro, nMicro int, done []chan int) error {
+	g := p.g
+	st := p.stages[s]
+	st.busy = 0
+	w := g.nodes[st.inID].size
+	outSize := g.nodes[g.output].size
+	for k := range nMicro {
+		mb := k
+		if s > 0 {
+			var ok bool
+			if mb, ok = <-done[s]; !ok {
+				return nil // upstream stage failed and reports the error
+			}
+		}
+		off := mb * micro
+		n := min(micro, batch-off)
+		var cur []float64
+		if s == 0 {
+			cur = xs[off*w : (off+n)*w]
+		} else {
+			cur = st.in[off*w : (off+n)*w]
+		}
+		val := func(id NodeID) []float64 {
+			if id == st.inID {
+				return cur
+			}
+			return g.nodes[id].batchVal
+		}
+		t0 := time.Now()
+		for i := st.lo; i <= st.hi; i++ {
+			if err := g.forwardNodeBatch(g.nodes[i], n, val); err != nil {
+				return err
+			}
+		}
+		st.busy += time.Since(t0)
+		if s == p.out {
+			copy(dst[off*outSize:(off+n)*outSize], g.nodes[g.output].batchVal[:n*outSize])
+		}
+		if s < len(p.stages)-1 {
+			b := g.nodes[st.hi]
+			copy(p.stages[s+1].in[off*b.size:(off+n)*b.size], b.batchVal[:n*b.size])
+			done[s+1] <- mb
+		}
 	}
 	return nil
-}
-
-// PredictBatchCtx implements serve.Engine over the pipelined path, so an
-// Instance can dispatch its micro-batches into the pipeline unchanged: one
-// pipelined forward into pipeline-owned logits scratch, then a per-sample
-// argmax. Classes are bit-identical to Graph.PredictBatchCtx because the
-// logits are.
-func (p *Pipeline) PredictBatchCtx(ctx context.Context, dst []int, xs []float64, batch int) ([]int, error) {
-	logits, err := p.ForwardBatchPipelinedCtx(ctx, p.logits, xs, batch)
-	if err != nil {
-		return nil, err
-	}
-	p.logits = logits
-	return argmaxRows(dst, logits, batch, p.g.nodes[p.g.output].size), nil
 }

@@ -2,12 +2,9 @@ package core_test
 
 // Pipeline bit-identity property tests. These live in an external test
 // package so they can drive the partition planning end-to-end through
-// internal/dataflow and the branched model builder in internal/models —
-// the same path the serving layer uses.
+// internal/dataflow and the branched model builder in internal/models.
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -173,58 +170,6 @@ func requirePipelinedBitIdentical(t *testing.T, build func(t *testing.T) *core.G
 	}
 	requireSameFloats(t, "follow-up sequential output", got2, want2)
 	requireSameLedger(t, "after follow-up batch", shard.Ledger(), ref.Ledger())
-}
-
-// TestGraphPipelinedPredictBatchMatches pins the serving entry point: the
-// pipeline's PredictBatchCtx (the serve.Engine hook) classifies exactly like
-// the sequential Graph.PredictBatch.
-func TestGraphPipelinedPredictBatchMatches(t *testing.T) {
-	ref := buildPipelineDeepCNN(t)
-	shard := buildPipelineDeepCNN(t)
-	cuts, err := dataflow.PlanStages(shard, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := core.NewPipeline(shard, cuts, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const batch = 9
-	xs := pipelineBatchInput(batch*ref.InputSize(), 21)
-	want, err := ref.PredictBatch(nil, xs, batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := p.PredictBatchCtx(context.Background(), nil, xs, batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("sample %d classified %d, want %d", i, got[i], want[i])
-		}
-	}
-}
-
-// TestGraphPipelinedBatchCancelled: a cancelled context surfaces as that
-// context's error from every stage shape, never as partial output.
-func TestGraphPipelinedBatchCancelled(t *testing.T) {
-	g := buildPipelineDeepCNN(t)
-	cuts, err := dataflow.PlanStages(g, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := core.NewPipeline(g, cuts, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	const batch = 8
-	xs := pipelineBatchInput(batch*g.InputSize(), 3)
-	if _, err := p.ForwardBatchPipelinedCtx(ctx, nil, xs, batch); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled pipeline returned %v, want context.Canceled", err)
-	}
 }
 
 // TestGraphPipelineRejectsIllegalCuts: boundaries crossed by a live branch

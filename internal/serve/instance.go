@@ -6,27 +6,24 @@ import (
 	"time"
 
 	"trident/internal/core"
-	"trident/internal/dataflow"
 	"trident/internal/reliability"
 )
 
 // An Instance is one self-contained serving replica: an engine (usually a
 // core.Graph), its micro-batcher, its op journal, and — for real graphs —
-// its maintainer. Until this refactor these were loose parts wired by
-// cmd/trident; bundling them gives the router a uniform unit it can score,
-// drain, and hand traffic between. Every accelerator-coupled resource is
-// per-instance: the journal records only this replica's serialization
-// order (so it replays bit-identically on a twin regardless of what
-// sibling replicas did), and the maintainer drains only this replica's
-// execute token.
+// its maintainer. Bundling them gives the router a uniform unit it can
+// score, drain, and hand traffic between. Every accelerator-coupled
+// resource is per-instance: the journal records only this replica's
+// serialization order (so it replays bit-identically on a twin regardless
+// of what sibling replicas did), and the maintainer drains only this
+// replica's execute token.
 type Instance struct {
 	name  string
 	eng   Engine
 	b     *Batcher
 	j     *Journal
 	m     *Maintainer
-	graph *core.Graph    // nil for synthetic engines
-	pipe  *core.Pipeline // non-nil when serving through a stage pipeline
+	graph *core.Graph // nil for synthetic engines
 	mcfg  MaintainerConfig
 }
 
@@ -65,14 +62,6 @@ func NewInstance(name string, eng Engine, cfg Config) *Instance {
 // maintainer whose reliability scheduler drains this instance's batcher
 // through the execute token. The maintainer is constructed but not
 // running; drive it with Maintainer().Run or CheckNow.
-//
-// When cfg.PipelineStages ≥ 2 the graph is sharded into a balanced stage
-// pipeline and the batcher dispatches into it instead of the sequential
-// batched path. Everything else is unchanged: the pipeline call is
-// synchronous under the execute token, so maintenance acquiring the token
-// still drains the whole pipeline before touching a bank, and the op
-// journal replays bit-identically on a sequential twin because pipelined
-// outputs are bit-identical to sequential ones.
 func NewGraphInstance(name string, g *core.Graph, cfg Config, mcfg *MaintainerConfig) (*Instance, error) {
 	if g == nil {
 		return nil, fmt.Errorf("serve: instance %q needs a graph", name)
@@ -80,22 +69,8 @@ func NewGraphInstance(name string, g *core.Graph, cfg Config, mcfg *MaintainerCo
 	if cfg.Probe == nil {
 		cfg.Probe = GraphHealth(g)
 	}
-	var eng Engine = g
-	var pipe *core.Pipeline
-	if cfg.PipelineStages >= 2 {
-		cuts, err := dataflow.PlanStages(g, cfg.PipelineStages)
-		if err != nil {
-			return nil, fmt.Errorf("serve: instance %q stage plan: %w", name, err)
-		}
-		pipe, err = core.NewPipeline(g, cuts, 0)
-		if err != nil {
-			return nil, fmt.Errorf("serve: instance %q pipeline: %w", name, err)
-		}
-		eng = pipe
-	}
-	inst := NewInstance(name, eng, cfg)
+	inst := NewInstance(name, g, cfg)
 	inst.graph = g
-	inst.pipe = pipe
 	if mcfg != nil {
 		m, err := NewMaintainer(g, inst.b, inst.j, *mcfg)
 		if err != nil {
@@ -128,10 +103,6 @@ func (inst *Instance) Maintainer() *Maintainer { return inst.m }
 // Graph returns the underlying hardware graph, or nil for synthetic
 // engines.
 func (inst *Instance) Graph() *core.Graph { return inst.graph }
-
-// Pipeline returns the stage pipeline the instance serves through, or nil
-// when it dispatches sequentially (Config.PipelineStages < 2).
-func (inst *Instance) Pipeline() *core.Pipeline { return inst.pipe }
 
 // MaintainerConfig returns the maintenance configuration the instance was
 // built with — the recipe TwinChecker needs to replay this replica's

@@ -51,21 +51,14 @@ var (
 	ErrDeadline = errors.New("serve: deadline unattainable")
 )
 
-// Engine is the inference surface the batcher drives. *core.Graph and
-// *core.Pipeline implement it; tests substitute slow or failing engines.
+// Engine is the inference surface the batcher drives. *core.Graph
+// implements it; tests substitute slow or failing engines.
 type Engine interface {
 	// PredictBatchCtx classifies batch row-major samples, honouring
 	// cancellation at node granularity.
 	PredictBatchCtx(ctx context.Context, dst []int, xs []float64, batch int) ([]int, error)
 	// InputSize is the feature width of one sample.
 	InputSize() int
-}
-
-// stageOccupier is the optional Engine extension a pipelined engine
-// provides: per-stage busy fractions of the last batch, which the batcher
-// folds into its stats while it still holds the execute token.
-type stageOccupier interface {
-	StageOccupancy() []float64
 }
 
 // Health is the degradation snapshot surfaced on /readyz and /stats. It is
@@ -112,14 +105,6 @@ type Config struct {
 	// Acquire holders, every bank mutation) in execution order for
 	// offline bit-identity replay.
 	Journal *Journal
-	// PipelineStages, when ≥2, shards a hardware graph into that many
-	// pipeline stages (balanced on the dataflow cost model) and dispatches
-	// micro-batches through core.Pipeline instead of the sequential batched
-	// path. Outputs and journals are bit-identical either way; only
-	// throughput changes. Honoured by NewGraphInstance; ignored for
-	// synthetic engines. The partition may come back with fewer stages when
-	// the graph has fewer legal cut points.
-	PipelineStages int
 }
 
 func (c Config) withDefaults() Config {
@@ -467,11 +452,6 @@ func (b *Batcher) runBatch(batch []*request) {
 				Batch:   n,
 				Classes: append([]int(nil), classes...),
 			})
-		}
-		if po, ok := b.eng.(stageOccupier); ok {
-			// Read while the token is still held: the occupancy slice is
-			// engine scratch another batch would overwrite.
-			b.stats.observePipeline(po.StageOccupancy())
 		}
 	}
 	if b.cfg.Probe != nil {

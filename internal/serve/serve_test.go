@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -350,6 +351,13 @@ func TestHTTPPredictAndOps(t *testing.T) {
 	if resp, body := post(`{"input":[2,0,0],"deadline_ms":0.001}`); resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("hopeless deadline: status %d body %s", resp.StatusCode, body)
 	}
+	// A budget past the largest time.Duration (about 9.2e12 ms) is no
+	// deadline at all, not one that wrapped negative and already expired.
+	for _, body := range []string{`{"input":[2,0,0],"deadline_ms":1e13}`, `{"input":[2,0,0],"deadline_ms":1e300}`} {
+		if resp, got := post(body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d body %s", body, resp.StatusCode, got)
+		}
+	}
 
 	for _, ep := range []string{"/healthz", "/readyz"} {
 		resp, err := http.Get(srv.URL + ep)
@@ -423,6 +431,49 @@ func TestHTTPBackpressure429(t *testing.T) {
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("429 without Retry-After")
+	}
+	wg.Wait()
+	mustShutdown(t, b)
+}
+
+// TestRetryAfterAtLeastOneSecond is the regression for the Retry-After
+// rounding: wait estimates are almost always sub-second, and a truncated
+// "Retry-After: 0" invites an immediate client retry storm, so the header
+// must round up to at least one whole second.
+func TestRetryAfterAtLeastOneSecond(t *testing.T) {
+	eng := &fakeEngine{width: 1, delay: 50 * time.Millisecond}
+	b := NewBatcher(eng, Config{MaxBatch: 1, MaxWait: 100 * time.Microsecond, QueueCap: 2})
+	srv := httptest.NewServer(NewSingleServer(b).Handler())
+	defer srv.Close()
+	var wg sync.WaitGroup
+	for i := 0; i < 3; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Post(srv.URL+"/predict", "application/json", strings.NewReader(`{"input":[1]}`))
+			if err == nil {
+				resp.Body.Close()
+			}
+		}()
+	}
+	waitFor(t, func() bool { return b.QueueDepth() == 2 })
+	resp, err := http.Post(srv.URL+"/predict", "application/json", strings.NewReader(`{"input":[1]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("status %d, want 429", resp.StatusCode)
+	}
+	// The queue is two 50ms jobs deep: the honest estimate is well under a
+	// second, so an integer-truncated header would read 0.
+	ra := resp.Header.Get("Retry-After")
+	secs, err := strconv.Atoi(ra)
+	if err != nil {
+		t.Fatalf("Retry-After %q is not an integer: %v", ra, err)
+	}
+	if secs < 1 {
+		t.Fatalf("Retry-After %d: sub-second estimates must round up to ≥ 1", secs)
 	}
 	wg.Wait()
 	mustShutdown(t, b)

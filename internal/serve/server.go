@@ -60,7 +60,8 @@ type PredictRequest struct {
 	// Input is one feature vector of the model's input width.
 	Input []float64 `json:"input"`
 	// DeadlineMs, when positive, bounds the end-to-end budget; the server
-	// derives a context deadline and admission control enforces it.
+	// derives a context deadline and admission control enforces it. A
+	// budget past the largest time.Duration counts as no deadline.
 	DeadlineMs float64 `json:"deadline_ms,omitempty"`
 }
 
@@ -130,9 +131,11 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		model = s.rt.DefaultModel()
 	}
 	ctx := r.Context()
-	if req.DeadlineMs > 0 {
+	// A budget past the largest time.Duration (about 292 years) would wrap
+	// negative in the conversion, so it is served without a deadline.
+	if budget := req.DeadlineMs * float64(time.Millisecond); budget > 0 && budget < math.MaxInt64 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.DeadlineMs*float64(time.Millisecond)))
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(budget))
 		defer cancel()
 	}
 	class, err := s.rt.Submit(ctx, model, req.Input)

@@ -31,7 +31,6 @@ type stats struct {
 	latCursor                                      int
 	latFull                                        bool
 	perSample, maint                               time.Duration
-	pipeOcc                                        []float64 // smoothed per-stage occupancy
 }
 
 func newStats(maxBatch int) *stats {
@@ -85,21 +84,6 @@ func (s *stats) observeBatch(size int, elapsed time.Duration) {
 	s.mu.Unlock()
 }
 
-// observePipeline folds one batch's per-stage occupancy fractions into the
-// smoothed view — the signal that shows whether the stage partition is
-// balanced under live traffic or one stage dominates.
-func (s *stats) observePipeline(occ []float64) {
-	s.mu.Lock()
-	if len(s.pipeOcc) != len(occ) {
-		s.pipeOcc = append([]float64(nil), occ...)
-	} else {
-		for i, o := range occ {
-			s.pipeOcc[i] = (1-ewmaAlpha)*s.pipeOcc[i] + ewmaAlpha*o
-		}
-	}
-	s.mu.Unlock()
-}
-
 // observeMaint records the duration of one maintenance window.
 func (s *stats) observeMaint(elapsed time.Duration) {
 	s.mu.Lock()
@@ -145,9 +129,6 @@ type Snapshot struct {
 	BatchSizeHist []uint64 `json:"batch_size_hist"`
 	QueueDepth    int      `json:"queue_depth"`
 	Draining      bool     `json:"draining"`
-	// PipelineOccupancy is the smoothed per-stage busy fraction when the
-	// instance serves through a stage pipeline (empty otherwise).
-	PipelineOccupancy []float64 `json:"pipeline_occupancy,omitempty"`
 
 	P50Ms       float64 `json:"latency_p50_ms"`
 	P99Ms       float64 `json:"latency_p99_ms"`
@@ -181,7 +162,6 @@ func (s *stats) snapshot(queueDepth int, h Health, draining bool) Snapshot {
 		BatchSizeHist:     append([]uint64(nil), s.batchHist...),
 		QueueDepth:        queueDepth,
 		Draining:          draining,
-		PipelineOccupancy: append([]float64(nil), s.pipeOcc...),
 		PerSampleUs:       float64(s.perSample) / float64(time.Microsecond),
 		MaintMs:           float64(s.maint) / float64(time.Millisecond),
 		Health:            h,
@@ -242,13 +222,6 @@ func Aggregate(snaps ...Snapshot) Snapshot {
 		agg.P99Ms += w * sn.P99Ms
 		agg.PerSampleUs += w * sn.PerSampleUs
 		agg.MaintMs += w * sn.MaintMs
-		if len(sn.PipelineOccupancy) > len(agg.PipelineOccupancy) {
-			agg.PipelineOccupancy = append(agg.PipelineOccupancy,
-				make([]float64, len(sn.PipelineOccupancy)-len(agg.PipelineOccupancy))...)
-		}
-		for j, o := range sn.PipelineOccupancy {
-			agg.PipelineOccupancy[j] += w * o
-		}
 		weight += w
 		if deg := sn.Health.Faults + sn.Health.MaskedRows; worst < 0 || deg > snaps[worst].Health.Faults+snaps[worst].Health.MaskedRows {
 			agg.Health = sn.Health
@@ -260,12 +233,8 @@ func Aggregate(snaps ...Snapshot) Snapshot {
 		agg.P99Ms /= weight
 		agg.PerSampleUs /= weight
 		agg.MaintMs /= weight
-		for j := range agg.PipelineOccupancy {
-			agg.PipelineOccupancy[j] /= weight
-		}
 	} else {
 		agg.P50Ms, agg.P99Ms, agg.PerSampleUs, agg.MaintMs = 0, 0, 0, 0
-		agg.PipelineOccupancy = nil
 	}
 	return agg
 }
