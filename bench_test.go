@@ -577,8 +577,7 @@ func BenchmarkBankMVMReference(b *testing.B) {
 
 // BenchmarkBankMVMBatch streams 32-sample batches through the production
 // bank path (the register-blocked compiled kernel), reporting per-sample
-// throughput — the single-threaded denominator of the ≥1.5× parallel-batch
-// gate on the 256×256 geometry.
+// throughput.
 func BenchmarkBankMVMBatch(b *testing.B) {
 	const batch = 32
 	for _, size := range bankSizes {
@@ -672,30 +671,6 @@ func BenchmarkBankRecompileIncremental(b *testing.B) {
 				bank.EnsureCompiled()
 			}
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "recompiles/sec")
-		})
-	}
-}
-
-// BenchmarkBankMVMBatchParallel is BenchmarkBankMVMBatch with the tile
-// engine's worker pool installed as the bank's ParallelFor hook — the
-// configuration every PE-owned bank runs in production. The numerator of
-// the ≥1.5× parallel-batch gate on the 256×256 geometry at GOMAXPROCS
-// workers (the gate is recorded but waived on single-CPU hosts, where no
-// parallel speedup is physically available).
-func BenchmarkBankMVMBatchParallel(b *testing.B) {
-	const batch = 32
-	for _, size := range bankSizes {
-		b.Run(fmt.Sprintf("%dx%d", size, size), func(b *testing.B) {
-			bank := benchBank(b, size)
-			bank.SetParallelFor(core.RunIndexed)
-			xs := benchInput(batch*size, 9)
-			dst := make([]float64, batch*size)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				dst = bank.MVMBatchInto(dst, xs, batch, size, bank.Rows())
-			}
-			b.ReportMetric(float64(b.N)*batch/b.Elapsed().Seconds(), "MVMs/sec")
 		})
 	}
 }

@@ -15,16 +15,12 @@ package core
 // noise stream and bookings are the same whether it runs alone or inside
 // a batch.
 //
-// Parallelism is two-level: the layer's row-tile stripes fan out across the
+// Parallelism is one level: the layer's row-tile stripes fan out across the
 // worker pool here — one job per stripe, which reprograms its stale banks,
 // runs its column tiles' passes, merges their partial sums and fires the
-// activation, so a layer pass is a single fan-out of rt jobs — and inside
-// each tile the bank's compiled batch GEMM fans its row blocks out across
-// the same pool (PEs install core.RunIndexed as the bank's ParallelFor
-// hook). When the outer fan-out saturates the pool the inner one degrades
-// to in-line execution, so a single-tile network still uses every worker
-// on the bank GEMM while a many-tile network parallelizes across stripes —
-// without oversubscription in either case.
+// activation, so a layer pass is a single fan-out of rt jobs. Each bank's
+// compiled batch GEMM runs on its stripe's goroutine: on the chip a bank is
+// one PE, and it is the PEs that compute in parallel.
 //
 // Every pass computes only a tile's live extent. The last row tile of a
 // layer whose output count is not a multiple of the bank height J holds

@@ -4,6 +4,10 @@ package core
 // operating concurrently — each MRR bank filters its wavelengths in the same
 // clock — so the functional model fans per-tile passes out across a shared,
 // GOMAXPROCS-bounded worker pool instead of walking the tile grid serially.
+// This is the simulator's one level of parallelism: a bank's own passes and
+// recompiles run on the goroutine that drives its PE. Fan-outs may still
+// overlap — pipeline stages and serve replicas each drive their own graph
+// from their own goroutine — so enlisting a worker never blocks.
 //
 // The concurrency contract is ownership-based: a PE's rng, scratch buffers
 // and Ledger have exactly one writer at any time, because work is always
@@ -140,15 +144,6 @@ enlist:
 	f.claim()
 	f.wg.Wait()
 }
-
-// RunIndexed exposes the index fan-out to sibling packages and, through
-// mrr.ParallelFor, to the weight banks themselves: PEs install it as the
-// bank's ParallelFor hook so snapshot recompilation and the compiled batch
-// GEMM shard row blocks across the same pool that runs tile fan-outs.
-// Nested fan-outs are safe — when every pool worker is busy the inner call
-// degrades to in-line serial execution (see runIndexed) — and fn must keep
-// its writes confined to per-index state.
-func RunIndexed(n int, fn func(int)) { runIndexed(n, fn) }
 
 // serialFanOut reports whether a fan-out of n jobs runs in-line on the
 // calling goroutine: a single job, or a worker cap of one.

@@ -52,8 +52,8 @@ func filledFloats(n int) []float64 {
 
 // TestPartialTilePass runs forward passes over live rows m < Rows and
 // adjoint passes over live columns n < Cols, on an 8×8 bank and on a 96×32
-// bank whose forward batch GEMM shards row blocks across the worker pool,
-// at one, two and eight workers. Each pass is checked against a twin PE
+// bank with a full 32-sample panel, at one, two and eight tile-engine
+// workers. Each pass is checked against a twin PE
 // running the full-extent pass (live entries bit-identical), against a
 // second twin that adds its noise draws to +0 (dead entries), and then for
 // an equal next noise draw, ledger breakdown and elapsed time.

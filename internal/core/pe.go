@@ -62,7 +62,8 @@ type PE struct {
 }
 
 // NewPE builds a processing element. Zero config fields take the paper's
-// defaults (16×16 bank, 1 mW lines).
+// defaults (16×16 bank, 1 mW lines). The bank computes on whichever
+// goroutine drives the PE; the tile engine parallelizes across PEs.
 func NewPE(cfg PEConfig) (*PE, error) {
 	if cfg.Rows == 0 {
 		cfg.Rows = device.WeightBankRows
@@ -88,12 +89,6 @@ func NewPE(cfg PEConfig) (*PE, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: PE weight bank: %w", err)
 	}
-	// Hand the bank the tile engine's worker pool so snapshot recompilation
-	// and the compiled batch GEMM shard across it. Row-block ownership keeps
-	// results bit-identical at any worker count, and nested fan-outs (a
-	// tile-parallel pass reaching a bank-parallel kernel) degrade to in-line
-	// execution when the pool is saturated.
-	bank.SetParallelFor(RunIndexed)
 	lasers, err := optics.NewLaserBank(plan, cfg.LaserPower)
 	if err != nil {
 		return nil, fmt.Errorf("core: PE lasers: %w", err)

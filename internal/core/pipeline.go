@@ -107,6 +107,14 @@ type Pipeline struct {
 	out    int   // stage index owning the graph output node
 
 	occ []float64 // last call's per-stage occupancy (busy/wall)
+
+	// Per-call coordination, allocated once. errs[s] is stage s's result
+	// and done[s] the channel feeding stage s ≥ 1; the channels themselves
+	// are made anew each call, because a stage closes its outgoing channel
+	// to release its consumers.
+	errs []error
+	done []chan int
+	wg   sync.WaitGroup
 }
 
 // NewPipeline shards a sealed graph into len(cuts)+1 contiguous stages, each
@@ -147,6 +155,8 @@ func NewPipeline(g *Graph, cuts []int, microBatch int) (*Pipeline, error) {
 		}
 	}
 	p.occ = make([]float64, len(p.stages))
+	p.errs = make([]error, len(p.stages))
+	p.done = make([]chan int, len(p.stages))
 	return p, nil
 }
 
@@ -244,27 +254,26 @@ func (p *Pipeline) ForwardBatchPipelined(dst, xs []float64, batch int) ([]float6
 
 	// Size every boundary buffer before the workers launch so no slice
 	// header is written concurrently with a read.
-	done := make([]chan int, K)
+	done := p.done
 	for s := 1; s < K; s++ {
 		st := p.stages[s]
 		st.in = growFloats(st.in, batch*g.nodes[st.inID].size)
 		done[s] = make(chan int, nMicro)
 	}
 
-	errs := make([]error, K)
+	clear(p.errs)
 	start := time.Now()
-	var wg sync.WaitGroup
 	for s := 0; s < K; s++ {
-		wg.Add(1)
+		p.wg.Add(1)
 		go func(s int) {
-			defer wg.Done()
+			defer p.wg.Done()
 			if s < K-1 {
 				defer close(done[s+1])
 			}
-			errs[s] = p.runStage(s, dst, xs, batch, micro, nMicro, done)
+			p.errs[s] = p.runStage(s, dst, xs, batch, micro, nMicro, done)
 		}(s)
 	}
-	wg.Wait()
+	p.wg.Wait()
 	wall := time.Since(start)
 	for s, st := range p.stages {
 		f := 0.0
@@ -275,7 +284,7 @@ func (p *Pipeline) ForwardBatchPipelined(dst, xs []float64, batch int) ([]float6
 	}
 	// Deterministic error selection: a stage released by a failed upstream
 	// neighbour records nil, so the lowest-indexed error is the root cause.
-	for _, err := range errs {
+	for _, err := range p.errs {
 		if err != nil {
 			return nil, err
 		}

@@ -218,7 +218,7 @@ func TestTransposeBatchMatchesSingle(t *testing.T) {
 // TestTransposeRaggedTileShapes pins the compiled transpose path against
 // the exact mathematical Wᵀ·δ on ragged and non-square tile geometries —
 // partial edge tiles on both axes, rectangular banks, and a single
-// oversized tile — at bank sizes 16/64/256. With ideal banks and noise off
+// oversized tile — at bank heights from 16 to 256. With ideal banks and noise off
 // the compiled view is the exact adjoint of the forward operator, so the
 // only daylight allowed is partial-sum re-association (≤ 1e-12 relative).
 func TestTransposeRaggedTileShapes(t *testing.T) {

@@ -61,28 +61,12 @@ type WeightBank struct {
 	// invalidation bookkeeping.
 	wefft []float64
 
-	// pfor, when non-nil, shards recompilation and the compiled batch GEMM
-	// across fixed row blocks (see compiled.go); rowsCompiled counts row
-	// compiles over the bank's lifetime for incremental-recompile
-	// observability. The counter is atomic only because compile blocks run
-	// concurrently under pfor — the bank itself stays single-writer.
-	pfor         ParallelFor
+	// rowsCompiled counts row compiles over the bank's lifetime for
+	// incremental-recompile observability. Only the goroutine driving the
+	// bank writes it; it is atomic so that a reader on another goroutine
+	// never sees a torn count.
 	rowsCompiled atomic.Uint64
 }
-
-// ParallelFor runs fn(i) for every i in [0, n) and returns only after all n
-// calls complete. Implementations may execute calls concurrently; the bank
-// guarantees distinct indices write disjoint state (row-block ownership), so
-// a correct implementation yields bit-identical results at any worker count.
-type ParallelFor func(n int, fn func(int))
-
-// SetParallelFor installs the worker-pool hook the bank uses to shard
-// recompilation and the compiled batch GEMM across row blocks (the
-// tile-execution engine's pool, for banks living inside a PE). nil — the
-// default — keeps the bank fully serial. Banks below the parallel work
-// thresholds in compiled.go ignore the hook, so attaching it to small PE
-// banks costs nothing.
-func (b *WeightBank) SetParallelFor(p ParallelFor) { b.pfor = p }
 
 // crosstalkFloor is the leakage level below which a neighbour's contribution
 // is indistinguishable from zero at the detector: coefficients under it are
@@ -607,7 +591,7 @@ func (b *WeightBank) batchPrepare(dst, xs []float64, batch, n int) []float64 {
 // dst[s*J+m : (s+1)*J] is left as it was: a partial weight tile — a layer
 // whose output count is not a multiple of J — has no output behind its
 // rows m..J−1. Row j's result is bit-identical to the full pass's, at any
-// batch size and worker count. It panics when m lies outside [0, J].
+// batch size. It panics when m lies outside [0, J].
 func (b *WeightBank) MVMBatchInto(dst, xs []float64, batch, n, m int) []float64 {
 	if m < 0 || m > b.rows {
 		panic(fmt.Sprintf("mrr: live rows %d outside bank rows %d", m, b.rows))

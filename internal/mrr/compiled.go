@@ -31,22 +31,13 @@ package mrr
 // mutators — ApplyDrift, RotateRows — set dirtyAll and force a full rebuild.
 // Nothing else may write weff.
 //
-// Both recompilation and the batched GEMM shard across the caller-installed
-// ParallelFor hook (the tile engine's worker pool) with fixed row-block
-// ownership: worker i owns rows [i·block, (i+1)·block), writes land in
-// disjoint slices, and no cross-worker merge exists — so outputs and the
-// compiled matrix are bit-identical at any worker count. Serial execution is
-// the degenerate single-block case of the same code path.
+// Recompilation and the batched GEMM run on the goroutine that called them.
+// The simulator's parallelism is across PEs, one bank each (core's tile
+// stripes). The banks the workloads build are 4×4 to 32×32, too small for
+// a split of one bank's rows across workers to repay its fan-out.
 
-// Row-block and panel geometry for the compiled kernels.
+// Panel geometry for the compiled GEMM.
 const (
-	// compileRowBlock is the recompile sharding unit: one worker compiles
-	// this many consecutive logical rows. At 256 columns a block is ~32·N·R
-	// FLOPs — far above fan-out overhead, fine-grained enough to balance.
-	compileRowBlock = 32
-	// gemmRowBlock is the batch-GEMM ownership unit: one worker computes
-	// every sample's outputs for this many consecutive rows.
-	gemmRowBlock = 32
 	// gemmSampleBlock bounds the sample-panel width of the cache-blocked
 	// GEMM: a row panel is streamed against at most this many samples before
 	// moving on, keeping the active x-vectors resident in cache.
@@ -58,10 +49,6 @@ const (
 	// exact float64 store/load — so per-element accumulation order, and
 	// therefore bit-identity between batch sizes, is unchanged.
 	gemmColBlock = 512
-	// gemmParallelMinWork is the rows·cols·batch product below which the
-	// batched kernel stays serial: a 16×16 PE bank never pays fan-out
-	// latency, a 256×256 serving bank shards every batch of two or more.
-	gemmParallelMinWork = 1 << 16
 )
 
 // ensureCompiled brings the snapshot up to date: a full rebuild after a
@@ -101,57 +88,20 @@ func (b *WeightBank) ensureCompiled() {
 // directly.
 func (b *WeightBank) EnsureCompiled() { b.ensureCompiled() }
 
-// compileAllRows rebuilds every row of the snapshot, sharding fixed
-// row blocks across the ParallelFor hook when one is installed and the bank
-// is large enough to amortize the fan-out.
+// compileAllRows rebuilds every row of the snapshot.
 func (b *WeightBank) compileAllRows() {
-	rows := b.rows
-	if b.pfor != nil && rows >= 2*compileRowBlock {
-		blocks := (rows + compileRowBlock - 1) / compileRowBlock
-		b.pfor(blocks, func(bi int) {
-			lo := bi * compileRowBlock
-			hi := min(lo+compileRowBlock, rows)
-			for j := lo; j < hi; j++ {
-				b.compileRow(j)
-			}
-			b.rowsCompiled.Add(uint64(hi - lo))
-		})
-		return
-	}
-	for j := 0; j < rows; j++ {
+	for j := 0; j < b.rows; j++ {
 		b.compileRow(j)
 	}
-	b.rowsCompiled.Add(uint64(rows))
+	b.rowsCompiled.Add(uint64(b.rows))
 }
 
 // compileDirtyRows recompiles, in place, exactly the logical rows whose
 // serving physical row is marked dirty. rowMap is a bijection, so the stale
-// logical rows number nDirty; when that count is large enough (a bulk
-// reprogram) the scan shards across the pool with the same fixed row-block
-// ownership as a full rebuild — each worker compiles the stale rows inside
-// its own block, so results are bit-identical at any worker count.
+// logical rows number nDirty.
 func (b *WeightBank) compileDirtyRows() {
-	rows := b.rows
-	if b.pfor != nil && b.nDirty >= 2*compileRowBlock {
-		blocks := (rows + compileRowBlock - 1) / compileRowBlock
-		b.pfor(blocks, func(bi int) {
-			lo := bi * compileRowBlock
-			hi := min(lo+compileRowBlock, rows)
-			n := 0
-			for j := lo; j < hi; j++ {
-				if b.dirty[b.rowMap[j]] {
-					b.compileRow(j)
-					n++
-				}
-			}
-			if n > 0 {
-				b.rowsCompiled.Add(uint64(n))
-			}
-		})
-		return
-	}
 	n := 0
-	for j := 0; j < rows; j++ {
+	for j := 0; j < b.rows; j++ {
 		if b.dirty[b.rowMap[j]] {
 			b.compileRow(j)
 			n++
@@ -199,33 +149,18 @@ func (b *WeightBank) compileRow(j int) {
 }
 
 // compiledMVMBatch is the production kernel: a cache-blocked GEMM over the
-// compiled matrix, sharded across the worker pool by row-block ownership
-// when the bank is large enough and the batch holds more than one sample.
-// Each worker owns a fixed, disjoint range of output rows for the whole
-// batch, so there is no merge step and no ordering hazard — outputs are
-// bit-identical at any worker count, and (because every accumulator still
-// sums its (row, sample) dot in ascending column order) bit-identical to
-// running each sample as a batch of one. Geometry is validated by the
-// caller (batchPrepare); dst is sample-major batch×rows, xs sample-major
-// batch×n. Only the live rows [0, m) are computed — the row blocks tile
-// them, and the fan-out threshold counts them — and rows m..rows−1 of dst
-// are not written. A batch of one stays serial: it is the single-sample
-// GEMV, and fanning out one sample's rows would only add latency.
+// compiled matrix. Every accumulator sums its (row, sample) dot in
+// ascending column order, so outputs are bit-identical to running each
+// sample as a batch of one. Geometry is validated by the caller
+// (batchPrepare); dst is sample-major batch×rows, xs sample-major
+// batch×n. Only the live rows [0, m) are computed, and rows m..rows−1 of
+// dst are not written.
 func (b *WeightBank) compiledMVMBatch(dst, xs []float64, batch, n, m int) {
-	rows := b.rows
 	b.ensureCompiled()
-	if b.pfor != nil && batch > 1 && m >= 2*gemmRowBlock && m*n*batch >= gemmParallelMinWork {
-		blocks := (m + gemmRowBlock - 1) / gemmRowBlock
-		b.pfor(blocks, func(bi int) {
-			j0 := bi * gemmRowBlock
-			gemmRowRange(b.weff, b.cols, rows, dst, xs, j0, min(j0+gemmRowBlock, m), batch, n)
-		})
-		return
-	}
-	gemmRowRange(b.weff, b.cols, rows, dst, xs, 0, m, batch, n)
+	gemmRowRange(b.weff, b.cols, b.rows, dst, xs, m, batch, n)
 }
 
-// gemmRowRange computes output rows [j0, j1) for the whole batch with
+// gemmRowRange computes output rows [0, j1) for the whole batch with
 // sample-panel × k-panel cache blocking: a panel of at most gemmSampleBlock
 // samples is streamed against the row range one gemmColBlock-wide column
 // panel at a time, so the weight and input slices the micro-kernel touches
@@ -239,12 +174,12 @@ func (b *WeightBank) compiledMVMBatch(dst, xs []float64, batch, n, m int) {
 // the transpose batch GEMM (transpose.go) passes (wefft, rows, cols) — the
 // backward path runs literally this code, so its bit-identity properties
 // are inherited rather than re-proven.
-func gemmRowRange(mat []float64, ld, outRows int, dst, xs []float64, j0, j1, batch, n int) {
+func gemmRowRange(mat []float64, ld, outRows int, dst, xs []float64, j1, batch, n int) {
 	if n == 0 {
 		// Degenerate empty input: every dot is empty, the outputs are zero.
 		for s := 0; s < batch; s++ {
 			d := dst[s*outRows : (s+1)*outRows]
-			for j := j0; j < j1; j++ {
+			for j := 0; j < j1; j++ {
 				d[j] = 0
 			}
 		}
@@ -254,7 +189,7 @@ func gemmRowRange(mat []float64, ld, outRows int, dst, xs []float64, j0, j1, bat
 		s1 := min(s0+gemmSampleBlock, batch)
 		for k0 := 0; k0 < n; k0 += gemmColBlock {
 			k1 := min(k0+gemmColBlock, n)
-			gemmPanel(mat, ld, outRows, dst, xs, j0, j1, s0, s1, k0, k1, n, k0 == 0)
+			gemmPanel(mat, ld, outRows, dst, xs, j1, s0, s1, k0, k1, n, k0 == 0)
 		}
 	}
 }
@@ -268,7 +203,7 @@ func gemmRowRange(mat []float64, ld, outRows int, dst, xs []float64, j0, j1, bat
 // exact, so every output element remains a plain ascending dot of one
 // (row, sample) pair: a batch of one, which runs only the sample-remainder
 // loop, is bit-identical to the same sample inside any larger batch.
-func gemmPanel(mat []float64, ld, outRows int, dst, xs []float64, j0, j1, s0, s1, k0, k1, n int, first bool) {
+func gemmPanel(mat []float64, ld, outRows int, dst, xs []float64, j1, s0, s1, k0, k1, n int, first bool) {
 	kw := k1 - k0
 	s := s0
 	for ; s+4 <= s1; s += 4 {
@@ -280,7 +215,7 @@ func gemmPanel(mat []float64, ld, outRows int, dst, xs []float64, j0, j1, s0, s1
 		d1 := dst[(s+1)*outRows : (s+2)*outRows]
 		d2 := dst[(s+2)*outRows : (s+3)*outRows]
 		d3 := dst[(s+3)*outRows : (s+4)*outRows]
-		j := j0
+		j := 0
 		for ; j+2 <= j1; j += 2 {
 			ra := mat[(j+0)*ld+k0 : (j+0)*ld+k1]
 			rb := mat[(j+1)*ld+k0 : (j+1)*ld+k1]
@@ -325,7 +260,7 @@ func gemmPanel(mat []float64, ld, outRows int, dst, xs []float64, j0, j1, s0, s1
 	for ; s < s1; s++ {
 		x := xs[s*n+k0 : s*n+k1]
 		d := dst[s*outRows : (s+1)*outRows]
-		for j := j0; j < j1; j++ {
+		for j := 0; j < j1; j++ {
 			row := mat[j*ld+k0 : j*ld+k1]
 			var acc float64
 			if !first {

@@ -245,21 +245,21 @@ func TestCompiledLazily(t *testing.T) {
 }
 
 // TestLiveExtentBitIdentical pins the live-extent passes against the full
-// ones on a bank wide enough to shard: MVMBatchInto's rows [0, m) and
-// TransposeMVMBatchInto's columns [0, n) must equal a serial full
-// pass's bit for bit at any worker count, with m and n off the row-block
-// grid, and every entry past the live extent must keep what dst held.
+// ones on a wide bank: MVMBatchInto's rows [0, m) and
+// TransposeMVMBatchInto's columns [0, n) must equal a full pass's bit for
+// bit, with m and n off the micro-kernel's 2-row step, and every entry
+// past the live extent must keep what dst held.
 func TestLiveExtentBitIdentical(t *testing.T) {
 	const width, batch, live, sentinel = 256, 12, 150, 7.5
-	serial := wideBank(t, rand.New(rand.NewSource(81)), width)
+	full := wideBank(t, rand.New(rand.NewSource(81)), width)
 	xs := make([]float64, batch*width)
 	xrng := rand.New(rand.NewSource(82))
 	for i := range xs {
 		xs[i] = xrng.Float64()*2 - 1
 	}
 	const n = 200 // input width of the forward pass, delta width of the adjoint
-	wantFwd := append([]float64(nil), serial.MVMBatchInto(nil, xs[:batch*n], batch, n, serial.Rows())...)
-	wantAdj := append([]float64(nil), serial.TransposeMVMBatchInto(nil, xs[:batch*n], batch, n, serial.Cols())...)
+	wantFwd := append([]float64(nil), full.MVMBatchInto(nil, xs[:batch*n], batch, n, full.Rows())...)
+	wantAdj := append([]float64(nil), full.TransposeMVMBatchInto(nil, xs[:batch*n], batch, n, full.Cols())...)
 	check := func(label string, got, want []float64) {
 		t.Helper()
 		for k := range want {
@@ -280,12 +280,7 @@ func TestLiveExtentBitIdentical(t *testing.T) {
 		}
 		return dst
 	}
-	for _, workers := range []int{1, 2, 8} {
-		p := wideBank(t, rand.New(rand.NewSource(81)), width)
-		p.SetParallelFor(testParallelFor(workers))
-		check(fmt.Sprintf("workers=%d forward", workers),
-			p.MVMBatchInto(fill(), xs[:batch*n], batch, n, live), wantFwd)
-		check(fmt.Sprintf("workers=%d transpose", workers),
-			p.TransposeMVMBatchInto(fill(), xs[:batch*n], batch, n, live), wantAdj)
-	}
+	p := wideBank(t, rand.New(rand.NewSource(81)), width)
+	check("forward", p.MVMBatchInto(fill(), xs[:batch*n], batch, n, live), wantFwd)
+	check("transpose", p.TransposeMVMBatchInto(fill(), xs[:batch*n], batch, n, live), wantAdj)
 }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"trident/internal/units"
@@ -15,34 +13,7 @@ import (
 // compiled.go): row-scoped mutators must dirty exactly the rows they touch,
 // whole-bank mutators must invalidate everything, and an incrementally
 // patched snapshot must be byte-identical to a from-scratch compile after
-// any mutation sequence — including at the crosstalk-band edges and under
-// the worker-pool-parallel compile and GEMM paths.
-
-// testParallelFor builds a goroutine-pool ParallelFor for tests: workers
-// claim indices from a shared atomic counter, the shape of the production
-// core.RunIndexed fan-out. Determinism must come from the bank's row-block
-// ownership, not from this scheduler — which is exactly what the
-// bit-identity assertions below pin.
-func testParallelFor(workers int) ParallelFor {
-	return func(n int, fn func(int)) {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= n {
-						return
-					}
-					fn(i)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-}
+// any mutation sequence, including at the crosstalk-band edges.
 
 // fullCompileFrom rebuilds the bank's snapshot from scratch (dropping the
 // weff buffer forces the full-compile path) and returns a copy — the oracle
@@ -287,67 +258,6 @@ func TestNoOpMutationsKeepSnapshot(t *testing.T) {
 	b.EnsureCompiled()
 	if got := b.RowsCompiled(); got != compiled {
 		t.Fatalf("no-op mutations recompiled %d rows", got-compiled)
-	}
-}
-
-// TestCompiledParallelBitIdentical runs the worker-pool-parallel compile and
-// batch-GEMM paths against a serial twin: same seed, same mutation sequence,
-// ParallelFor installed on one bank only, at several worker counts. The
-// compiled snapshots and every batched output must be bit-identical — the
-// row-block ownership contract — including after a bulk dirty-row recompile
-// large enough to shard and with inputs narrower than the bank.
-func TestCompiledParallelBitIdentical(t *testing.T) {
-	const width, batch = 256, 12
-	build := func() *WeightBank {
-		return wideBank(t, rand.New(rand.NewSource(77)), width)
-	}
-	serial := build()
-	serial.EnsureCompiled()
-	xs := make([]float64, batch*width)
-	xrng := rand.New(rand.NewSource(78))
-	for i := range xs {
-		xs[i] = xrng.Float64()*2 - 1
-	}
-	mutate := func(b *WeightBank) {
-		mrng := rand.New(rand.NewSource(79))
-		for k := 0; k < 3*compileRowBlock; k++ { // enough rows to shard the dirty pass
-			b.OverrideWeight(mrng.Intn(width), mrng.Intn(width), mrng.Float64()*2-1)
-		}
-	}
-	wantFresh := append([]float64(nil), serial.MVMBatchInto(nil, xs, batch, width, serial.Rows())...)
-	narrow := width / 2
-	wantNarrow := append([]float64(nil), serial.MVMBatchInto(nil, xs[:batch*narrow], batch, narrow, serial.Rows())...)
-	mutate(serial)
-	serial.EnsureCompiled()
-	wantWeff := append([]float64(nil), serial.weff...)
-	wantMut := serial.MVMBatchInto(nil, xs, batch, width, serial.Rows())
-	for _, workers := range []int{1, 2, 8} {
-		p := build()
-		p.SetParallelFor(testParallelFor(workers))
-		p.EnsureCompiled() // parallel full compile
-		for s, tag := range []struct {
-			got, want []float64
-		}{
-			{p.MVMBatchInto(nil, xs, batch, width, p.Rows()), wantFresh},
-			{p.MVMBatchInto(nil, xs[:batch*narrow], batch, narrow, p.Rows()), wantNarrow},
-		} {
-			for k := range tag.want {
-				if tag.got[k] != tag.want[k] {
-					t.Fatalf("workers=%d stage %d: output[%d] parallel %v serial %v",
-						workers, s, k, tag.got[k], tag.want[k])
-				}
-			}
-		}
-		mutate(p)
-		p.EnsureCompiled() // parallel dirty-row recompile
-		assertSnapshotExact(t, p.weff, wantWeff, width, fmt.Sprintf("workers=%d post-mutation", workers))
-		got := p.MVMBatchInto(nil, xs, batch, width, p.Rows())
-		for k := range wantMut {
-			if got[k] != wantMut[k] {
-				t.Fatalf("workers=%d post-mutation output[%d]: parallel %v serial %v",
-					workers, k, got[k], wantMut[k])
-			}
-		}
 	}
 }
 

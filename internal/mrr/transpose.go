@@ -35,10 +35,7 @@ import "fmt"
 // (transpose_test.go).
 
 // patchTransposeRow mirrors one freshly compiled Weff row into the
-// transpose view's column j; a no-op until the view is activated. Under the
-// parallel recompile, workers own disjoint logical rows j, so their strided
-// writes into wefft target disjoint elements — no merge, bit-identical at
-// any worker count, same ownership argument as weff itself.
+// transpose view's column j; a no-op until the view is activated.
 func (b *WeightBank) patchTransposeRow(j int, row []float64) {
 	if b.wefft == nil {
 		return
@@ -112,27 +109,15 @@ func (b *WeightBank) tbatchPrepare(dst, ds []float64, batch, m int) []float64 {
 	return dst[:batch*b.cols]
 }
 
-// compiledTransposeMVMBatch is the backward kernel: the identical
-// cache-blocked, worker-pool-sharded GEMM as the forward path, run over the
-// transpose view (mat = wefft, ld = rows, outRows = cols). Fixed
-// output-row-block ownership gives disjoint writes and no merge step, so
-// results are bit-identical at any worker count and whatever batch a delta
+// compiledTransposeMVMBatch is the backward kernel: the forward path's
+// cache-blocked GEMM run over the transpose view (mat = wefft, ld = rows,
+// outRows = cols), so results are bit-identical whatever batch a delta
 // rides in. Geometry is validated by the caller (tbatchPrepare); dst is
 // sample-major batch×cols, ds sample-major batch×m. Only the live columns
-// [0, n) are computed, and columns n..cols−1 of dst are not written. A
-// batch of one stays serial, like compiledMVMBatch.
+// [0, n) are computed, and columns n..cols−1 of dst are not written.
 func (b *WeightBank) compiledTransposeMVMBatch(dst, ds []float64, batch, m, n int) {
-	rows, cols := b.rows, b.cols
 	b.ensureTransposeCompiled()
-	if b.pfor != nil && batch > 1 && n >= 2*gemmRowBlock && n*m*batch >= gemmParallelMinWork {
-		blocks := (n + gemmRowBlock - 1) / gemmRowBlock
-		b.pfor(blocks, func(bi int) {
-			i0 := bi * gemmRowBlock
-			gemmRowRange(b.wefft, rows, cols, dst, ds, i0, min(i0+gemmRowBlock, n), batch, m)
-		})
-		return
-	}
-	gemmRowRange(b.wefft, rows, cols, dst, ds, 0, n, batch, m)
+	gemmRowRange(b.wefft, b.rows, b.cols, dst, ds, n, batch, m)
 }
 
 // TransposeMVMBatchInto computes the bank's adjoint pass out = Weffᵀ·δ for
@@ -143,8 +128,8 @@ func (b *WeightBank) compiledTransposeMVMBatch(dst, ds []float64, batch, m, n in
 // occupies ds[s*m : (s+1)*m] and its outputs land in dst[s*N : (s+1)*N],
 // both sample-major; a single delta is a batch of one. It runs the same
 // register-blocked GEMM as the forward path over the transpose view,
-// bit-identical whatever batch a delta rides in and at any worker count. It
-// panics on inconsistent geometry; dst is allocated when nil or short.
+// bit-identical whatever batch a delta rides in. It panics on inconsistent
+// geometry; dst is allocated when nil or short.
 //
 // Only the live columns [0, n) are computed (n = N for a full pass), and
 // dst[s*N+n : (s+1)*N] is left as it was: a partial column tile has no

@@ -205,9 +205,9 @@ func TestTransposeSharedDirtyRowPatch(t *testing.T) {
 }
 
 // TestTransposeBatchBitIdenticalAcrossWorkers pins the batched adjoint GEMM
-// to per-sample compiled passes bitwise, serial and at several worker
-// counts: fixed output-block ownership means the parallel shards write
-// disjoint slices and no merge step exists to reorder accumulation.
+// to per-sample compiled passes bitwise. The bank runs on its caller's
+// goroutine, so one batched pass covers every worker count: the tile
+// engine's workers each drive whole banks.
 func TestTransposeBatchBitIdenticalAcrossWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	const rows, cols, batch = 96, 80, 12
@@ -220,16 +220,10 @@ func TestTransposeBatchBitIdenticalAcrossWorkers(t *testing.T) {
 	for s := 0; s < batch; s++ {
 		b.TransposeMVMBatchInto(want[s*cols:(s+1)*cols], ds[s*rows:(s+1)*rows], 1, rows, b.Cols())
 	}
-	for _, workers := range []int{0, 1, 2, 8} {
-		b.SetParallelFor(nil)
-		if workers > 0 {
-			b.SetParallelFor(testParallelFor(workers))
-		}
-		got := b.TransposeMVMBatchInto(nil, ds, batch, rows, b.Cols())
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: element %d batch=%v single=%v", workers, i, got[i], want[i])
-			}
+	got := b.TransposeMVMBatchInto(nil, ds, batch, rows, b.Cols())
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("element %d batch=%v single=%v", i, got[i], want[i])
 		}
 	}
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"trident/internal/core"
@@ -103,8 +104,10 @@ func (j *Journal) CountKind(kind OpKind) int {
 // the same config and seeds as the served one — and check, a twin
 // maintenance hook (nil skips OpCheck entries). It returns the number of
 // batch ops replayed and how many produced classes different from the ones
-// actually served. A correct drain protocol replays with zero mismatches:
-// the journal order fully determines the accelerator's state trajectory.
+// actually served; a batch op that recorded more or fewer classes than its
+// replay produces counts as a mismatch. A correct drain protocol replays
+// with zero mismatches: the journal order fully determines the
+// accelerator's state trajectory.
 func (j *Journal) Replay(twin *core.Graph, check func(step int) error) (batches, mismatches int, err error) {
 	for i, op := range j.Ops() {
 		switch op.Kind {
@@ -114,11 +117,8 @@ func (j *Journal) Replay(twin *core.Graph, check func(step int) error) (batches,
 				return batches, mismatches, fmt.Errorf("serve: replay op %d: %w", i, err)
 			}
 			batches++
-			for k := range classes {
-				if classes[k] != op.Classes[k] {
-					mismatches++
-					break
-				}
+			if !slices.Equal(classes, op.Classes) {
+				mismatches++
 			}
 		case OpDrift:
 			twin.ApplyDrift(op.Hold)

@@ -864,6 +864,28 @@ func TestJournalReplayCatchesDivergedTwin(t *testing.T) {
 	}
 }
 
+// TestJournalReplayShortClassesMismatch replays a batch op that recorded
+// fewer classes than its batch holds, as a truncated or hand-edited journal
+// would. Replay must count it as one mismatch, not panic on the missing
+// entries, even when the classes it did record agree.
+func TestJournalReplayShortClassesMismatch(t *testing.T) {
+	twin := buildServeNet(t)
+	xs := []float64{0.1, -0.2, 0.3, 0.4, -0.5, 0.6, -0.6, 0.5, -0.4, 0.3, -0.2, 0.1}
+	classes, err := twin.Graph.PredictBatch(nil, xs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := NewJournal()
+	j.Record(Op{Kind: OpBatch, Inputs: xs, Batch: 2, Classes: classes[:1]})
+	batches, mismatches, err := j.Replay(twin.Graph, nil)
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	if batches != 1 || mismatches != 1 {
+		t.Fatalf("replayed %d batches with %d mismatches, want 1 and 1", batches, mismatches)
+	}
+}
+
 // TestMaintainerRunTicks exercises the background maintenance loop against
 // live traffic and clean exit on shutdown.
 func TestMaintainerRunTicks(t *testing.T) {
