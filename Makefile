@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 tier1-fmt examples tier2 tier2-reliability bench bench-all bench-profile clean all
+.PHONY: tier1 tier1-fmt examples tier2 tier2-reliability bench bench-all bench-profile pair clean all
 
 all: tier1
 
@@ -19,16 +19,18 @@ tier1-fmt:
 
 # Examples: run every examples/* program end to end, then the extended
 # paper tables (the only non-test caller of the DFA comparison and the QAT
-# run), a one-sample `trident train` (the tiny-dataset path through the
-# in-situ run and the digital baseline), and the lifetime campaign through
-# `faulttolerance --lifetime` and `trident train -lifetime` (its only
-# non-test callers, about a second each); a non-zero exit fails the target.
+# run), a two-sample `trident train` (the tiny-dataset path through the
+# in-situ run and the digital baseline; two is the fewest samples whose 80%
+# training split is non-empty, so one TrainBatch step runs), and the
+# lifetime campaign through `faulttolerance --lifetime` and `trident train
+# -lifetime` (its only non-test callers, about a second each); a non-zero
+# exit fails the target.
 # The examples have no tests of their own, and they call public entry points
 # (PE.Infer, train.RunInSitu, ...) that the tests reach only indirectly.
 examples:
 	@set -e; for d in examples/*/; do echo "go run ./$$d"; $(GO) run ./$$d > /dev/null; done
 	@echo "go run ./cmd/papertables -extended"; $(GO) run ./cmd/papertables -extended > /dev/null
-	@echo "go run ./cmd/trident train -samples 1 -epochs 1"; $(GO) run ./cmd/trident train -samples 1 -epochs 1 > /dev/null
+	@echo "go run ./cmd/trident train -samples 2 -epochs 1"; $(GO) run ./cmd/trident train -samples 2 -epochs 1 > /dev/null
 	@echo "go run ./examples/faulttolerance --lifetime"; $(GO) run ./examples/faulttolerance --lifetime > /dev/null
 	@echo "go run ./cmd/trident train -lifetime"; $(GO) run ./cmd/trident train -lifetime > /dev/null
 
@@ -62,7 +64,7 @@ tier2-reliability:
 # speedup and allocation gate in its gate table (defaultGates in
 # cmd/benchjson/main.go) holds; parallelism gates are recorded but waived on
 # hosts with too few CPUs.
-BENCH_OUT ?= BENCH_PR29.json
+BENCH_OUT ?= BENCH_PR31.json
 BENCH_COUNT ?= 6
 BENCH_PATTERN = ^(BenchmarkBankMVM|BenchmarkBankMVMReference|BenchmarkBankMVMBatch|BenchmarkBankRecompileFull|BenchmarkBankRecompileIncremental|BenchmarkBankProgram|BenchmarkPENoisyPass|BenchmarkTrainStep|BenchmarkTrainBatch|BenchmarkTransposeCompiled|BenchmarkTableIII_PowerBreakdown|BenchmarkFigure6_InferencesPerSecond|BenchmarkServeBatcher|BenchmarkServeUnbatched|BenchmarkRouterOneReplica|BenchmarkRouterTwoReplicas|BenchmarkDeepCNNBatchSequential|BenchmarkDeepCNNBatchPipelined|BenchmarkDeepCNNBatchPipelinedTwoStage|BenchmarkDeepCNNTrainStep)$$
 
@@ -77,6 +79,20 @@ bench:
 # tracked $(BENCH_OUT) keeps the unprofiled numbers from `make bench`.
 bench-profile:
 	$(GO) test -run='^$$' -bench='$(BENCH_PATTERN)' -benchmem -count=1 -cpuprofile cpu.pprof -memprofile mem.pprof . | $(GO) run ./cmd/benchjson -out bench-profile.json
+
+# Alternating parent/change pairs of the repository benchmark: runs
+# benchmark/run.sh in a temporary git worktree of PARENT and in the working
+# tree, N pairs of WORKLOAD at SEED at BENCHMARK.json's run length (flipping
+# which side runs first), and prints per end-to-end metric both medians and
+# quartiles, the change's wins, a sign-test p-value and the smallest
+# detectable change.
+PARENT ?= HEAD
+WORKLOAD ?= cnn-offline
+SEED ?= 1
+N ?= 10
+
+pair:
+	$(GO) run ./cmd/benchpair -parent $(PARENT) -workload $(WORKLOAD) -seed $(SEED) -n $(N)
 
 # The full benchmark suite (every table, figure and hot path), no trajectory
 # file.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -51,49 +52,123 @@ func requireSameLedger(t *testing.T, single, batched *Ledger) {
 // TestNetworkBatchMatchesSingle is the serving-path exactness contract:
 // batched inference through a multi-tile network — noise model on, stuck
 // cells injected — must be bit-identical to per-sample Forward calls, and
-// must book exactly the same energy and time.
+// must book exactly the same energy and time. The larger batch runs as two
+// whole micro-batches and a ragged third.
 func TestNetworkBatchMatchesSingle(t *testing.T) {
-	single, batched := twinNetworks(t)
-	for _, net := range []*Network{single, batched} {
-		if _, err := net.InjectRandomFaults(0.05, StuckCrystalline, 99); err != nil {
-			t.Fatal(err)
+	for _, batch := range []int{6, 2*denseMicroBatch + 5} {
+		single, batched := twinNetworks(t)
+		for _, net := range []*Network{single, batched} {
+			if _, err := net.InjectRandomFaults(0.05, StuckCrystalline, 99); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	const batch = 6
-	xs := batchInputs(t, 17, batch, 12)
-	got, err := batched.ForwardBatchInto(nil, xs, batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != batch*3 {
-		t.Fatalf("batch logits length %d, want %d", len(got), batch*3)
-	}
-	for s := 0; s < batch; s++ {
-		want, err := single.Forward(xs[s*12 : (s+1)*12])
+		xs := batchInputs(t, 17, batch, 12)
+		got, err := batched.ForwardBatchInto(nil, xs, batch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for j := range want {
-			if got[s*3+j] != want[j] {
-				t.Fatalf("sample %d logit %d: batched %v, single %v", s, j, got[s*3+j], want[j])
+		if len(got) != batch*3 {
+			t.Fatalf("batch %d: logits length %d, want %d", batch, len(got), batch*3)
+		}
+		for s := 0; s < batch; s++ {
+			want, err := single.Forward(xs[s*12 : (s+1)*12])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j := range want {
+				if got[s*3+j] != want[j] {
+					t.Fatalf("batch %d sample %d logit %d: batched %v, single %v", batch, s, j, got[s*3+j], want[j])
+				}
+			}
+		}
+		requireSameLedger(t, single.Ledger(), batched.Ledger())
+
+		// PredictBatch must agree with per-sample Predict (first-wins argmax).
+		preds, err := batched.PredictBatch(nil, xs, batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s := 0; s < batch; s++ {
+			want, err := single.Predict(xs[s*12 : (s+1)*12])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if preds[s] != want {
+				t.Errorf("batch %d sample %d: PredictBatch %d, Predict %d", batch, s, preds[s], want)
 			}
 		}
 	}
-	requireSameLedger(t, single.Ledger(), batched.Ledger())
+}
 
-	// PredictBatch must agree with per-sample Predict (first-wins argmax).
-	preds, err := batched.PredictBatch(nil, xs, batch)
+// TestForwardMicroBatchRule pins the micro-batch size SetOutput derives
+// from a graph's shape: as many whole samples as keep the widest conv node
+// within convChunkCols pixel rows, or denseMicroBatch without a conv node.
+func TestForwardMicroBatchRule(t *testing.T) {
+	conv := func(inH, outC, stride int) tensor.Conv2DSpec {
+		return tensor.Conv2DSpec{InC: 1, InH: inH, InW: inH, OutC: outC, KH: 3, KW: 3,
+			StrideH: stride, StrideW: stride, PadH: 1, PadW: 1, Groups: 1}
+	}
+	mlp, err := NewNetwork(noisyCfg(), LayerSpec{In: 35, Out: 24, Activate: true}, LayerSpec{In: 24, Out: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for s := 0; s < batch; s++ {
-		want, err := single.Predict(xs[s*12 : (s+1)*12])
-		if err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		g    *Graph
+		want int
+	}{
+		{"mlp", mlp.Graph, denseMicroBatch},
+		{"8x8 conv", newTestCNN(t, noisyCfg(), conv(8, 4, 1), 3), 4},
+		{"8x8 conv stride 2", newTestCNN(t, noisyCfg(), conv(8, 4, 2), 3), 16},
+		{"32x32 conv", newTestCNN(t, noisyCfg(), conv(32, 2, 1), 3), 1},
+	} {
+		if tc.g.whole.micro != tc.want {
+			t.Errorf("%s: micro-batch %d, want %d", tc.name, tc.g.whole.micro, tc.want)
 		}
-		if preds[s] != want {
-			t.Errorf("sample %d: PredictBatch %d, Predict %d", s, preds[s], want)
+	}
+}
+
+// TestForwardMemoryBoundedByMicroBatch: a 1,024-sample ForwardBatchInto on
+// a graph of cnn-offline's shape (four convs on 8×8 images, 8×8 banks)
+// leaves no node's forward slab and no layer's stream scratch holding more
+// than one micro-batch of 4 samples (256 pixel rows over the widest conv's
+// 64 pixels), so forward memory follows the graph, not the batch.
+func TestForwardMemoryBoundedByMicroBatch(t *testing.T) {
+	const micro, batch = 4, 1024
+	conv := func(inC, inH, outC, stride int) tensor.Conv2DSpec {
+		return tensor.Conv2DSpec{InC: inC, InH: inH, InW: inH, OutC: outC, KH: 3, KW: 3,
+			StrideH: stride, StrideW: stride, PadH: 1, PadW: 1, Groups: 1}
+	}
+	g, err := NewConvNet(noisyCfg(), []tensor.Conv2DSpec{
+		conv(1, 8, 4, 1), conv(4, 8, 6, 1), conv(6, 8, 6, 2), conv(6, 4, 8, 1),
+	}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.ForwardBatchInto(nil, batchInputs(t, 9, batch, g.InputSize()), batch); err != nil {
+		t.Fatal(err)
+	}
+	bound := func(what string, s []float64, n int) {
+		t.Helper()
+		if cap(s) > n {
+			t.Errorf("%s holds %d floats, more than one micro-batch's %d", what, cap(s), n)
 		}
+	}
+	for i, n := range g.nodes[1:] {
+		vectors := micro // input vectors per micro-batch of the node's layer
+		if n.kind == nodeConv {
+			vectors = micro * n.h * n.w
+		}
+		bound(fmt.Sprintf("node %d value", i+1), n.batchVal, micro*n.size)
+		if n.layer == nil {
+			continue
+		}
+		l := n.layer
+		bound(fmt.Sprintf("node %d patches", i+1), n.batchPatches, vectors*l.spec.In)
+		bound(fmt.Sprintf("node %d pre-activations", i+1), n.batchPre, vectors*l.spec.Out)
+		bound(fmt.Sprintf("node %d layer stream", i+1), l.stream, len(l.tiles)*l.rows*vectors)
+		bound(fmt.Sprintf("node %d layer streamX", i+1), l.streamX, vectors*l.spec.In)
+		bound(fmt.Sprintf("node %d layer batchH", i+1), l.batchH, vectors*l.spec.Out)
 	}
 }
 

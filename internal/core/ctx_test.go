@@ -66,3 +66,41 @@ func TestPredictBatchCtxMatchesPlain(t *testing.T) {
 		}
 	}
 }
+
+// cancelAfter is a live context until its Err has been called `live`
+// times, then a cancelled one; calls counts every Err call.
+type cancelAfter struct {
+	context.Context
+	live, calls int
+}
+
+func (c *cancelAfter) Err() error {
+	c.calls++
+	if c.calls > c.live {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestForwardBatchCtxCancelledBetweenMicroBatches: a context cancelled
+// after the first micro-batch's two nodes stops the walk before the second
+// micro-batch's first node, returning the context error and no output.
+func TestForwardBatchCtxCancelledBetweenMicroBatches(t *testing.T) {
+	net := ctxTestNetwork(t)
+	const batch = denseMicroBatch + 8
+	xs := make([]float64, batch*6)
+	for i := range xs {
+		xs[i] = float64(i%7) * 0.1
+	}
+	ctx := &cancelAfter{Context: context.Background(), live: 2}
+	out, err := net.ForwardBatchIntoCtx(ctx, nil, xs, batch)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want context.Canceled", err)
+	}
+	if out != nil {
+		t.Fatalf("cancelled batch returned partial output %v", out)
+	}
+	if ctx.calls != 3 {
+		t.Fatalf("context checked %d times, want 3 (two nodes, then the next micro-batch)", ctx.calls)
+	}
+}

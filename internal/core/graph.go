@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"time"
 
 	"trident/internal/device"
 	"trident/internal/tensor"
@@ -80,7 +81,8 @@ type graphNode struct {
 	layer *DenseLayer       // dense weights / conv kernel matrix on PEs
 	spec  tensor.Conv2DSpec // conv nodes only
 
-	// batchVal holds the node's output for the whole batch, sample-major.
+	// batchVal holds the node's output, sample-major: one micro-batch after
+	// a forward walk (forwardStage), the whole batch after TrainBatch's.
 	batchVal []float64
 
 	// joinEvents counts optical join passes booked at this node (adds and
@@ -124,7 +126,9 @@ type Graph struct {
 	layers    []*DenseLayer // every hardware layer, in construction order
 	buildErr  error
 
-	// Batched-serving scratch (see PredictBatch), reused across calls.
+	// The forward walk's node range and micro-batch size, set by SetOutput
+	// (see forwardStage); batchLogits is PredictBatch's reused scratch.
+	whole       pipeStage
 	batchLogits []float64
 
 	// Batched-training scratch (see TrainBatch), reused across calls;
@@ -331,7 +335,14 @@ func (g *Graph) Concat(ins ...NodeID) NodeID {
 	})
 }
 
+// denseMicroBatch is the forward walk's micro-batch on a graph without a
+// conv node: the compiled GEMM's sample panel (mrr's gemmSampleBlock).
+const denseMicroBatch = 32
+
 // SetOutput seals the graph, surfacing any error recorded while building.
+// It also fixes the forward walk's micro-batch size from the graph's shape:
+// as many whole samples as keep the widest conv node within convChunkCols
+// pixel rows, or denseMicroBatch without a conv node.
 func (g *Graph) SetOutput(id NodeID) error {
 	if g.buildErr != nil {
 		return g.buildErr
@@ -341,6 +352,14 @@ func (g *Graph) SetOutput(id NodeID) error {
 	}
 	g.output = id
 	g.outputSet = true
+	g.whole = pipeStage{lo: 1, hi: len(g.nodes) - 1, micro: denseMicroBatch}
+	pixels := 0
+	for _, n := range g.nodes {
+		if n.kind == nodeConv && n.h*n.w > pixels {
+			pixels = n.h * n.w
+			g.whole.micro = max(1, convChunkCols/pixels)
+		}
+	}
 	return nil
 }
 
@@ -518,9 +537,9 @@ func col2imAddRows(dst []float64, rows []float64, j0 int, s tensor.Conv2DSpec, p
 
 // ForwardBatchInto streams a batch through every node in topological
 // order: sample s's input occupies xs[s*In : (s+1)*In] and its output
-// lands in dst[s*Out : (s+1)*Out]. Each node processes the whole batch
-// before the next node starts, each tile seeing its samples in batch
-// order, so outputs, noise streams and ledgers are bit-identical to
+// lands in dst[s*Out : (s+1)*Out]. The walk runs the whole graph over one
+// micro-batch at a time (see forwardStage), each tile seeing its samples in
+// batch order, so outputs, noise streams and ledgers are bit-identical to
 // calling Forward once per sample. Serving-only: no training state is
 // saved (TrainBatch runs its own forward walk).
 func (g *Graph) ForwardBatchInto(dst, xs []float64, batch int) ([]float64, error) {
@@ -528,13 +547,14 @@ func (g *Graph) ForwardBatchInto(dst, xs []float64, batch int) ([]float64, error
 }
 
 // ForwardBatchIntoCtx is ForwardBatchInto with cancellation checkpoints
-// between node stages: when ctx is cancelled the walk stops before the next
-// node runs and the context's error is returned. A batch that completes is
-// bit-identical to an uncancelled one — cancellation never yields partial
-// output, it yields an error. This is the hook the serving front-end uses to
-// abort in-flight micro-batches on hard shutdown without tearing a bank
-// pass in half: checkpoints sit *between* hardware passes, so a cancelled
-// batch leaves every bank in a consistent state.
+// before every node of every micro-batch: when ctx is cancelled the walk
+// stops before the next node runs and the context's error is returned. A
+// batch that completes is bit-identical to an uncancelled one —
+// cancellation never yields partial output, it yields an error. This is the
+// hook the serving front-end uses to abort in-flight micro-batches on hard
+// shutdown without tearing a bank pass in half: checkpoints sit *between*
+// hardware passes, so a cancelled batch leaves every bank in a consistent
+// state.
 func (g *Graph) ForwardBatchIntoCtx(ctx context.Context, dst, xs []float64, batch int) ([]float64, error) {
 	if !g.outputSet {
 		return nil, fmt.Errorf("core: graph output not set")
@@ -544,46 +564,94 @@ func (g *Graph) ForwardBatchIntoCtx(ctx context.Context, dst, xs []float64, batc
 		return nil, fmt.Errorf("core: batch %d×%d needs %d inputs, have %d",
 			batch, in, batch*in, len(xs))
 	}
-	g.nodes[0].batchVal = xs
-	for i := 1; i < len(g.nodes); i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: batched forward cancelled before node %d: %w", i, err)
-		}
-		if err := g.forwardNodeBatch(g.nodes[i], batch, g.batchValOf); err != nil {
-			return nil, err
-		}
+	dst = growFloats(dst, batch*g.nodes[g.output].size)
+	if err := g.forwardStage(ctx, &g.whole, xs, dst, batch); err != nil {
+		return nil, err
 	}
-	out := g.nodes[g.output]
-	dst = growFloats(dst, batch*out.size)
-	copy(dst, out.batchVal[:batch*out.size])
 	return dst, nil
 }
 
-// batchValOf is the default batch-value resolver: a node's input comes from
-// its producer's graph-owned batch scratch. Pipeline stages substitute a
-// resolver that redirects only the stage's external input to the
-// double-buffered handoff slot (see pipeline.go); every intra-stage edge
-// still resolves here.
-func (g *Graph) batchValOf(id NodeID) []float64 { return g.nodes[id].batchVal }
+// forwardStage is the one forward walk: ForwardBatchIntoCtx runs it over
+// the whole graph and each pipeline stage over its node range. It runs st's
+// nodes over `batch` samples, st.micro at a time, in ascending micro-batch
+// order (or in the order indices arrive on st.recv, until it closes), with
+// in holding node st.inID's value for the batch, and checks ctx before every
+// node. The range holding the graph output copies each micro-batch's output
+// into dst; a stage with a successor copies its boundary value into the
+// successor's buffer and sends the index on. Node values and layer scratch
+// hold one micro-batch, so forward memory follows the graph, not the batch.
+// Pipeline stages also time their compute for StageOccupancy.
+func (g *Graph) forwardStage(ctx context.Context, st *pipeStage, in, dst []float64, batch int) error {
+	w := g.nodes[st.inID].size
+	outSize := g.nodes[g.output].size
+	holdsOut := st.lo <= int(g.output) && int(g.output) <= st.hi
+	micro := st.micro
+	st.busy = 0
+	for k := 0; k*micro < batch; k++ {
+		mb := k
+		if st.recv != nil {
+			var ok bool
+			if mb, ok = <-st.recv; !ok {
+				return nil // upstream stage failed and reports the error
+			}
+		}
+		off := mb * micro
+		n := min(micro, batch-off)
+		cur := in[off*w : (off+n)*w]
+		var t0 time.Time
+		if st.p != nil {
+			t0 = time.Now()
+		}
+		for i := st.lo; i <= st.hi; i++ {
+			if err := ctx.Err(); err != nil {
+				return fmt.Errorf("core: batched forward cancelled before node %d: %w", i, err)
+			}
+			if err := g.forwardNodeBatch(g.nodes[i], n, st.inID, cur, false); err != nil {
+				return err
+			}
+		}
+		if st.p != nil {
+			st.busy += time.Since(t0)
+		}
+		if holdsOut {
+			copy(dst[off*outSize:(off+n)*outSize], g.nodes[g.output].batchVal[:n*outSize])
+		}
+		if st.next != nil {
+			b := g.nodes[st.hi]
+			copy(st.next.in[off*b.size:(off+n)*b.size], b.batchVal[:n*b.size])
+			st.next.recv <- mb
+		}
+	}
+	return nil
+}
 
-// forwardNodeBatch runs one node over a whole batch, reading producer
-// values through `val` (shape metadata still comes from the producer node —
-// only the backing data is resolver-supplied).
-func (g *Graph) forwardNodeBatch(n *graphNode, batch int, val func(NodeID) []float64) error {
+// valOf returns node id's batch value: in when id is the walk's external
+// input inID, else the node's graph-owned scratch.
+func (g *Graph) valOf(id, inID NodeID, in []float64) []float64 {
+	if id == inID {
+		return in
+	}
+	return g.nodes[id].batchVal
+}
+
+// forwardNodeBatch runs one node over a batch, reading its producers'
+// values through valOf: in is the value of the walk's external input inID.
+// keep is convForward's: training keeps a conv node's whole-batch slabs.
+func (g *Graph) forwardNodeBatch(n *graphNode, batch int, inID NodeID, in []float64, keep bool) error {
 	prod := g.nodes[n.in[0]]
+	pv := g.valOf(n.in[0], inID, in)
 	switch n.kind {
 	case nodeDense:
-		y, err := n.layer.ForwardBatchInto(n.batchVal, val(n.in[0]), batch)
+		y, err := n.layer.ForwardBatchInto(n.batchVal, pv, batch)
 		if err != nil {
 			return err
 		}
 		n.batchVal = y
 	case nodeConv:
-		return g.convForward(n, batch, val(n.in[0]), false)
+		return g.convForward(n, batch, pv, keep)
 	case nodeGAP:
 		pixels := prod.h * prod.w
 		n.batchVal = growFloats(n.batchVal, batch*n.size)
-		pv := val(n.in[0])
 		for smp := 0; smp < batch; smp++ {
 			data := pv[smp*prod.size : (smp+1)*prod.size]
 			gap := n.batchVal[smp*n.size : (smp+1)*n.size]
@@ -597,7 +665,7 @@ func (g *Graph) forwardNodeBatch(n *graphNode, batch int, val func(NodeID) []flo
 		}
 	case nodeAdd:
 		n.batchVal = growFloats(n.batchVal, batch*n.size)
-		av, bv := val(n.in[0]), val(n.in[1])
+		av, bv := pv, g.valOf(n.in[1], inID, in)
 		for smp := 0; smp < batch; smp++ {
 			a := av[smp*n.size : (smp+1)*n.size]
 			b := bv[smp*n.size : (smp+1)*n.size]
@@ -614,7 +682,7 @@ func (g *Graph) forwardNodeBatch(n *graphNode, batch int, val func(NodeID) []flo
 			off := 0
 			for _, id := range n.in {
 				p := g.nodes[id]
-				copy(out[off:off+p.size], val(id)[smp*p.size:(smp+1)*p.size])
+				copy(out[off:off+p.size], g.valOf(id, inID, in)[smp*p.size:(smp+1)*p.size])
 				off += p.size
 			}
 			n.bookJoin()

@@ -11,9 +11,11 @@ package core
 // weight-stationary payoff: every bank already holds its layer's weights
 // permanently, so concurrent stage execution costs no reprogramming. The
 // overlap starts only once the pipeline has filled and ends as it drains,
-// and at each end every stage but the slowest idles for one micro-batch;
-// the auto micro-batch size (microFor) cuts a call into about 8K
-// micro-batches so that this bubble is a small slice of the call.
+// and at each end every stage but the slowest idles for one micro-batch.
+// The auto micro-batch size is the graph's own (see SetOutput), the one the
+// sequential walk runs, so stage memory is bounded the same way; a
+// 64-image batch of cnn-offline's CNN runs as 16 micro-batches of 4, and
+// the bubble is a small slice of the call.
 //
 // Determinism contract (same bar as the rest of the package): outputs, noise
 // streams and energy ledgers are bit-identical to the unpipelined
@@ -33,6 +35,7 @@ package core
 // internal/dataflow turns them into a balanced partition.
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -88,12 +91,18 @@ func (g *Graph) PipelinePlan() (costs []int64, legal []bool) {
 // pipeStage is one simulated chip: a contiguous node range [lo, hi], the
 // single external producer feeding it, and — for every stage but the first
 // — a full-batch copy of that producer's output, which the upstream stage
-// fills one micro-batch at a time at the micro-batch's own offset.
+// fills one micro-batch at a time. Graph.whole is a range of its own.
 type pipeStage struct {
 	lo, hi int           // node index range, inclusive
 	inID   NodeID        // external producer: the preceding cut node (0 = graph input)
 	in     []float64     // upstream output for the whole call (stages ≥ 1)
-	busy   time.Duration // compute time this ForwardBatchPipelined call
+	recv   chan int      // indices of the filled micro-batches of in (stages ≥ 1)
+	next   *pipeStage    // downstream stage (all but the last pipeline stage)
+	micro  int           // samples per micro-batch
+	busy   time.Duration // compute time of the last call (pipeline stages only)
+	p      *Pipeline     // nil for Graph.whole
+	run    func()        // p's runStage for this stage, a method value made once
+	err    error         // this call's result
 }
 
 // Pipeline drives one sealed Graph through stage-sharded micro-batched
@@ -103,25 +112,20 @@ type Pipeline struct {
 	g      *Graph
 	stages []*pipeStage
 	cuts   []int // node indices the partition cut after (diagnostics)
-	micro  int   // configured micro-batch size; 0 = auto (see microFor)
-	out    int   // stage index owning the graph output node
 
 	occ []float64 // last call's per-stage occupancy (busy/wall)
 
-	// Per-call coordination, allocated once. errs[s] is stage s's result
-	// and done[s] the channel feeding stage s ≥ 1; the channels themselves
-	// are made anew each call, because a stage closes its outgoing channel
-	// to release its consumers.
-	errs []error
-	done []chan int
-	wg   sync.WaitGroup
+	// The call's arguments, read by every stage.
+	dst, xs []float64
+	batch   int
+	wg      sync.WaitGroup
 }
 
 // NewPipeline shards a sealed graph into len(cuts)+1 contiguous stages, each
 // cut falling after the given node index. Cuts must be strictly increasing,
 // inside [1, N−2], and legal per PipelinePlan — use dataflow.PlanStages to
 // compute a balanced legal cut set. microBatch fixes the micro-batch size; 0
-// picks ⌈batch/(8K)⌉ per call (see microFor).
+// runs the graph's own (see SetOutput).
 func NewPipeline(g *Graph, cuts []int, microBatch int) (*Pipeline, error) {
 	if !g.outputSet {
 		return nil, fmt.Errorf("core: pipeline needs a sealed graph (output not set)")
@@ -141,22 +145,22 @@ func NewPipeline(g *Graph, cuts []int, microBatch int) (*Pipeline, error) {
 		}
 		prev = c
 	}
-	p := &Pipeline{g: g, cuts: append([]int(nil), cuts...), micro: microBatch}
+	if microBatch == 0 {
+		microBatch = g.whole.micro
+	}
+	p := &Pipeline{g: g, cuts: append([]int(nil), cuts...)}
 	lo := 1
 	in := NodeID(0)
-	for _, c := range cuts {
-		p.stages = append(p.stages, &pipeStage{lo: lo, hi: c, inID: in})
-		lo, in = c+1, NodeID(c)
-	}
-	p.stages = append(p.stages, &pipeStage{lo: lo, hi: len(g.nodes) - 1, inID: in})
-	for i, st := range p.stages {
-		if st.lo <= int(g.output) && int(g.output) <= st.hi {
-			p.out = i
+	for _, hi := range append(p.cuts, len(g.nodes)-1) {
+		st := &pipeStage{lo: lo, hi: hi, inID: in, micro: microBatch, p: p}
+		st.run = st.runStage
+		if k := len(p.stages); k > 0 {
+			p.stages[k-1].next = st
 		}
+		p.stages = append(p.stages, st)
+		lo, in = hi+1, NodeID(hi)
 	}
 	p.occ = make([]float64, len(p.stages))
-	p.errs = make([]error, len(p.stages))
-	p.done = make([]chan int, len(p.stages))
 	return p, nil
 }
 
@@ -203,38 +207,15 @@ func (p *Pipeline) StageInfos() []StageInfo {
 	return infos
 }
 
-// microPerStage is the auto micro-batch rule's split: a call is cut into
-// about microPerStage·K micro-batches, which makes the pipeline's fill and
-// drain a small slice of the call.
-const microPerStage = 8
-
-// microFor picks the micro-batch size for one call: the configured size
-// clamped to the batch, or ⌈batch/(microPerStage·K)⌉. With whole-call stage
-// times T_k, a call of M micro-batches takes about
-// max_k T_k + (Σ_k T_k − max_k T_k)/M plus M times the per-micro-batch
-// overhead: the pipeline fills and drains once, and every stage but the
-// slowest idles for one micro-batch at each end, so the bubble shrinks as
-// 1/M while the overhead grows with M.
-func (p *Pipeline) microFor(batch int) int {
-	if p.micro > 0 {
-		return min(p.micro, batch)
-	}
-	split := microPerStage * len(p.stages)
-	return (batch + split - 1) / split
-}
-
 // ForwardBatchPipelined runs one batched inference with each stage on its
 // own goroutine. Outputs and ledgers are bit-identical to ForwardBatchInto
-// (see the package comment above for the argument). Stage s hands
-// micro-batch b to stage s+1 by copying its boundary value into stage s+1's
-// full-batch input buffer at b's offset and then sending b on the cut's
-// channel; the send is the happens-before edge between that copy and the
-// consumer's read. No region of the buffer is written twice in a call, so
-// the producer never waits for its consumer, and each channel holds every
-// micro-batch index of the call. A stage closes its outgoing channel when
-// it returns, so a failed stage releases its consumers, which then finish
-// without error; the call returns the lowest-indexed stage's error and
-// never partial output.
+// (see the package comment above for the argument). Each stage runs the
+// forward walk (forwardStage) over its node range, handing micro-batch b to
+// stage s+1 through s+1's buffer at b's offset and then b on the cut's
+// channel; the send orders that copy before the consumer's read. No region
+// is written twice in a call, so a producer never waits, and a failed stage
+// closes its channel to release its consumers, which finish without error:
+// the call returns the lowest-indexed stage's error, never partial output.
 func (p *Pipeline) ForwardBatchPipelined(dst, xs []float64, batch int) ([]float64, error) {
 	g := p.g
 	in := g.nodes[0].size
@@ -242,36 +223,24 @@ func (p *Pipeline) ForwardBatchPipelined(dst, xs []float64, batch int) ([]float6
 		return nil, fmt.Errorf("core: batch %d×%d needs %d inputs, have %d",
 			batch, in, batch*in, len(xs))
 	}
-	outSize := g.nodes[g.output].size
-	dst = growFloats(dst, batch*outSize)
+	dst = growFloats(dst, batch*g.nodes[g.output].size)
 	if batch == 0 {
 		return dst, nil
 	}
-
-	micro := p.microFor(batch)
+	p.dst, p.xs, p.batch = dst, xs, batch
+	micro := p.stages[0].micro
 	nMicro := (batch + micro - 1) / micro
-	K := len(p.stages)
 
-	// Size every boundary buffer before the workers launch so no slice
-	// header is written concurrently with a read.
-	done := p.done
-	for s := 1; s < K; s++ {
-		st := p.stages[s]
+	// Size every boundary buffer and make every cut's channel before the
+	// workers launch, so no field is written concurrently with a read.
+	for _, st := range p.stages[1:] {
 		st.in = growFloats(st.in, batch*g.nodes[st.inID].size)
-		done[s] = make(chan int, nMicro)
+		st.recv = make(chan int, nMicro)
 	}
-
-	clear(p.errs)
 	start := time.Now()
-	for s := 0; s < K; s++ {
+	for _, st := range p.stages {
 		p.wg.Add(1)
-		go func(s int) {
-			defer p.wg.Done()
-			if s < K-1 {
-				defer close(done[s+1])
-			}
-			p.errs[s] = p.runStage(s, dst, xs, batch, micro, nMicro, done)
-		}(s)
+		go st.run()
 	}
 	p.wg.Wait()
 	wall := time.Since(start)
@@ -284,61 +253,25 @@ func (p *Pipeline) ForwardBatchPipelined(dst, xs []float64, batch int) ([]float6
 	}
 	// Deterministic error selection: a stage released by a failed upstream
 	// neighbour records nil, so the lowest-indexed error is the root cause.
-	for _, err := range p.errs {
-		if err != nil {
-			return nil, err
+	for _, st := range p.stages {
+		if st.err != nil {
+			return nil, st.err
 		}
 	}
 	return dst, nil
 }
 
-// runStage is stage s's worker: it runs the stage's nodes over each
-// micro-batch in ascending order — every index for stage 0, each index that
-// arrives on done[s] otherwise — then writes the graph output into dst (on
-// the output stage) or hands the boundary value to stage s+1.
-func (p *Pipeline) runStage(s int, dst, xs []float64, batch, micro, nMicro int, done []chan int) error {
-	g := p.g
-	st := p.stages[s]
-	st.busy = 0
-	w := g.nodes[st.inID].size
-	outSize := g.nodes[g.output].size
-	for k := range nMicro {
-		mb := k
-		if s > 0 {
-			var ok bool
-			if mb, ok = <-done[s]; !ok {
-				return nil // upstream stage failed and reports the error
-			}
-		}
-		off := mb * micro
-		n := min(micro, batch-off)
-		var cur []float64
-		if s == 0 {
-			cur = xs[off*w : (off+n)*w]
-		} else {
-			cur = st.in[off*w : (off+n)*w]
-		}
-		val := func(id NodeID) []float64 {
-			if id == st.inID {
-				return cur
-			}
-			return g.nodes[id].batchVal
-		}
-		t0 := time.Now()
-		for i := st.lo; i <= st.hi; i++ {
-			if err := g.forwardNodeBatch(g.nodes[i], n, val); err != nil {
-				return err
-			}
-		}
-		st.busy += time.Since(t0)
-		if s == p.out {
-			copy(dst[off*outSize:(off+n)*outSize], g.nodes[g.output].batchVal[:n*outSize])
-		}
-		if s < len(p.stages)-1 {
-			b := g.nodes[st.hi]
-			copy(p.stages[s+1].in[off*b.size:(off+n)*b.size], b.batchVal[:n*b.size])
-			done[s+1] <- mb
-		}
+// runStage is a stage's worker, launched through its run method value so a
+// call allocates no closure; it closes its outgoing channel on return.
+func (st *pipeStage) runStage() {
+	p := st.p
+	defer p.wg.Done()
+	if st.next != nil {
+		defer close(st.next.recv)
 	}
-	return nil
+	in := st.in
+	if st.recv == nil {
+		in = p.xs
+	}
+	st.err = p.g.forwardStage(context.Background(), st, in, p.dst, p.batch)
 }

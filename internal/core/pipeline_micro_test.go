@@ -6,10 +6,12 @@ import (
 	"trident/internal/tensor"
 )
 
-// TestPipelineAutoMicroBatch pins the auto micro-batch rule, ⌈batch/(8K)⌉,
-// while an explicit size is only clamped to the batch. The cuts are the
-// ones dataflow.PlanStages picks: the four-conv CNN after conv2 for two
-// stages and after conv1 and conv2 when asked for four; the 35→24→10 MLP
+// TestPipelineAutoMicroBatch: every stage of an auto-sized pipeline runs
+// the graph's own micro-batch (4 samples for the four-conv CNN on 8×8
+// images, denseMicroBatch for the MLP) whatever the stage count, so stage
+// memory is bounded like the sequential walk's; an explicit size replaces
+// it. The cuts are the ones dataflow.PlanStages picks: the CNN after conv2
+// for two stages and after conv1 and conv2 for three; the 35→24→10 MLP
 // after its hidden layer.
 func TestPipelineAutoMicroBatch(t *testing.T) {
 	cfg := NetworkConfig{PE: PEConfig{Rows: 8, Cols: 8, DisableNoise: true}, LearningRate: 0.1}
@@ -32,25 +34,21 @@ func TestPipelineAutoMicroBatch(t *testing.T) {
 		g     *Graph
 		cuts  []int
 		micro int
-		batch int
 		want  int
 	}{
-		{"cnn K=2 batch 64", cnn, []int{2}, 0, 64, 4}, // 16 micro-batches, cnn-offline's shape
-		{"cnn K=2 batch 16", cnn, []int{2}, 0, 16, 1},
-		{"cnn K=2 batch 2", cnn, []int{2}, 0, 2, 1},
-		{"cnn K=3 batch 64", cnn, []int{1, 2}, 0, 64, 3}, // ⌈64/24⌉
-		{"cnn K=3 batch 16", cnn, []int{1, 2}, 0, 16, 1},
-		{"mlp K=2 batch 16", mlp.Graph, []int{1}, 0, 16, 1},
-		{"mlp K=2 batch 200", mlp.Graph, []int{1}, 0, 200, 13}, // ⌈200/16⌉
-		{"explicit 5 batch 64", cnn, []int{2}, 5, 64, 5},
-		{"explicit 5 batch 3", cnn, []int{2}, 5, 3, 3},
+		{"cnn K=2", cnn, []int{2}, 0, 4}, // cnn-offline's shape: a 64-image batch runs 16 micro-batches
+		{"cnn K=3", cnn, []int{1, 2}, 0, 4},
+		{"mlp K=2", mlp.Graph, []int{1}, 0, denseMicroBatch},
+		{"explicit 5", cnn, []int{2}, 5, 5},
 	} {
 		p, err := NewPipeline(tc.g, tc.cuts, tc.micro)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if got := p.microFor(tc.batch); got != tc.want {
-			t.Errorf("%s: micro-batch %d, want %d", tc.name, got, tc.want)
+		for s, st := range p.stages {
+			if st.micro != tc.want {
+				t.Errorf("%s: stage %d micro-batch %d, want %d", tc.name, s, st.micro, tc.want)
+			}
 		}
 	}
 }

@@ -53,9 +53,10 @@ func (g *Graph) TrainBatch(xs []float64, labels []int) (float64, error) {
 			return 0, fmt.Errorf("core: label %d out of range [0,%d)", label, classes)
 		}
 	}
+	// A full-batch walk: the backward walk reads every sample's activations.
 	g.nodes[0].batchVal = xs
 	for i := 1; i < len(g.nodes); i++ {
-		if err := g.forwardTrainNodeBatch(g.nodes[i], batch); err != nil {
+		if err := g.forwardNodeBatch(g.nodes[i], batch, 0, xs, true); err != nil {
 			return 0, err
 		}
 	}
@@ -72,18 +73,6 @@ func (g *Graph) TrainBatch(xs []float64, labels []int) (float64, error) {
 		return 0, err
 	}
 	return total / float64(batch), nil
-}
-
-// forwardTrainNodeBatch is forwardNodeBatch, except that conv nodes keep
-// every sample's im2col patches and pre-activations for the backward walk
-// (the serving path reuses one chunk's slab). An activated dense node's
-// pre-activations stay in its layer's batchH scratch, from which the
-// backward walk reads the LDSU-latched derivatives.
-func (g *Graph) forwardTrainNodeBatch(n *graphNode, batch int) error {
-	if n.kind == nodeConv {
-		return g.convForward(n, batch, g.nodes[n.in[0]].batchVal, true)
-	}
-	return g.forwardNodeBatch(n, batch, g.batchValOf)
 }
 
 // backwardBatch walks the graph in reverse construction order over

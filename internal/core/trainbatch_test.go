@@ -327,9 +327,10 @@ func TestConvTransposeInactivePixels(t *testing.T) {
 	run := func(workers int) trace {
 		withWorkers(t, workers)
 		g := newMultiTileConvNet(t)
-		g.nodes[0].batchVal = batchInputs(t, 3, batch, g.InputSize())
+		xs := batchInputs(t, 3, batch, g.InputSize())
+		g.nodes[0].batchVal = xs
 		for i := 1; i < len(g.nodes); i++ {
-			if err := g.forwardTrainNodeBatch(g.nodes[i], batch); err != nil {
+			if err := g.forwardNodeBatch(g.nodes[i], batch, 0, xs, true); err != nil {
 				t.Fatal(err)
 			}
 		}

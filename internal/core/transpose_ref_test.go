@@ -157,7 +157,7 @@ func ReferenceTrainBatch(g *Graph, xs []float64, labels []int) error {
 	batch := len(labels)
 	g.nodes[0].batchVal = xs
 	for i := 1; i < len(g.nodes); i++ {
-		if err := g.forwardTrainNodeBatch(g.nodes[i], batch); err != nil {
+		if err := g.forwardNodeBatch(g.nodes[i], batch, 0, xs, true); err != nil {
 			return err
 		}
 	}
